@@ -124,11 +124,14 @@ def _ints(raw):
     return tuple(int(v) for v in raw.split())
 
 
-def parse_config(text: str) -> StudyConfig:
+def parse_config(text: str, trials: dict | None = None) -> StudyConfig:
     """Validate an INI study document and build the StudyConfig.
 
     Unknown sections or keys are errors naming the offender; hypothesis
-    violations are errors citing the label.
+    violations are errors citing the label.  The verify battery's trial
+    counts ([study] instances, pair_instances, jensen_trials, probe_trials)
+    must be positive; when ``trials`` is given, those set are stored in it as
+    :func:`full_verification` keywords.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -171,25 +174,23 @@ def parse_config(text: str) -> StudyConfig:
         raise ConfigError(f"[mesh]: {exc}") from exc
     grid = mesh.grid()
 
-    # density
-    get = _getter("density", sections.get("density", {}))
+    # density; a family's own default alpha applies unless the document sets one
+    density_keys = sections.get("density", {})
+    get = _getter("density", density_keys)
     family = get("family", "weighted_norm")
-    alpha_raw = sections.get("density", {}).get("alpha")
-    gamma = get("gamma", 1.0, float)
+    growth = {"gamma": get("gamma", 1.0, float)}
+    if "alpha" in density_keys:
+        growth["alpha"] = get("alpha", cast=float)
     level_convex = get("level_convex", True, bool)
     try:
         if family == "weighted_norm":
             a = _coefficient_field(get("a", "one"), grid)
-            alpha = float(alpha_raw) if alpha_raw is not None else float(np.min(a))
-            density = DensitySpec.weighted_norm(grid, a, alpha=alpha, gamma=gamma)
+            density = DensitySpec.weighted_norm(grid, a, **growth)
         elif family == "shifted_norm":
-            b = np.array([get("b", 0.0, float)])
-            alpha = float(alpha_raw) if alpha_raw is not None else 1e-6
-            density = DensitySpec.shifted_norm(grid, b, alpha=alpha, gamma=gamma)
+            density = DensitySpec.shifted_norm(grid, get("b", 0.0, float), **growth)
         elif family == "anisotropic":
             a = _coefficient_field(get("a", "one"), grid)
-            alpha = float(alpha_raw) if alpha_raw is not None else float(np.min(a))
-            density = DensitySpec.anisotropic(grid, a[:, None], alpha=alpha, gamma=gamma)
+            density = DensitySpec.anisotropic(grid, a, **growth)
         elif family == "custom":
             rule = get("rule")
             if rule not in custom_rule_names():
@@ -198,11 +199,9 @@ def parse_config(text: str) -> StudyConfig:
                     f"(have {', '.join(custom_rule_names())})"
                 )
             coeffs = {}
-            if "a" in sections.get("density", {}):
+            if "a" in density_keys:
                 coeffs["a"] = _coefficient_field(get("a"), grid)
-            alpha = float(alpha_raw) if alpha_raw is not None else 1e-6
-            density = DensitySpec.custom(grid, rule, coeffs, alpha=alpha,
-                                         gamma=gamma, level_convex=level_convex)
+            density = DensitySpec.custom(grid, rule, coeffs, level_convex=level_convex, **growth)
         else:
             raise ConfigError(f"[density] family: unknown family {family!r}")
     except StructuralError as exc:
@@ -252,7 +251,15 @@ def parse_config(text: str) -> StudyConfig:
         raise ConfigError(f"[solver]: {exc}") from exc
 
     # study
-    get = _getter("study", sections.get("study", {}))
+    study = sections.get("study", {})
+    get = _getter("study", study)
+    for key in ("instances", "pair_instances", "jensen_trials", "probe_trials"):
+        if key in study:
+            count = get(key, cast=int)
+            if count < 1:
+                raise ConfigError(f"[study] {key}: trial count must be positive, got {count}")
+            if trials is not None:
+                trials[key] = count
     kind = get("kind", "norm_gamma")
     try:
         return StudyConfig(
@@ -293,6 +300,10 @@ def _write_csv(path, columns, rows, config_hash, seed):
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -321,19 +332,9 @@ def run(subcommand: str, config_path: str, out_dir: str, seed: int = 0) -> RunMa
     passed = True
 
     if subcommand == "verify":
-        cfg = parse_config(cfg_text)
-        parser = configparser.ConfigParser(interpolation=None)
-        parser.read_string(cfg_text)
-        study_items = dict(parser.items("study")) if parser.has_section("study") else {}
-        get = _getter("study", study_items)
-        table = full_verification(
-            seed=seed,
-            density=cfg.density,
-            instances=get("instances", 1000, int),
-            pair_instances=get("pair_instances", 200, int),
-            jensen_trials=get("jensen_trials", 10000, int),
-            probe_trials=get("probe_trials", 10000, int),
-        )
+        trials = {}
+        cfg = parse_config(cfg_text, trials)
+        table = full_verification(seed=seed, density=cfg.density, **trials)
         digest = _write_csv(os.path.join(out_dir, "verify.csv"),
                             table.columns, table.rows, config_hash, seed)
         files.append(("verify.csv", digest))

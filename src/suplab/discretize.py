@@ -3,11 +3,15 @@
 Nodes carry the field values (boundary nodes pinned by Dirichlet data,
 interior nodes free), cells carry the quadrature weights and gradients, so
 the discrete energies are unconstrained functions of the interior nodes.
+
+The cell-gradient stencil and its adjoint on raw node arrays live here only:
+:func:`gradient` wraps the stencil, and the descent solver calls both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,11 +78,12 @@ class MeshSpec:
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "cells", cells)
 
-    @property
+    # cached: the solver's inner loop reads these on every stencil call
+    @cached_property
     def spacings(self) -> tuple:
         return tuple(e / c for e, c in zip(self.extents, self.cells))
 
-    @property
+    @cached_property
     def node_shape(self) -> tuple:
         return tuple(c + 1 for c in self.cells)
 
@@ -152,22 +157,52 @@ class DiscreteField:
         return DiscreteField(self.mesh, c * self.node_values)
 
 
-def gradient(field: DiscreteField) -> GridFunction:
-    """Cell-wise finite-difference gradient; exact for affine node data.
+def _cell_gradient(mesh: MeshSpec, u: np.ndarray) -> np.ndarray:
+    """Cell gradients, shape (cells, dimension), of raw node values on the mesh.
 
     1-D cells use the forward difference across the cell; 2-D cells average
     the two edge differences per axis (the bilinear-cell gradient).
     """
-    u = field.node_values
-    mesh = field.mesh
     if mesh.dimension == 1:
         (h,) = mesh.spacings
-        return GridFunction(mesh.grid(), (u[1:] - u[:-1]) / h)
+        return ((u[1:] - u[:-1]) / h)[:, None]
     hx, hy = mesh.spacings
     dx = (u[1:, :-1] - u[:-1, :-1] + u[1:, 1:] - u[:-1, 1:]) / (2.0 * hx)
     dy = (u[:-1, 1:] - u[:-1, :-1] + u[1:, 1:] - u[1:, :-1]) / (2.0 * hy)
-    vals = np.column_stack([dx.ravel(), dy.ravel()])
-    return GridFunction(mesh.grid(), vals, components=2)
+    return np.column_stack([dx.ravel(), dy.ravel()])
+
+
+def _cell_gradient_adjoint(mesh: MeshSpec, coef: np.ndarray) -> np.ndarray:
+    """Node gradient of sum_cells coef . xi, the adjoint of the stencil;
+    the entries of the fixed Dirichlet boundary nodes are zero."""
+    g = np.zeros(mesh.node_shape)
+    if mesh.dimension == 1:
+        (h,) = mesh.spacings
+        c = coef[:, 0] / h
+        g[1:] += c
+        g[:-1] -= c
+        g[0] = g[-1] = 0.0
+        return g
+    hx, hy = mesh.spacings
+    nx, ny = mesh.cells
+    cx = coef[:, 0].reshape(nx, ny) / (2.0 * hx)
+    cy = coef[:, 1].reshape(nx, ny) / (2.0 * hy)
+    g[1:, :-1] += cx
+    g[1:, 1:] += cx
+    g[:-1, :-1] -= cx
+    g[:-1, 1:] -= cx
+    g[:-1, 1:] += cy
+    g[1:, 1:] += cy
+    g[:-1, :-1] -= cy
+    g[1:, :-1] -= cy
+    g[0, :] = g[-1, :] = 0.0
+    g[:, 0] = g[:, -1] = 0.0
+    return g
+
+
+def gradient(field: DiscreteField) -> GridFunction:
+    """Cell-wise finite-difference gradient; exact for affine node data."""
+    return GridFunction(field.mesh.grid(), _cell_gradient(field.mesh, field.node_values))
 
 
 def interpolate_boundary(mesh: MeshSpec, g: BoundarySpec | None = None) -> DiscreteField:

@@ -6,6 +6,12 @@ Built-in families are level convex by construction:
 * ``shifted_norm``      f = |xi - b(x)|
 * ``anisotropic``       f = max_j a_j(x) |xi_j|
 
+Each family's formula is one table entry, giving f and d(log f)/d(xi) at a
+smoothing eps >= 0 (eps = 0 is exact) on the last axis of xi; the scalar
+:func:`eval_density`, the cell-wise :func:`density_field` and the solver all
+call it.  A coefficient array is per-cell iff its leading axis has one entry
+per grid cell; anything else is shared by every cell.
+
 Custom densities are a named closed-form rule from the registry plus
 tabulated coefficient fields, so probe reports can cite parameters instead
 of opaque callables.  The two hypotheses a density must satisfy for the
@@ -24,6 +30,7 @@ from .exponent_space import (
     ExponentField,
     Grid,
     GridFunction,
+    PreconditionError,
     StructuralError,
     _logsumexp,
     _require_same_grid,
@@ -32,7 +39,6 @@ from .exponent_space import (
 from .reports import RelationReport
 
 __all__ = [
-    "BUILTIN_FAMILIES",
     "DensityContractError",
     "DensitySpec",
     "register_custom_rule",
@@ -45,8 +51,6 @@ __all__ = [
     "level_convexity_probe",
     "growth_check",
 ]
-
-BUILTIN_FAMILIES = ("weighted_norm", "shifted_norm", "anisotropic")
 
 
 class DensityContractError(ValueError):
@@ -86,9 +90,84 @@ register_custom_rule("capped_norm", _rule_capped_norm)
 register_custom_rule("weighted_norm_power", _rule_weighted_norm_power)
 
 
+# Family formulas: (spec, coefficients, u, xi, eps) -> (f, d(log f)/d(xi)) on
+# the last axis of xi, for one sample (k,) with one cell's coefficients or a
+# field (cells, k) with all of them.  eps > 0 smooths the kink as
+# sqrt(|.|^2 + eps^2); at eps = 0, the exact density, no derivative is made.
+
+def _weighted_norm(f, c, u, xi, eps):
+    s2 = np.vecdot(xi, xi) + eps * eps
+    return c["a"] * np.sqrt(s2), (xi / s2[..., None] if eps > 0 else None)
+
+
+def _shifted_norm(f, c, u, xi, eps):
+    d = xi - c["b"]
+    s2 = np.vecdot(d, d) + eps * eps
+    return np.sqrt(s2), (d / s2[..., None] if eps > 0 else None)
+
+
+def _anisotropic(f, c, u, xi, eps):
+    sm = np.hypot(xi, eps)
+    vals = c["a"] * sm
+    val = vals.max(-1)
+    if eps == 0:
+        return val, None
+    # only the (first) largest component moves the max
+    top = np.arange(xi.shape[-1]) == vals.argmax(-1)[..., None]
+    return val, np.where(top, xi / (sm * sm), 0.0)
+
+
+def _custom(f, c, u, xi, eps):
+    if eps > 0:
+        raise PreconditionError(f"custom rule {f.rule!r} has no smoothed gradient; "
+                                "descent needs a built-in family")
+    if xi.ndim > 1:
+        vals = [_custom(f, {k: v[i] for k, v in c.items()}, u[i], xi[i], eps)[0]
+                for i in range(xi.shape[0])]
+        return np.array(vals), None
+    val = float(_CUSTOM_RULES[f.rule](c, u, xi))
+    if not np.isfinite(val) or val < 0:
+        raise DensityContractError(f"custom rule {f.rule!r} returned {val} at xi = {xi.tolist()}")
+    return val, None
+
+
+# family -> (formula, required coefficient, whether it has a component axis,
+# matched against the last axis of xi; one value per cell stands for all)
+_FAMILIES = {
+    "weighted_norm": (_weighted_norm, "a", False),
+    "shifted_norm": (_shifted_norm, "b", True),
+    "anisotropic": (_anisotropic, "a", True),
+    "custom": (_custom, None, False),
+}
+
+
+def _density(f, c, u, xi, eps):
+    """Density values and d(log f)/d(xi) of f's family; see the table above."""
+    formula, key, per_component = _FAMILIES[f.family]
+    if per_component and c[key].shape[-1] not in (1, xi.shape[-1]):
+        raise StructuralError(f"{key!r} has {c[key].shape[-1]} components, xi has {xi.shape[-1]}")
+    return formula(f, c, u, xi, eps)
+
+
+def _per_cell(n_cells, val):
+    """Read-only coefficient with a leading cell axis.
+
+    An array is per-cell iff its leading axis has ``n_cells`` entries;
+    anything else is shared by every cell.
+    """
+    arr = np.array(val, dtype=float)
+    if arr.ndim == 0 or arr.shape[0] != n_cells:
+        arr = np.array(np.broadcast_to(arr, (n_cells,) + arr.shape))
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class DensitySpec:
-    """Parametric density with declared growth constants and convexity flag."""
+    """Parametric density with declared growth constants and convexity flag.
+
+    Coefficients are resolved to per-cell arrays once, here (``_per_cell``).
+    """
 
     grid: Grid
     family: str
@@ -99,26 +178,22 @@ class DensitySpec:
     rule: str | None = None
 
     def __post_init__(self):
-        if self.family not in BUILTIN_FAMILIES + ("custom",):
+        if self.family not in _FAMILIES:
             raise StructuralError(f"unknown density family {self.family!r}")
         if not (self.alpha > 0 and self.gamma > 0):
             raise StructuralError("growth constants alpha, gamma must be positive")
-        coeffs = {}
-        for key, val in self.coefficients.items():
-            arr = np.asarray(val, dtype=float)
-            if arr.ndim == 0:
-                coeffs[key] = float(arr)
-            else:
-                arr = np.array(arr, dtype=float)
-                arr.setflags(write=False)
-                coeffs[key] = arr
+        coeffs = {k: _per_cell(self.grid.n_cells, v) for k, v in self.coefficients.items()}
+        _, key, per_component = _FAMILIES[self.family]
+        if key is not None:
+            if key not in coeffs:
+                raise StructuralError(f"{self.family} needs an {key!r} coefficient field")
+            arr = coeffs[key]
+            if per_component and arr.ndim == 1:
+                arr = arr[:, None]
+            if arr.ndim != 1 + per_component:
+                raise StructuralError(f"{self.family} {key!r} has shape {arr.shape[1:]} per cell")
+            coeffs[key] = arr
         object.__setattr__(self, "coefficients", coeffs)
-        if self.family == "weighted_norm" and "a" not in coeffs:
-            raise StructuralError("weighted_norm needs an 'a' coefficient field")
-        if self.family == "shifted_norm" and "b" not in coeffs:
-            raise StructuralError("shifted_norm needs a 'b' coefficient field")
-        if self.family == "anisotropic" and "a" not in coeffs:
-            raise StructuralError("anisotropic needs an 'a' coefficient field")
         if self.family == "custom":
             if self.rule is None or self.rule not in _CUSTOM_RULES:
                 raise StructuralError(
@@ -127,23 +202,23 @@ class DensitySpec:
 
     @classmethod
     def weighted_norm(cls, grid: Grid, a, alpha=None, gamma=1.0) -> "DensitySpec":
-        a_vals = _coefficient(grid, a)
+        if callable(a):
+            a = a(grid.cells[:, 0] if grid.dimension == 1 else grid.cells)
         if alpha is None:
-            alpha = float(np.min(a_vals))
-        return cls(grid, "weighted_norm", {"a": a_vals}, alpha=alpha, gamma=gamma)
+            alpha = float(np.min(a))
+        return cls(grid, "weighted_norm", {"a": a}, alpha=alpha, gamma=gamma)
 
     @classmethod
     def shifted_norm(cls, grid: Grid, b, alpha=1e-6, gamma=1.0) -> "DensitySpec":
-        return cls(grid, "shifted_norm", {"b": np.asarray(b, dtype=float)},
-                   alpha=alpha, gamma=gamma)
+        return cls(grid, "shifted_norm", {"b": b}, alpha=alpha, gamma=gamma)
 
     @classmethod
     def anisotropic(cls, grid: Grid, a, alpha=None, gamma=1.0) -> "DensitySpec":
-        a_arr = np.asarray(a, dtype=float)
         if alpha is None:
-            k = a_arr.shape[-1] if a_arr.ndim > 1 else 1
-            alpha = float(np.min(a_arr)) / np.sqrt(k)
-        return cls(grid, "anisotropic", {"a": a_arr}, alpha=alpha, gamma=gamma)
+            # max_j a_j |xi_j| >= min(a) |xi| / sqrt(k) for xi with k components
+            k = max(grid.dimension, _per_cell(grid.n_cells, a)[0].size)
+            alpha = float(np.min(a)) / np.sqrt(k)
+        return cls(grid, "anisotropic", {"a": a}, alpha=alpha, gamma=gamma)
 
     @classmethod
     def custom(cls, grid: Grid, rule: str, coefficients=None, alpha=1e-6,
@@ -151,70 +226,20 @@ class DensitySpec:
         return cls(grid, "custom", dict(coefficients or {}), alpha=alpha,
                    gamma=gamma, level_convex=level_convex, rule=rule)
 
-    def coefficient_at(self, key, cell):
-        """Per-cell slice of a coefficient; arrays not indexed by cell broadcast."""
-        val = self.coefficients[key]
-        if isinstance(val, float):
-            return val
-        if val.shape[0] == self.grid.n_cells:
-            return val[cell]
-        return val
-
-
-def _coefficient(grid, a):
-    if callable(a):
-        pts = grid.cells[:, 0] if grid.dimension == 1 else grid.cells
-        return np.asarray(a(pts), dtype=float)
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim == 0:
-        return np.full(grid.n_cells, float(arr))
-    return arr
-
 
 def eval_density(f: DensitySpec, cell: int, u_val, xi) -> float:
     """Evaluate the density at one cell; custom rules must stay nonnegative."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if f.family == "weighted_norm":
-        return float(f.coefficient_at("a", cell) * np.linalg.norm(xi))
-    if f.family == "shifted_norm":
-        b = np.atleast_1d(np.asarray(f.coefficient_at("b", cell), dtype=float))
-        if b.shape != xi.shape:
-            raise StructuralError(f"shift has shape {b.shape}, xi has shape {xi.shape}")
-        return float(np.linalg.norm(xi - b))
-    if f.family == "anisotropic":
-        a = np.atleast_1d(np.asarray(f.coefficient_at("a", cell), dtype=float))
-        if a.shape != xi.shape:
-            raise StructuralError(f"anisotropy has shape {a.shape}, xi has shape {xi.shape}")
-        return float(np.max(a * np.abs(xi)))
-    coeffs = {k: f.coefficient_at(k, cell) for k in f.coefficients}
-    val = float(_CUSTOM_RULES[f.rule](coeffs, u_val, xi))
-    if not np.isfinite(val) or val < 0:
-        raise DensityContractError(
-            f"custom rule {f.rule!r} returned {val} at cell {cell}"
-        )
-    return val
+    c = {k: v[cell] for k, v in f.coefficients.items()}
+    val, _ = _density(f, c, u_val, np.atleast_1d(np.asarray(xi, dtype=float)), 0.0)
+    return float(val)
 
 
 def density_field(f: DensitySpec, u: GridFunction | None, Du: GridFunction) -> GridFunction:
     """Cell-wise density values f(x_i, u_i, Du_i) as a scalar grid function."""
-    grid = Du.grid
     xi = Du.values if Du.components > 1 else Du.values[:, None]
-    if f.family == "weighted_norm":
-        vals = f.coefficients["a"] * np.linalg.norm(xi, axis=1)
-    elif f.family == "shifted_norm":
-        b = np.asarray(f.coefficients["b"], dtype=float)
-        b = np.broadcast_to(b, xi.shape)
-        vals = np.linalg.norm(xi - b, axis=1)
-    elif f.family == "anisotropic":
-        a = np.asarray(f.coefficients["a"], dtype=float)
-        a = a[None, :] if a.ndim == 1 else a
-        vals = np.max(np.broadcast_to(a, xi.shape) * np.abs(xi), axis=1)
-    else:
-        uvals = u.values if u is not None else np.zeros(grid.n_cells)
-        vals = np.array(
-            [eval_density(f, i, uvals[i], xi[i]) for i in range(grid.n_cells)]
-        )
-    return GridFunction(grid, vals)
+    uvals = u.values if u is not None else np.zeros(Du.grid.n_cells)
+    vals, _ = _density(f, f.coefficients, uvals, xi, 0.0)
+    return GridFunction(Du.grid, vals)
 
 
 def eval_supremal(f: DensitySpec, u: GridFunction | None, Du: GridFunction) -> float:

@@ -7,8 +7,10 @@ the discrete level, not merely approximately.
 
 All power sums are accumulated in the log domain; the linear-scale modular
 carries a ``+inf`` sentinel once its logarithm exceeds :data:`OVERFLOW_LOG`.
-Norms are Luxemburg norms, computed by bracketing plus bisection on the
-strictly decreasing map ``lam -> modular(u / lam)``.
+Norms are Luxemburg norms, all computed by :func:`luxemburg_root`: in closed
+form, ``(sum_i w_i |u_i|^p)^(1/p)``, when the exponent is constant, and
+otherwise by bracketing plus bisection on the strictly decreasing map
+``lam -> modular(u / lam)``.
 """
 
 from __future__ import annotations
@@ -329,12 +331,17 @@ def luxemburg_root(base_logs, exponents, scale0, rtol=BISECTION_RTOL, bracket=No
     """Solve logsumexp(base_logs - exponents * log(lam)) = 0 for lam > 0.
 
     ``base_logs`` are the lam-free term logs (log w_i + p_i log|u_i| over the
-    nonvanishing cells).  The map is strictly decreasing in lam, so geometric
-    bracket expansion from ``scale0`` followed by bisection is unconditionally
-    safe.  An optional ``bracket`` (lo, hi) is validated before use.
+    nonvanishing cells).  When all exponents equal p the root is the closed
+    form exp(logsumexp(base_logs) / p), and ``scale0``, ``rtol`` and
+    ``bracket`` are unused.  Otherwise the map is strictly decreasing in lam,
+    so geometric bracket expansion from ``scale0`` followed by bisection is
+    unconditionally safe.  An optional ``bracket`` (lo, hi) is validated
+    before use.
     """
     base_logs = np.asarray(base_logs, dtype=float)
     exponents = np.asarray(exponents, dtype=float)
+    if (exponents == exponents[0]).all():
+        return float(np.exp(_logsumexp(base_logs) / exponents[0]))
 
     def excess(lam):
         return _logsumexp(base_logs - exponents * np.log(lam))

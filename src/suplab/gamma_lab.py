@@ -120,10 +120,7 @@ def _weight_field(cfg: StudyConfig) -> GridFunction:
         raise PreconditionError(
             "closed-form oracles need the weighted-norm density family"
         )
-    a = cfg.density.coefficients["a"]
-    grid = cfg.mesh.grid()
-    vals = a if isinstance(a, np.ndarray) else np.full(grid.n_cells, a)
-    return GridFunction(grid, vals)
+    return GridFunction(cfg.mesh.grid(), cfg.density.coefficients["a"])
 
 
 def _boundary_rise(cfg: StudyConfig):

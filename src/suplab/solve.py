@@ -7,12 +7,15 @@ and differentiated entirely in the log domain, so exponents in the hundreds
 never overflow:
 
 * norm form: the variable-exponent norm of the density field is driven down
-  by alternating a norm refresh (bisection, or the closed-form power sum for
-  constant exponents) with descent on the log-modular of the density scaled
-  by the current norm; decreasing that modular below one strictly decreases
-  the norm.
+  by alternating a norm refresh (``luxemburg_root``: closed form for constant
+  exponents, bisection otherwise) with descent on the log-modular of the
+  density scaled by the current norm; decreasing that modular below one
+  strictly decreases the norm.
 * integral form: plain descent on the log of the exponent-normalized power
   integral.
+
+Smoothed densities come from the family table in :mod:`suplab.energy`, the
+cell-gradient stencil and its adjoint from :mod:`suplab.discretize`.
 
 Closed-form supremal oracles for 1-D weighted problems live here as well:
 the minimum of the sup of a(x) |u'| under endpoint data is
@@ -25,8 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import DiscreteField, MeshSpec, gradient, interpolate_boundary
-from .energy import DensitySpec, eval_calFn, eval_Fn
+from .discretize import (
+    DiscreteField,
+    MeshSpec,
+    _cell_gradient,
+    _cell_gradient_adjoint,
+    gradient,
+    interpolate_boundary,
+)
+from .energy import DensitySpec, _density, eval_calFn, eval_Fn
 from .exponent_space import (
     ExponentField,
     GridFunction,
@@ -93,83 +103,6 @@ class SolveResult:
     functional: str
 
 
-def _smoothed_density(spec: DensitySpec, xi: np.ndarray, eps: float):
-    """Smoothed density values and d(log f)/d(xi), vectorized over cells."""
-    if spec.family == "weighted_norm":
-        a = spec.coefficients["a"]
-        a = a if isinstance(a, np.ndarray) else np.full(xi.shape[0], a)
-        s2 = np.sum(xi * xi, axis=1) + eps * eps
-        f = a * np.sqrt(s2)
-        dlog = xi / s2[:, None]
-        return f, dlog
-    if spec.family == "shifted_norm":
-        b = np.broadcast_to(np.asarray(spec.coefficients["b"], dtype=float), xi.shape)
-        d = xi - b
-        s2 = np.sum(d * d, axis=1) + eps * eps
-        return np.sqrt(s2), d / s2[:, None]
-    if spec.family == "anisotropic":
-        a = np.asarray(spec.coefficients["a"], dtype=float)
-        a = np.broadcast_to(a[None, :] if a.ndim == 1 else a, xi.shape)
-        sm2 = xi * xi + eps * eps
-        sm = np.sqrt(sm2)
-        vals = a * sm
-        j = np.argmax(vals, axis=1)
-        rows = np.arange(xi.shape[0])
-        f = vals[rows, j]
-        dlog = np.zeros_like(xi)
-        dlog[rows, j] = xi[rows, j] / sm2[rows, j]
-        return f, dlog
-    raise PreconditionError(
-        f"no smoothed gradient for family {spec.family!r}; descent needs a built-in family"
-    )
-
-
-class _EnergyState:
-    """Mesh-specific plumbing: gradients of cells from nodes and the adjoint scatter."""
-
-    def __init__(self, mesh: MeshSpec):
-        self.mesh = mesh
-        self.dim = mesh.dimension
-        self.spacings = mesh.spacings
-
-    def xi(self, u: np.ndarray) -> np.ndarray:
-        if self.dim == 1:
-            (h,) = self.spacings
-            return ((u[1:] - u[:-1]) / h)[:, None]
-        hx, hy = self.spacings
-        dx = (u[1:, :-1] - u[:-1, :-1] + u[1:, 1:] - u[:-1, 1:]) / (2.0 * hx)
-        dy = (u[:-1, 1:] - u[:-1, :-1] + u[1:, 1:] - u[1:, :-1]) / (2.0 * hy)
-        return np.column_stack([dx.ravel(), dy.ravel()])
-
-    def scatter(self, coef: np.ndarray) -> np.ndarray:
-        """Adjoint of xi: node gradient from cell coefficients, boundary zeroed."""
-        if self.dim == 1:
-            (h,) = self.spacings
-            g = np.zeros(self.mesh.node_shape)
-            c = coef[:, 0] / h
-            g[1:] += c
-            g[:-1] -= c
-        else:
-            hx, hy = self.spacings
-            nx, ny = self.mesh.cells
-            g = np.zeros(self.mesh.node_shape)
-            cx = coef[:, 0].reshape(nx, ny) / (2.0 * hx)
-            cy = coef[:, 1].reshape(nx, ny) / (2.0 * hy)
-            g[1:, :-1] += cx
-            g[1:, 1:] += cx
-            g[:-1, :-1] -= cx
-            g[:-1, 1:] -= cx
-            g[:-1, 1:] += cy
-            g[1:, 1:] += cy
-            g[:-1, :-1] -= cy
-            g[1:, :-1] -= cy
-            g[0, :] = g[-1, :] = 0.0
-            g[:, 0] = g[:, -1] = 0.0
-            return g
-        g[0] = g[-1] = 0.0
-        return g
-
-
 class _Descent:
     """Backtracking steepest descent on phi(u) = logsumexp(term_logs(u)).
 
@@ -178,20 +111,19 @@ class _Descent:
     warm line-search step survives across run() calls within a stage.
     """
 
-    def __init__(self, state, spec, eps, settings):
-        self.state = state
+    def __init__(self, mesh, spec, eps, settings):
+        self.mesh = mesh
         self.spec = spec
         self.eps = eps
         self.settings = settings
         self.t0 = settings.step_init
         # smoothed built-in densities vanish only where a coefficient does
-        coeff = spec.coefficients.get("a", 1.0)
-        floor = coeff if isinstance(coeff, float) else float(np.min(coeff))
-        self.positive = spec.family == "shifted_norm" or floor > 0.0
+        self.positive = (spec.family == "shifted_norm"
+                         or np.min(spec.coefficients.get("a", 1.0)) > 0.0)
 
     def eval(self, unodes, term_logs_fn):
-        xi = self.state.xi(unodes)
-        f, dlog = _smoothed_density(self.spec, xi, self.eps)
+        xi = _cell_gradient(self.mesh, unodes)
+        f, dlog = _density(self.spec, self.spec.coefficients, None, xi, self.eps)
         if self.positive:
             logf = np.log(f)
         else:
@@ -206,7 +138,7 @@ class _Descent:
         terms, pfac, dlog = parts
         sigma = np.exp(terms - phi) if np.isfinite(phi) else np.zeros_like(terms)
         coef = (sigma * pfac)[:, None] * dlog
-        return self.state.scatter(coef)
+        return _cell_gradient_adjoint(self.mesh, coef)
 
     def run(self, u, term_logs_fn, max_steps, stop_floor=-np.inf):
         st = self.settings
@@ -268,12 +200,10 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
         raise StructuralError("warm start lives on a different mesh")
     field = init if init is not None else interpolate_boundary(mesh)
 
-    state = _EnergyState(mesh)
     u = np.array(field.node_values)
     logw = grid.log_weights
     pv = p.values
     pmin, pmax = p.p_minus, p.p_plus
-    constant_p = (pmax - pmin) <= 1e-12 * pmax
 
     traces = []
     total_iters = 0
@@ -287,7 +217,7 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
             return logw - log_p + pv * logf, pv
 
         for eps in settings.epsilons:
-            descent = _Descent(state, density, eps, settings)
+            descent = _Descent(mesh, density, eps, settings)
             u, trace, iters, stag, residual = descent.run(
                 u, term_logs, settings.max_iter
             )
@@ -299,17 +229,15 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
     else:
         for eps in settings.epsilons:
             trace = []
-            descent = _Descent(state, density, eps, settings)
+            descent = _Descent(mesh, density, eps, settings)
 
             def norm_of(unodes, bracket=None):
-                xi = state.xi(unodes)
-                f, _ = _smoothed_density(density, xi, eps)
+                xi = _cell_gradient(mesh, unodes)
+                f, _ = _density(density, density.coefficients, None, xi, eps)
                 mask = f > 0
                 if not np.any(mask):
                     return 0.0
                 base = logw[mask] + pv[mask] * np.log(f[mask])
-                if constant_p:
-                    return float(np.exp(_logsumexp(base) / pmax))
                 return luxemburg_root(base, pv[mask], float(np.max(f)), bracket=bracket)
 
             lam = norm_of(u)

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,11 @@ n_schedule = 4 8
 
 def config_path(name):
     return os.path.join(CONFIG_DIR, name)
+
+
+def config_text(name):
+    with open(config_path(name)) as fh:
+        return fh.read()
 
 
 class TestParseConfig:
@@ -67,6 +73,12 @@ cells = 16
         with pytest.raises(ConfigError, match="H1"):
             parse_config(bad)
 
+    def test_plane_anisotropy_default_alpha(self):
+        # max(|xi_1|, |xi_2|) >= |xi| / sqrt(2); alpha = min(a) fails H2 in 2-D
+        doc = MINIMAL.replace("weighted_norm", "anisotropic").replace(
+            "cells = 64", "dimension = 2\ncells = 8")
+        assert parse_config(doc).density.alpha == pytest.approx(1.0 / np.sqrt(2.0))
+
     def test_piecewise_coefficient(self):
         doc = MINIMAL.replace("a = one", "a = piecewise:1.0,2.0")
         cfg = parse_config(doc)
@@ -105,7 +117,7 @@ class TestRun:
     def test_boundary_probe_is_config_error(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(
-            (open(config_path("dichotomy_low.ini")).read())
+            config_text("dichotomy_low.ini")
             .replace("probe_scale = 0.5", "probe_scale = 1.0")
         )
         code = main(["dichotomy", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -114,7 +126,7 @@ class TestRun:
     def test_gamma_study_small(self, tmp_path):
         cfg = tmp_path / "small.ini"
         cfg.write_text(
-            open(config_path("gamma_benchmark.ini")).read()
+            config_text("gamma_benchmark.ini")
             .replace("cells = 200", "cells = 32")
             .replace("n_schedule = 4 8 16 32 64", "n_schedule = 4 8")
         )
@@ -135,7 +147,7 @@ class TestRun:
     def test_minimizers_small(self, tmp_path):
         cfg = tmp_path / "mini.ini"
         cfg.write_text(
-            open(config_path("minimizers.ini")).read()
+            config_text("minimizers.ini")
             .replace("cells = 200", "cells = 32")
             .replace("n_schedule = 4 8 16 32 64", "n_schedule = 4 8")
             .replace("threshold = 0.01", "threshold = 0.1")
@@ -145,10 +157,30 @@ class TestRun:
         lines = (tmp_path / "o" / "minimizers.csv").read_text().splitlines()
         assert lines[1] == "n,p_minus,p_plus,sup_distance,oracle,error"
 
+    @pytest.mark.parametrize("key, value", [
+        ("instances", 0), ("pair_instances", -3), ("jensen_trials", 0), ("probe_trials", 0),
+    ])
+    def test_nonpositive_trial_count_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}",
+                              config_text("verify.ini"), flags=re.M))
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"[study] {key}" in capsys.readouterr().err
+
+    def test_csv_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            run("norms", config_path("norms.ini"), str(tmp_path), seed=0)
+        finally:
+            os.umask(old)
+        for name in ("norms.csv", "manifest.csv"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o644
+
     def test_verify_quick(self, tmp_path):
         cfg = tmp_path / "quick.ini"
         cfg.write_text(
-            open(config_path("verify.ini")).read()
+            config_text("verify.ini")
             .replace("instances = 1000", "instances = 50")
             .replace("pair_instances = 200", "pair_instances = 20")
             .replace("jensen_trials = 10000", "jensen_trials = 500")

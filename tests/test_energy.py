@@ -13,7 +13,16 @@ from suplab.energy import (
     level_convexity_probe,
     register_custom_rule,
 )
-from suplab.exponent_space import ExponentField, ExponentSequence, Grid, GridFunction, StructuralError
+from suplab.discretize import BoundarySpec, MeshSpec, gradient
+from suplab.exponent_space import (
+    ExponentField,
+    ExponentSequence,
+    Grid,
+    GridFunction,
+    StructuralError,
+    luxemburg_norm,
+)
+from suplab.solve import SolverSettings, minimize_power
 
 from _oracles import constant_p_norm
 
@@ -37,6 +46,8 @@ class TestEvalDensity:
         grid = line_grid(3)
         f = DensitySpec.anisotropic(grid, np.array([1.0, 2.0]))
         assert eval_density(f, 1, 0.0, np.array([3.0, 1.0])) == pytest.approx(3.0)
+        with pytest.raises(StructuralError):
+            eval_density(f, 1, 0.0, np.array([3.0]))
 
     def test_shifted(self):
         grid = line_grid(3)
@@ -53,6 +64,45 @@ class TestEvalDensity:
     def test_unknown_rule_rejected(self):
         with pytest.raises(StructuralError):
             DensitySpec.custom(line_grid(2), "no_such_rule")
+
+
+def per_cell_anisotropic(cells=8):
+    grid = line_grid(cells)
+    return DensitySpec.anisotropic(grid, 1.0 + grid.cells[:, 0])
+
+
+class TestDensityField:
+    @pytest.mark.parametrize("f", [
+        DensitySpec.weighted_norm(line_grid(8), lambda x: 1.0 + x),
+        DensitySpec.shifted_norm(line_grid(8), np.array([0.4])),
+        per_cell_anisotropic(),
+        DensitySpec.anisotropic(Grid.uniform_2d((0.0, 1.0), (0.0, 1.0), (3, 3)), [1.0, 2.0]),
+        DensitySpec.custom(line_grid(8), "capped_norm", {"cap": 0.5}),
+    ], ids=["weighted", "shifted", "anisotropic_per_cell", "anisotropic_2d", "custom"])
+    def test_field_matches_samples(self, f):
+        rng = np.random.default_rng(9)
+        grid = f.grid
+        du = GridFunction(grid, rng.normal(size=(grid.n_cells, grid.dimension)))
+        u = GridFunction(grid, rng.normal(size=grid.n_cells))
+        xi = du.values.reshape(grid.n_cells, -1)
+        samples = [eval_density(f, i, u.values[i], xi[i]) for i in range(grid.n_cells)]
+        assert np.array_equal(density_field(f, u, du).values, samples)
+
+    def test_per_cell_anisotropic_descent(self):
+        # in 1-D, one anisotropy weight per cell is the weighted norm
+        f = per_cell_anisotropic()
+        grid = f.grid
+        mesh = MeshSpec(1, (1.0,), (grid.n_cells,), BoundarySpec.endpoints(0.0, 1.0))
+        p = ExponentField.constant(grid, 4.0)
+        settings = SolverSettings(epsilons=(1e-2, 1e-3), max_iter=200)
+        res = minimize_power("norm", f, p, mesh, settings)
+        du = gradient(res.field).values
+        samples = [eval_density(f, i, 0.0, du[i]) for i in range(grid.n_cells)]
+        assert res.objective == pytest.approx(
+            luxemburg_norm(GridFunction(grid, samples), p), rel=1e-12)
+        weighted = DensitySpec.weighted_norm(grid, f.coefficients["a"][:, 0])
+        ref = minimize_power("norm", weighted, p, mesh, settings)
+        assert res.objective == pytest.approx(ref.objective, rel=1e-9)
 
 
 class TestSupremal:
@@ -208,6 +258,10 @@ class TestProbes:
         assert witness["cell_center"][0] > 1.0 / 9.0
 
     def test_growth_constant_floor(self):
-        grid = line_grid(32)
-        f = DensitySpec.weighted_norm(grid, 2.0, alpha=2.0)
-        assert growth_check(f, trials=2000, seed=6).passed
+        plane = Grid.uniform_2d((0.0, 1.0), (0.0, 1.0), (4, 4))
+        # the default alpha of the 2-D anisotropic norm max(|xi_1|, 2 |xi_2|)
+        # is |xi| / sqrt(2), reached where |xi_1| = |xi_2|
+        for f, alpha in ((DensitySpec.weighted_norm(line_grid(32), 2.0, alpha=2.0), 2.0),
+                         (DensitySpec.anisotropic(plane, [1.0, 2.0]), 1.0 / np.sqrt(2.0))):
+            assert f.alpha == pytest.approx(alpha, rel=1e-15)
+            assert growth_check(f, trials=2000, seed=6).passed
