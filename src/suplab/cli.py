@@ -55,14 +55,6 @@ class RunManifest:
     passed: bool
 
 
-_FLOAT_KEYS = {
-    "density": {"alpha", "gamma"},
-    "exponents": {"beta"},
-    "study": {"threshold", "delta", "probe_scale",
-              "divergence_threshold", "convergence_threshold"},
-    "solver": {"step_init", "step_shrink", "sufficient_decrease", "tol"},
-}
-
 _SCHEMA = {
     "density": {"family", "a", "b", "rule", "alpha", "gamma", "level_convex"},
     "mesh": {"dimension", "extent", "cells", "boundary", "g0", "g1", "c0", "cx", "cy"},

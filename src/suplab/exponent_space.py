@@ -9,8 +9,8 @@ All power sums are accumulated in the log domain; the linear-scale modular
 carries a ``+inf`` sentinel once its logarithm exceeds :data:`OVERFLOW_LOG`.
 Norms are Luxemburg norms, all computed by :func:`luxemburg_root`: in closed
 form, ``(sum_i w_i |u_i|^p)^(1/p)``, when the exponent is constant, and
-otherwise by bracketing plus bisection on the strictly decreasing map
-``lam -> modular(u / lam)``.
+otherwise by Newton's method in ``t = log lam`` on the convex, decreasing map
+``t -> log modular(u / exp(t))``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .reports import RelationReport, Table, eventually_decreasing
 
 __all__ = [
     "OVERFLOW_LOG",
-    "BISECTION_RTOL",
+    "ROOT_RTOL",
     "StructuralError",
     "GridMismatchError",
     "PreconditionError",
@@ -45,12 +45,17 @@ __all__ = [
     "sobolev_norm",
 ]
 
-# exp(OVERFLOW_LOG) is still representable; beyond it the linear-scale value
-# is reported as +inf and treated as "> 1" by the norm bisection.
+# exp(OVERFLOW_LOG) is still representable; beyond it the linear-scale
+# modular is reported as +inf (norms never leave the log domain).
 OVERFLOW_LOG = 700.0
 
-# relative bracket width at which the Luxemburg bisection stops
-BISECTION_RTOL = 1e-12
+# Newton step in log lam (a relative change of lam) at which the Luxemburg
+# root stops
+ROOT_RTOL = 1e-12
+
+# convergent roots take 3-9 Newton steps (quadratic near the root), so
+# reaching this cap means the iteration is not converging
+_ROOT_MAX_STEPS = 200
 
 
 class StructuralError(ValueError):
@@ -327,53 +332,35 @@ def modular(u: GridFunction, p: ExponentField) -> float:
     return float(np.exp(lr))
 
 
-def luxemburg_root(base_logs, exponents, scale0, rtol=BISECTION_RTOL, bracket=None):
+def luxemburg_root(base_logs, exponents):
     """Solve logsumexp(base_logs - exponents * log(lam)) = 0 for lam > 0.
 
     ``base_logs`` are the lam-free term logs (log w_i + p_i log|u_i| over the
     nonvanishing cells).  When all exponents equal p the root is the closed
-    form exp(logsumexp(base_logs) / p), and ``scale0``, ``rtol`` and
-    ``bracket`` are unused.  Otherwise the map is strictly decreasing in lam,
-    so geometric bracket expansion from ``scale0`` followed by bisection is
-    unconditionally safe.  An optional ``bracket`` (lo, hi) is validated
-    before use.
+    form exp(logsumexp(base_logs) / p).  Otherwise Newton's method runs in
+    t = log lam on F(t) = logsumexp(base_logs - exponents t), which is convex
+    and decreasing with F'(t) = -sum_i softmax_i p_i.  With L = F(0) the root
+    lies in [min(L/p+, L/p-), max(L/p+, L/p-)]; at the left end F >= 0, so
+    the iterates climb to the root without overshooting.  Iteration stops
+    once a step is at most :data:`ROOT_RTOL`; failing that, ArithmeticError
+    is raised.
     """
     base_logs = np.asarray(base_logs, dtype=float)
     exponents = np.asarray(exponents, dtype=float)
+    lr = _logsumexp(base_logs)
     if (exponents == exponents[0]).all():
-        return float(np.exp(_logsumexp(base_logs) / exponents[0]))
-
-    def excess(lam):
-        return _logsumexp(base_logs - exponents * np.log(lam))
-
-    lo = hi = None
-    if bracket is not None:
-        lo, hi = bracket
-        if not (lo > 0 and hi >= lo and excess(lo) > 0 >= excess(hi)):
-            lo = hi = None
-    if lo is None:
-        lo = hi = float(scale0)
-        if excess(hi) > 0:
-            for _ in range(4000):
-                hi *= 2.0
-                if excess(hi) <= 0:
-                    break
-            else:
-                raise ArithmeticError("failed to bracket the unit-modular scale from above")
-        else:
-            for _ in range(4000):
-                lo *= 0.5
-                if excess(lo) > 0:
-                    break
-            else:
-                raise ArithmeticError("failed to bracket the unit-modular scale from below")
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+        return float(np.exp(lr / exponents[0]))
+    t = min(lr / exponents.max(), lr / exponents.min())
+    for _ in range(_ROOT_MAX_STEPS):
+        e = base_logs - exponents * t
+        m = e.max()
+        s = np.exp(e - m)
+        total = s.sum()
+        step = (m + np.log(total)) * total / (s @ exponents)
+        t += step
+        if abs(step) <= ROOT_RTOL:
+            return float(np.exp(t))
+    raise ArithmeticError(f"Luxemburg root: no convergence in {_ROOT_MAX_STEPS} Newton steps")
 
 
 def luxemburg_norm(u: GridFunction, p: ExponentField) -> float:
@@ -386,7 +373,7 @@ def luxemburg_norm(u: GridFunction, p: ExponentField) -> float:
         return 0.0
     log_mags = np.log(mags[mask])
     base = u.grid.log_weights[mask] + p.values[mask] * log_mags
-    return luxemburg_root(base, p.values[mask], float(np.max(mags)))
+    return luxemburg_root(base, p.values[mask])
 
 
 def classical_norm(u: GridFunction, q: float) -> float:
@@ -430,8 +417,8 @@ def verify_norm_modular_relations(u: GridFunction, p: ExponentField, tol=1e-9) -
     lr = log_modular(u, p)
     rho = 0.0 if lr == -np.inf else (np.inf if lr > OVERFLOW_LOG else float(np.exp(lr)))
 
-    # log-scale tolerance; power comparisons amplify the norm's bisection
-    # error by up to p_plus
+    # log-scale tolerance; power comparisons amplify the root's error in
+    # log lam by up to p_plus
     tol_log = tol * (1.0 + pp)
 
     if lam == 0.0:
@@ -648,4 +635,4 @@ def sobolev_norm(u: GridFunction, Du: GridFunction, p: ExponentField) -> float:
     if not np.any(mask):
         return 0.0
     base = logw[mask] + pvals[mask] * np.log(mags[mask])
-    return luxemburg_root(base, pvals[mask], float(np.max(mags)))
+    return luxemburg_root(base, pvals[mask])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import DensitySpec, eval_density
+from .energy import DensitySpec, _density, eval_density
 from .exponent_space import Grid, GridFunction, StructuralError, _logsumexp
 from .reports import RelationReport, Table, eventually_decreasing
 
@@ -84,36 +84,58 @@ def barycenter(mu: DiscreteYoungMeasure) -> GridFunction:
     return GridFunction(mu.grid, vals)
 
 
-def jensen_check(f, cell: int, u_val, atoms, tol=1e-10) -> RelationReport:
-    """Check f(x, u, mean) <= max over atoms of f(x, u, atom).
+def jensen_check(f, cell, u_val, atoms, tol=1e-10) -> RelationReport:
+    """Check f(x, u, mean) <= max over atoms of f(x, u, atom), for one trial or a batch.
 
     Over a finite support the measure-essential supremum is the plain max.
     ``f`` is a DensitySpec or, for sign-indefinite probes, a bare callable
-    xi -> value.  A violation is recorded, not raised: it is evidence the
-    integrand is not level convex.
+    xi -> value.  One trial is ``cell``, ``u_val`` and atoms (points (m, k),
+    weights (m,)); a batch of T trials passes arrays (T,) for ``cell`` and
+    ``u_val`` and atoms (points (T, m, k), weights (T, m)), where a zero
+    weight marks a padded atom that never sets the max.  A DensitySpec is
+    evaluated by one family-table call for the means and one for the atoms.
+    Violations are recorded, not raised: they are evidence the integrand is
+    not level convex.  ``meta["violations"]`` counts the failing trials; the
+    slack is the smallest margin, and the witness the first failing trial,
+    or the trial of smallest margin if none fails.
     """
     points, weights = atoms
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    wts = np.asarray(weights, dtype=float).ravel()
-    if pts.shape[0] != wts.size:
-        pts = pts.T
-    mean = wts @ pts
+    pts = np.asarray(points, dtype=float)
+    wts = np.asarray(weights, dtype=float)
+    if np.ndim(cell) == 0:
+        pts = np.atleast_2d(pts)
+        wts = wts.ravel()
+        if pts.shape[0] != wts.size:
+            pts = pts.T
+        pts, wts = pts[None], wts[None]
+    cells = np.atleast_1d(np.asarray(cell, dtype=int))
+    u_vals = np.broadcast_to(np.asarray(u_val, dtype=float), cells.shape)
+    mean = np.matmul(wts[:, None, :], pts)[:, 0]
+    live = wts > 0
 
-    def value(xi):
+    def values(trial, xi):
         if isinstance(f, DensitySpec):
-            return eval_density(f, cell, u_val, xi)
-        return float(f(np.atleast_1d(xi)))
+            c = {k: v[cells[trial]] for k, v in f.coefficients.items()}
+            return _density(f, c, u_vals[trial], xi, 0.0)[0]
+        return np.array([float(f(x)) for x in xi])
 
-    lhs = value(mean)
-    rhs = max(value(pts[a]) for a in range(wts.size))
+    lhs = values(np.arange(cells.size), mean)
+    atom_vals = np.full(live.shape, -np.inf)
+    atom_vals[live] = values(np.nonzero(live)[0], pts[live])
+    rhs = atom_vals.max(axis=1)
+    margin = rhs - lhs
+    bad = lhs > rhs + tol * (1.0 + np.abs(rhs))
+    w = int(np.argmax(bad)) if bad.any() else int(np.argmin(margin))
     rep = RelationReport("Jensen bound over atoms")
     rep.add(
         "mean_below_worst_atom",
-        lhs <= rhs + tol * (1.0 + abs(rhs)),
-        rhs - lhs,
-        note=f"f(mean) = {lhs:.6g}, max atom value = {rhs:.6g}",
-        witness={"cell": cell, "mean": np.atleast_1d(mean).tolist(), "lhs": lhs, "rhs": rhs},
+        not bad.any(),
+        margin.min(),
+        note=f"f(mean) = {lhs[w]:.6g}, max atom value = {rhs[w]:.6g}",
+        witness={"cell": int(cells[w]), "mean": mean[w].tolist(),
+                 "lhs": float(lhs[w]), "rhs": float(rhs[w])},
     )
+    rep.meta = {"violations": int(bad.sum()), "trials": cells.size}
     return rep
 
 

@@ -8,7 +8,7 @@ never overflow:
 
 * norm form: the variable-exponent norm of the density field is driven down
   by alternating a norm refresh (``luxemburg_root``: closed form for constant
-  exponents, bisection otherwise) with descent on the log-modular of the
+  exponents, Newton in log lam otherwise) with descent on the log-modular of the
   density scaled by the current norm; decreasing that modular below one
   strictly decreases the norm.
 * integral form: plain descent on the log of the exponent-normalized power
@@ -203,7 +203,6 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
     u = np.array(field.node_values)
     logw = grid.log_weights
     pv = p.values
-    pmin, pmax = p.p_minus, p.p_plus
 
     traces = []
     total_iters = 0
@@ -231,14 +230,14 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
             trace = []
             descent = _Descent(mesh, density, eps, settings)
 
-            def norm_of(unodes, bracket=None):
+            def norm_of(unodes):
                 xi = _cell_gradient(mesh, unodes)
                 f, _ = _density(density, density.coefficients, None, xi, eps)
                 mask = f > 0
                 if not np.any(mask):
                     return 0.0
                 base = logw[mask] + pv[mask] * np.log(f[mask])
-                return luxemburg_root(base, pv[mask], float(np.max(f)), bracket=bracket)
+                return luxemburg_root(base, pv[mask])
 
             lam = norm_of(u)
             trace.append(lam)
@@ -254,19 +253,15 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
                     return logw + pv * (logf - _ll), pv
 
                 inner = min(settings.inner_steps, settings.max_iter - stage_iters)
-                u, inner_trace, iters, stag, residual = descent.run(
+                u, _, iters, stag, residual = descent.run(
                     u, term_logs, inner, stop_floor=-_INNER_LOG_DROP
                 )
                 total_iters += iters
                 stage_iters += max(iters, 1)
-                j_end = inner_trace[-1]
                 if stag and iters == 0:
                     stagnated = True
                     break
-                bracket = None
-                if j_end < 0:
-                    bracket = (lam * np.exp(j_end / pmin), lam * np.exp(j_end / pmax))
-                lam_new = norm_of(u, bracket=bracket)
+                lam_new = norm_of(u)
                 trace.append(lam_new)
                 if lam - lam_new < settings.tol * max(lam_new, 1e-300):
                     lam = lam_new

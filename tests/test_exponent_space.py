@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from suplab import exponent_space
 from suplab.exponent_space import (
     ExponentField,
     ExponentSequence,
@@ -14,6 +15,7 @@ from suplab.exponent_space import (
     holder_check,
     log_modular,
     luxemburg_norm,
+    luxemburg_root,
     modular,
     norm_limit_study,
     power_identity_check,
@@ -159,13 +161,40 @@ class TestLuxemburgNorm:
             ref = brentq_luxemburg(u.values, p.values, grid.weights)
             assert lam == pytest.approx(ref, rel=1e-10)
 
+    @pytest.mark.parametrize("case", ["ratio_5_up_to_40", "magnitudes_1e-2_to_1e2",
+                                      "one_dominant_cell"])
+    def test_newton_root_on_hard_instances(self, case):
+        rng = np.random.default_rng(29)
+        grid = Grid.uniform_1d(0.0, 1.0, 256)
+        if case == "ratio_5_up_to_40":
+            vals = rng.uniform(0.5, 2.0, 256)
+            pv = rng.uniform(8.0, 40.0, 256)
+            pv[:2] = 8.0, 40.0
+        elif case == "magnitudes_1e-2_to_1e2":
+            vals = 10.0 ** rng.uniform(-2.0, 2.0, 256) * rng.choice([-1.0, 1.0], 256)
+            pv = rng.uniform(2.0, 10.0, 256)
+        else:
+            vals = np.full(256, 1e-2)
+            vals[97] = 1e2
+            pv = rng.uniform(4.0, 20.0, 256)
+        u, p = GridFunction(grid, vals), ExponentField(grid, pv)
+        assert p.p_plus > p.p_minus
+        ref = brentq_luxemburg(vals, pv, grid.weights)
+        assert luxemburg_norm(u, p) == pytest.approx(ref, rel=1e-12)
+
+    def test_root_raises_when_newton_stalls(self, monkeypatch):
+        monkeypatch.setattr(exponent_space, "_ROOT_MAX_STEPS", 1)
+        base = np.log([0.5, 0.5]) + np.array([2.0, 40.0]) * np.log([3.0, 0.1])
+        with pytest.raises(ArithmeticError):
+            luxemburg_root(base, np.array([2.0, 40.0]))
+
     def test_constant_exponent_consistency(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
             grid, u, _ = random_instance(rng)
             q = float(rng.uniform(1.2, 9.0))
             p = ExponentField.constant(grid, q)
-            # the closed form, well inside the bisection tolerance
+            # the closed form, well inside the root tolerance
             assert luxemburg_norm(u, p) == pytest.approx(
                 constant_p_norm(u.values, grid.weights, q), rel=1e-14, abs=1e-300
             )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from suplab import energy, verification
 from suplab.energy import DensitySpec
 from suplab.exponent_space import Grid, GridFunction, StructuralError
 from suplab.measure_tools import (
@@ -88,18 +89,96 @@ class TestJensen:
         rng = np.random.default_rng(9)
         grid = Grid.uniform_1d(0.0, 1.0, 8)
         fams = [
-            DensitySpec.weighted_norm(grid, lambda x: 1.0 + x),
-            DensitySpec.shifted_norm(grid, np.array([0.3])),
-            DensitySpec.anisotropic(grid, np.array([1.0])),
+            (DensitySpec.weighted_norm(grid, lambda x: 1.0 + x), 1),
+            (DensitySpec.shifted_norm(grid, np.array([0.3])), 1),
+            (DensitySpec.anisotropic(grid, np.array([1.0, 3.0])), 2),
         ]
-        for f in fams:
+        for f, k in fams:
             for _ in range(500):
                 cell = int(rng.integers(8))
                 m = int(rng.integers(1, 5))
-                pts = rng.normal(size=(m, 1)) * 2.0
+                pts = rng.normal(size=(m, k)) * 2.0
                 wts = rng.dirichlet(np.ones(m))
                 wts = wts / wts.sum()
                 assert jensen_check(f, cell, float(rng.normal()), (pts, wts)).passed
+
+
+def padded_batch(rng, trials, k, max_atoms=4):
+    """Random trials as per-trial atom lists and as one zero-padded batch."""
+    cells = rng.integers(8, size=trials)
+    u_vals = rng.normal(size=trials)
+    pts = np.zeros((trials, max_atoms, k))
+    wts = np.zeros((trials, max_atoms))
+    singles = []
+    for t in range(trials):
+        m = int(rng.integers(1, max_atoms + 1))
+        pts[t, :m] = rng.normal(size=(m, k)) * 2.0
+        wts[t, :m] = rng.dirichlet(np.ones(m))
+        singles.append((pts[t, :m], wts[t, :m]))
+    return cells, u_vals, (pts, wts), singles
+
+
+class TestJensenBatch:
+    @pytest.mark.parametrize("name", ["weighted_norm", "shifted_norm", "anisotropic", "probe"])
+    def test_batch_counts_match_single_calls(self, name):
+        grid = Grid.uniform_1d(0.0, 1.0, 8)
+        f, k = {
+            "weighted_norm": (DensitySpec.weighted_norm(grid, lambda x: 1.0 + x), 1),
+            "shifted_norm": (DensitySpec.shifted_norm(grid, np.array([0.3, -0.2])), 2),
+            "anisotropic": (DensitySpec.anisotropic(grid, np.array([1.0, 3.0])), 2),
+            "probe": (DensitySpec.custom(grid, "unit_sphere_distance", level_convex=False), 1),
+        }[name]
+        cells, u_vals, atoms, singles = padded_batch(np.random.default_rng(31), 400, k)
+        rep = jensen_check(f, cells, u_vals, atoms)
+        single = [jensen_check(f, int(c), float(u), a) for c, u, a in zip(cells, u_vals, singles)]
+        expected = sum(not r.passed for r in single)
+        assert rep.meta == {"violations": expected, "trials": 400}
+        assert rep.passed == (expected == 0)
+        assert rep.checks[0].slack == pytest.approx(min(r.checks[0].slack for r in single))
+        if name == "probe":
+            assert expected > 0
+            first = next(r for r in single if not r.passed).checks[0].witness
+            witness = rep.checks[0].witness
+            assert witness["cell"] == first["cell"]
+            for key in ("mean", "lhs", "rhs"):
+                assert witness[key] == pytest.approx(first[key], rel=1e-14)
+
+    def test_padded_atoms_never_set_the_max(self):
+        grid = one_cell_grid()
+        pts = np.array([[[1.0], [-1.0], [100.0]]])
+        wts = np.array([[0.5, 0.5, 0.0]])
+        rep = jensen_check(DensitySpec.weighted_norm(grid, 1.0), np.array([0]), 0.0, (pts, wts))
+        assert rep.passed and rep.checks[0].witness["rhs"] == pytest.approx(1.0)
+        # a padded atom at the mean would hide this violation
+        pts = np.array([[[1.0], [-1.0], [0.0]]])
+        rep = jensen_check(lambda xi: -float(np.linalg.norm(xi)), np.array([0]), 0.0, (pts, wts))
+        assert not rep.passed and rep.checks[0].witness["rhs"] == pytest.approx(-1.0)
+
+
+class TestJensenSuite:
+    def test_remainder_batch_runs(self, monkeypatch):
+        sizes = []
+
+        def recording(f, cell, u_val, atoms, tol=1e-10):
+            sizes.append(len(cell))
+            return jensen_check(f, cell, u_val, atoms, tol)
+
+        monkeypatch.setattr(verification, "jensen_check", recording)
+        grid = Grid.uniform_1d(0.0, 1.0, 4)
+        probe = DensitySpec.custom(grid, "unit_sphere_distance", level_convex=False)
+        assert verification._jensen_trials(np.random.default_rng(3), probe, 300) > 0
+        assert sizes == [verification.JENSEN_BATCH, 300 - verification.JENSEN_BATCH]
+
+    def test_anisotropic_row_catches_a_broken_formula(self, monkeypatch):
+        def min_over_components(f, c, u, xi, eps):
+            # sublevel sets are crosses, so this is not level convex
+            return (c["a"] * np.abs(xi)).min(-1), None
+
+        monkeypatch.setitem(energy._FAMILIES, "anisotropic", (min_over_components, "a", True))
+        table = verification.jensen_suite(np.random.default_rng(5), trials=500)
+        rows = {r[0]: r for r in table.rows}
+        assert rows["jensen_anisotropic"][2] > 0
+        assert not table.verdicts["jensen_zero_failures"]
 
 
 class TestYoungQLimit:

@@ -3,7 +3,7 @@ import pytest
 
 from suplab.discretize import BoundarySpec, DiscreteField, MeshSpec, interpolate_boundary
 from suplab.energy import DensitySpec
-from suplab.exponent_space import ExponentField, GridFunction, PreconditionError
+from suplab.exponent_space import ExponentField, GridFunction, PreconditionError, StructuralError
 from suplab.solve import (
     SolverSettings,
     minimize_power,
@@ -201,13 +201,13 @@ class TestIntegralMinimization:
 
 class TestSolverSettings:
     def test_schedule_must_decrease(self):
-        with pytest.raises(Exception):
+        with pytest.raises(StructuralError):
             SolverSettings(epsilons=(1e-3, 1e-2))
 
     def test_shrink_in_unit_interval(self):
-        with pytest.raises(Exception):
+        with pytest.raises(StructuralError):
             SolverSettings(step_shrink=1.5)
 
     def test_sufficient_decrease_capped(self):
-        with pytest.raises(Exception):
+        with pytest.raises(StructuralError):
             SolverSettings(sufficient_decrease=0.9)
