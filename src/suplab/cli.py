@@ -1,10 +1,12 @@
 """Configuration parsing, study execution, and CSV report emission.
 
 Configs are flat INI documents with five sections: [density], [mesh],
-[exponents], [solver], [study].  Every contract the studies rely on is
-checked at parse time and violations are reported by key path, citing the
-hypothesis label (H1 level convexity, H2 growth, pn1/pn2 exponent growth
-and ratio bound).
+[exponents], [solver], [study]; one table (``_SCHEMA``) names each
+section's keys and the parser of each value.  [density] a and [exponents]
+profile are named profiles (:func:`suplab.gamma_lab.named_profile`).  Every
+contract the studies rely on is checked at parse time and violations are
+reported by key path, citing the hypothesis label (H1 level convexity, H2
+growth, pn1/pn2 exponent growth and ratio bound).
 
     suplab <verify|norms|gamma-study|dichotomy|minimizers>
         --config <path> --out <dir> [--seed <u64>]
@@ -30,7 +32,9 @@ from .discretize import BoundarySpec, MeshSpec
 from .energy import DensitySpec, custom_rule_names, growth_check, level_convexity_probe
 from .exponent_space import PreconditionError, StructuralError
 from .gamma_lab import (
+    STUDY_KINDS,
     StudyConfig,
+    named_profile,
     run_integral_dichotomy_study,
     run_minimizer_convergence,
     run_norm_gamma_study,
@@ -55,59 +59,6 @@ class RunManifest:
     passed: bool
 
 
-_SCHEMA = {
-    "density": {"family", "a", "b", "rule", "alpha", "gamma", "level_convex"},
-    "mesh": {"dimension", "extent", "cells", "boundary", "g0", "g1", "c0", "cx", "cy"},
-    "exponents": {"profile", "beta", "n_schedule"},
-    "solver": {"epsilons", "step_init", "step_shrink", "sufficient_decrease",
-               "tol", "max_iter", "max_backtracks", "inner_steps"},
-    "study": {"kind", "threshold", "delta", "probe_scale", "divergence_threshold",
-              "convergence_threshold", "instances", "pair_instances",
-              "jensen_trials", "probe_trials"},
-}
-
-_SUBCOMMAND_KIND = {
-    "norms": "norm_limit",
-    "gamma-study": "norm_gamma",
-    "dichotomy": "integral_dichotomy",
-    "minimizers": "constant_exponent",
-}
-
-
-def _coefficient_field(name: str, grid):
-    """Named coefficient profiles: one, inverse_one_plus_x, constant:<v>, piecewise:<v1>,<v2>."""
-    x = grid.cells[:, 0]
-    if name == "one":
-        return np.ones(grid.n_cells)
-    if name == "inverse_one_plus_x":
-        return 1.0 / (1.0 + x)
-    if name.startswith("constant:"):
-        return np.full(grid.n_cells, float(name.split(":", 1)[1]))
-    if name.startswith("piecewise:"):
-        parts = [float(v) for v in name.split(":", 1)[1].split(",")]
-        if len(parts) != 2:
-            raise ConfigError(f"piecewise coefficient needs two values, got {name!r}")
-        mid = 0.5 * (float(np.min(x)) + float(np.max(x)))
-        return np.where(x < mid, parts[0], parts[1])
-    raise ConfigError(f"unknown coefficient profile {name!r}")
-
-
-def _getter(section, values):
-    def get(key, default=None, cast=str):
-        if key not in values:
-            if default is None:
-                raise ConfigError(f"[{section}] {key}: required key is missing")
-            return default
-        raw = values[key]
-        try:
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
-    return get
-
-
 def _floats(raw):
     return tuple(float(v) for v in raw.split())
 
@@ -116,11 +67,44 @@ def _ints(raw):
     return tuple(int(v) for v in raw.split())
 
 
+def _bool(raw):
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
+
+
+# section -> key -> parser of the key's raw string; any other key is unknown
+_SCHEMA = {
+    "density": {"family": str, "a": str, "b": float, "rule": str, "alpha": float,
+                "gamma": float, "level_convex": _bool},
+    "mesh": {"dimension": int, "extent": _floats, "cells": _ints, "boundary": str,
+             "g0": float, "g1": float, "c0": float, "cx": float, "cy": float},
+    "exponents": {"profile": str, "beta": float, "n_schedule": _ints},
+    "solver": {"epsilons": _floats, "tol": float, "max_iter": int},
+    "study": {"kind": str, "threshold": float, "delta": float, "probe_scale": float,
+              "divergence_threshold": float, "convergence_threshold": float,
+              "instances": int, "pair_instances": int, "jensen_trials": int,
+              "probe_trials": int},
+}
+
+
+def _profile(section, key, name, grid):
+    try:
+        return named_profile(name, grid)
+    except StructuralError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+
+
 def parse_config(text: str, trials: dict | None = None) -> StudyConfig:
     """Validate an INI study document and build the StudyConfig.
 
-    Unknown sections or keys are errors naming the offender; hypothesis
-    violations are errors citing the label.  The verify battery's trial
+    Unknown sections or keys, and values their key's parser rejects, are
+    errors naming the offender; hypothesis violations are errors citing the
+    label.  A key the document leaves out takes its default from
+    :class:`DensitySpec`'s constructors, :class:`SolverSettings` or
+    :class:`StudyConfig`; only the ``[mesh]`` keys, ``[density] family`` and
+    ``[study] kind`` have their defaults here.  The verify battery's trial
     counts ([study] instances, pair_instances, jensen_trials, probe_trials)
     must be positive; when ``trials`` is given, those set are stored in it as
     :func:`full_verification` keywords.
@@ -131,33 +115,35 @@ def parse_config(text: str, trials: dict | None = None) -> StudyConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
-    sections = {}
+    sections = {name: {} for name in _SCHEMA}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"[{section}]: unknown section")
-        values = dict(parser.items(section))
-        for key in values:
+        for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"[{section}] {key}: unknown key")
-        sections[section] = values
+            try:
+                sections[section][key] = _SCHEMA[section][key](raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
 
     # mesh
-    get = _getter("mesh", sections.get("mesh", {}))
-    dimension = get("dimension", 1, int)
-    extents = _floats(get("extent", "1.0"))
-    cells = _ints(get("cells", "64"))
+    m = sections["mesh"]
+    dimension = m.get("dimension", 1)
+    extents = m.get("extent", (1.0,))
+    cells = m.get("cells", (64,))
     if len(extents) == 1 and dimension == 2:
         extents = extents * 2
     if len(cells) == 1 and dimension == 2:
         cells = cells * 2
-    bkind = get("boundary", "endpoints" if dimension == 1 else "affine")
+    bkind = m.get("boundary", "endpoints" if dimension == 1 else "affine")
     if bkind == "endpoints":
-        boundary = BoundarySpec.endpoints(get("g0", 0.0, float), get("g1", 1.0, float))
+        boundary = BoundarySpec.endpoints(m.get("g0", 0.0), m.get("g1", 1.0))
     elif bkind == "affine":
-        slopes = [get("cx", 1.0, float)]
+        slopes = [m.get("cx", 1.0)]
         if dimension == 2:
-            slopes.append(get("cy", 0.0, float))
-        boundary = BoundarySpec.affine(get("c0", 0.0, float), *slopes)
+            slopes.append(m.get("cy", 0.0))
+        boundary = BoundarySpec.affine(m.get("c0", 0.0), *slopes)
     else:
         raise ConfigError(f"[mesh] boundary: unknown trace kind {bkind!r}")
     try:
@@ -166,34 +152,28 @@ def parse_config(text: str, trials: dict | None = None) -> StudyConfig:
         raise ConfigError(f"[mesh]: {exc}") from exc
     grid = mesh.grid()
 
-    # density; a family's own default alpha applies unless the document sets one
-    density_keys = sections.get("density", {})
-    get = _getter("density", density_keys)
-    family = get("family", "weighted_norm")
-    growth = {"gamma": get("gamma", 1.0, float)}
-    if "alpha" in density_keys:
-        growth["alpha"] = get("alpha", cast=float)
-    level_convex = get("level_convex", True, bool)
+    # density: the family's constructor supplies every key left out
+    d = sections["density"]
+    family = d.get("family", "weighted_norm")
+    if "a" in d:
+        d["a"] = _profile("density", "a", d["a"], grid)
+    kw = {key: d[key] for key in ("alpha", "gamma") if key in d}
     try:
-        if family == "weighted_norm":
-            a = _coefficient_field(get("a", "one"), grid)
-            density = DensitySpec.weighted_norm(grid, a, **growth)
-        elif family == "shifted_norm":
-            density = DensitySpec.shifted_norm(grid, get("b", 0.0, float), **growth)
-        elif family == "anisotropic":
-            a = _coefficient_field(get("a", "one"), grid)
-            density = DensitySpec.anisotropic(grid, a, **growth)
+        if family in ("weighted_norm", "shifted_norm", "anisotropic"):
+            coeff = "b" if family == "shifted_norm" else "a"
+            if coeff in d:
+                kw[coeff] = d[coeff]
+            density = getattr(DensitySpec, family)(grid, **kw)
         elif family == "custom":
-            rule = get("rule")
-            if rule not in custom_rule_names():
+            if d.get("rule") not in custom_rule_names():
                 raise ConfigError(
-                    f"[density] rule: {rule!r} is not registered "
-                    f"(have {', '.join(custom_rule_names())})"
+                    f"[density] rule: the custom family needs one of "
+                    f"{', '.join(custom_rule_names())}, got {d.get('rule')!r}"
                 )
-            coeffs = {}
-            if "a" in density_keys:
-                coeffs["a"] = _coefficient_field(get("a"), grid)
-            density = DensitySpec.custom(grid, rule, coeffs, level_convex=level_convex, **growth)
+            if "level_convex" in d:
+                kw["level_convex"] = d["level_convex"]
+            coeffs = {"a": d["a"]} if "a" in d else None
+            density = DensitySpec.custom(grid, d["rule"], coeffs, **kw)
         else:
             raise ConfigError(f"[density] family: unknown family {family!r}")
     except StructuralError as exc:
@@ -218,61 +198,30 @@ def parse_config(text: str, trials: dict | None = None) -> StudyConfig:
                 f"xi1={w['xi1']}, xi2={w['xi2']}, theta={w['theta']:.4g}"
             )
 
-    # exponents
-    get = _getter("exponents", sections.get("exponents", {}))
-    profile = get("profile", "sine")
-    beta = get("beta", 3.0, float)
-    n_schedule = _ints(get("n_schedule", "4 8 16 32 64"))
-    if beta <= 1.0:
-        raise ConfigError(f"[exponents] beta: ratio bound (pn2) needs beta > 1, got {beta}")
-
-    # solver
-    get = _getter("solver", sections.get("solver", {}))
+    # exponents, solver, study: the dataclasses supply every key left out
+    exponents = sections["exponents"]
+    if "profile" in exponents:
+        _profile("exponents", "profile", exponents["profile"], grid)
     try:
-        solver = SolverSettings(
-            epsilons=_floats(get("epsilons", "1e-1 1e-2 1e-3 1e-4 1e-5 1e-6")),
-            step_init=get("step_init", 1.0, float),
-            step_shrink=get("step_shrink", 0.5, float),
-            sufficient_decrease=get("sufficient_decrease", 1e-4, float),
-            tol=get("tol", 1e-10, float),
-            max_iter=get("max_iter", 20000, int),
-            max_backtracks=get("max_backtracks", 60, int),
-            inner_steps=get("inner_steps", 10, int),
-        )
+        solver = SolverSettings(**sections["solver"])
     except StructuralError as exc:
         raise ConfigError(f"[solver]: {exc}") from exc
-
-    # study
-    study = sections.get("study", {})
-    get = _getter("study", study)
+    study = sections["study"]
     for key in ("instances", "pair_instances", "jensen_trials", "probe_trials"):
         if key in study:
-            count = get(key, cast=int)
+            count = study.pop(key)
             if count < 1:
                 raise ConfigError(f"[study] {key}: trial count must be positive, got {count}")
             if trials is not None:
                 trials[key] = count
-    kind = get("kind", "norm_gamma")
+    kind = study.pop("kind", "norm_gamma")
     try:
-        return StudyConfig(
-            kind=kind,
-            density=density,
-            mesh=mesh,
-            profile=profile,
-            beta=beta,
-            n_schedule=n_schedule,
-            solver=solver,
-            threshold=get("threshold", 0.02, float),
-            delta=get("delta", 0.1, float),
-            probe_scale=get("probe_scale", 1.0, float),
-            divergence_threshold=get("divergence_threshold", 1e8, float),
-            convergence_threshold=get("convergence_threshold", 1e-8, float),
-        )
+        return StudyConfig(kind=kind, density=density, mesh=mesh, solver=solver,
+                           **exponents, **study)
     except (StructuralError, PreconditionError) as exc:
-        msg = str(exc)
-        if "pn1" in msg or "pn2" in msg:
-            raise ConfigError(f"[exponents]: {msg}") from exc
-        raise ConfigError(f"[study]: {msg}") from exc
+        # every check but the kind's is on the exponent sequence
+        section = "[exponents]" if kind in STUDY_KINDS else "[study] kind"
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def _fmt(value) -> str:
@@ -322,6 +271,13 @@ def run(subcommand: str, config_path: str, out_dir: str, seed: int = 0) -> RunMa
 
     files = []
     passed = True
+    # subcommand -> (study kind, runner); the runners are looked up per call
+    studies = {
+        "norms": ("norm_limit", run_norm_limit),
+        "gamma-study": ("norm_gamma", run_norm_gamma_study),
+        "dichotomy": ("integral_dichotomy", run_integral_dichotomy_study),
+        "minimizers": ("constant_exponent", run_minimizer_convergence),
+    }
 
     if subcommand == "verify":
         trials = {}
@@ -331,20 +287,14 @@ def run(subcommand: str, config_path: str, out_dir: str, seed: int = 0) -> RunMa
                             table.columns, table.rows, config_hash, seed)
         files.append(("verify.csv", digest))
         passed = table.passed
-    elif subcommand in _SUBCOMMAND_KIND:
+    elif subcommand in studies:
         cfg = parse_config(cfg_text)
-        expected = _SUBCOMMAND_KIND[subcommand]
+        expected, runner = studies[subcommand]
         if cfg.kind != expected:
             raise ConfigError(
                 f"[study] kind: subcommand {subcommand!r} needs kind {expected!r}, "
                 f"got {cfg.kind!r}"
             )
-        runner = {
-            "norms": run_norm_limit,
-            "gamma-study": run_norm_gamma_study,
-            "dichotomy": run_integral_dichotomy_study,
-            "minimizers": run_minimizer_convergence,
-        }[subcommand]
         result = runner(cfg)
         name = subcommand.replace("-", "_") + ".csv"
         digest = _write_csv(os.path.join(out_dir, name),

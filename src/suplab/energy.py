@@ -201,19 +201,19 @@ class DensitySpec:
                 )
 
     @classmethod
-    def weighted_norm(cls, grid: Grid, a, alpha=None, gamma=1.0) -> "DensitySpec":
+    def weighted_norm(cls, grid: Grid, a=1.0, alpha=None, gamma=1.0) -> "DensitySpec":
         if callable(a):
-            a = a(grid.cells[:, 0] if grid.dimension == 1 else grid.cells)
+            a = a(grid.points)
         if alpha is None:
             alpha = float(np.min(a))
         return cls(grid, "weighted_norm", {"a": a}, alpha=alpha, gamma=gamma)
 
     @classmethod
-    def shifted_norm(cls, grid: Grid, b, alpha=1e-6, gamma=1.0) -> "DensitySpec":
+    def shifted_norm(cls, grid: Grid, b=0.0, alpha=1e-6, gamma=1.0) -> "DensitySpec":
         return cls(grid, "shifted_norm", {"b": b}, alpha=alpha, gamma=gamma)
 
     @classmethod
-    def anisotropic(cls, grid: Grid, a, alpha=None, gamma=1.0) -> "DensitySpec":
+    def anisotropic(cls, grid: Grid, a=1.0, alpha=None, gamma=1.0) -> "DensitySpec":
         if alpha is None:
             # max_j a_j |xi_j| >= min(a) |xi| / sqrt(k) for xi with k components
             k = max(grid.dimension, _per_cell(grid.n_cells, a)[0].size)

@@ -125,6 +125,11 @@ class Grid:
     def log_weights(self) -> np.ndarray:
         return np.log(self.weights)
 
+    @property
+    def points(self) -> np.ndarray:
+        """Cell centers as callables take them: the x column in 1-D, (x, y) rows in 2-D."""
+        return self.cells[:, 0] if self.dimension == 1 else self.cells
+
     @staticmethod
     def uniform_1d(x0: float, x1: float, cells: int) -> "Grid":
         if not (x1 > x0 and cells >= 1):
@@ -180,8 +185,7 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, grid: Grid, fn) -> "GridFunction":
-        pts = grid.cells[:, 0] if grid.dimension == 1 else grid.cells
-        return cls(grid, np.asarray(fn(pts), dtype=float))
+        return cls(grid, np.asarray(fn(grid.points), dtype=float))
 
     def magnitude(self) -> "GridFunction":
         """Cell-wise Euclidean magnitude, as a scalar grid function."""
@@ -233,8 +237,7 @@ class ExponentField:
 
     @classmethod
     def from_callable(cls, grid: Grid, fn) -> "ExponentField":
-        pts = grid.cells[:, 0] if grid.dimension == 1 else grid.cells
-        return cls(grid, np.asarray(fn(pts), dtype=float))
+        return cls(grid, np.asarray(fn(grid.points), dtype=float))
 
     def divided_by(self, s: float) -> "ExponentField":
         if s <= 0:

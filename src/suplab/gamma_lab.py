@@ -45,8 +45,7 @@ from .solve import (
 
 __all__ = [
     "STUDY_KINDS",
-    "PROFILES",
-    "build_exponent_sequence",
+    "named_profile",
     "StudyConfig",
     "StudyResult",
     "run_norm_gamma_study",
@@ -57,18 +56,43 @@ __all__ = [
 
 STUDY_KINDS = ("norm_gamma", "integral_dichotomy", "norm_limit", "constant_exponent")
 
-PROFILES = {
-    "constant": lambda x: np.ones_like(np.atleast_2d(x)[:, 0] if np.ndim(x) > 1 else x),
-    "sine": lambda x: 2.0 + np.sin(2.0 * np.pi * (np.atleast_2d(x)[:, 0] if np.ndim(x) > 1 else x)),
+# named profiles of the x coordinate; "one" and "constant" are both the flat profile
+_PROFILES = {
+    "one": np.ones_like,
+    "constant": np.ones_like,
+    "sine": lambda x: 2.0 + np.sin(2.0 * np.pi * x),
+    "inverse_one_plus_x": lambda x: 1.0 / (1.0 + x),
 }
 
 
-def build_exponent_sequence(grid, profile: str, beta: float) -> ExponentSequence:
-    if profile not in PROFILES:
-        raise StructuralError(f"unknown exponent profile {profile!r}; have {sorted(PROFILES)}")
-    pts = grid.cells[:, 0] if grid.dimension == 1 else grid.cells
-    vals = np.asarray(PROFILES[profile](pts), dtype=float)
-    return ExponentSequence(grid, vals, beta)
+def named_profile(name: str, grid) -> np.ndarray:
+    """Cell values of a named profile of the x coordinate.
+
+    Names: ``one`` and ``constant`` (both 1), ``sine`` (2 + sin 2 pi x),
+    ``inverse_one_plus_x``, ``constant:<v>`` (v everywhere) and
+    ``piecewise:<v1>,<v2>`` (v1 left of the midpoint of the cell centers, v2
+    from it on).  Serves both density coefficients and exponent profiles.
+    """
+    x = grid.cells[:, 0]
+    if name in _PROFILES:
+        return _PROFILES[name](x)
+    head, _, args = name.partition(":")
+    count = {"constant": 1, "piecewise": 2}.get(head)
+    if count is None:
+        raise StructuralError(
+            f"unknown profile {name!r}; have {', '.join(_PROFILES)}, "
+            "constant:<v>, piecewise:<v1>,<v2>"
+        )
+    try:
+        vals = [float(v) for v in args.split(",")]
+    except ValueError:
+        vals = []
+    if len(vals) != count or not np.all(np.isfinite(vals)):
+        raise StructuralError(f"profile {name!r} needs {count} finite number(s) after the colon")
+    if head == "constant":
+        return np.full(grid.n_cells, vals[0])
+    mid = 0.5 * (float(np.min(x)) + float(np.max(x)))
+    return np.where(x < mid, vals[0], vals[1])
 
 
 @dataclass(frozen=True)
@@ -99,7 +123,8 @@ class StudyConfig:
         self.sequence().check_prefix(sched)
 
     def sequence(self) -> ExponentSequence:
-        return build_exponent_sequence(self.mesh.grid(), self.profile, self.beta)
+        grid = self.mesh.grid()
+        return ExponentSequence(grid, named_profile(self.profile, grid), self.beta)
 
 
 @dataclass
@@ -283,10 +308,10 @@ def run_minimizer_convergence(cfg: StudyConfig) -> StudyResult:
     """
     if cfg.kind != "constant_exponent":
         raise PreconditionError(f"study kind is {cfg.kind!r}, expected 'constant_exponent'")
-    if cfg.mesh.dimension != 1 or cfg.profile != "constant":
+    seq = cfg.sequence()
+    if cfg.mesh.dimension != 1 or np.ptp(seq.profile) > 0:
         raise PreconditionError("minimizer tracking needs a 1-D flat-profile study")
     ustar = limit_minimizer(cfg).node_values
-    seq = cfg.sequence()
     rows = []
     fields = {}
     traces = {}

@@ -2,9 +2,11 @@
 
 The kink of |xi| is removed by the smoothing sqrt(|xi|^2 + eps^2) with a
 decreasing continuation schedule; each stage runs steepest descent with a
-backtracking sufficient-decrease line search.  Both objectives are evaluated
-and differentiated entirely in the log domain, so exponents in the hundreds
-never overflow:
+backtracking sufficient-decrease line search.  :class:`SolverSettings` holds
+only the smoothing schedule, the stopping tolerance and the iteration budget;
+the line-search constants and the norm form's steps per refresh are fixed
+module constants.  Both objectives are evaluated and differentiated entirely
+in the log domain, so exponents in the hundreds never overflow:
 
 * norm form: the variable-exponent norm of the density field is driven down
   by alternating a norm refresh (``luxemburg_root``: closed form for constant
@@ -63,19 +65,24 @@ FUNCTIONAL_INTEGRAL = "integral"
 # norm is refreshed: the norm moves by at most exp(J / p_minus)
 _INNER_LOG_DROP = 1.0
 
+# backtracking line search: first trial step of a stage, shrink factor per
+# backtrack, Armijo sufficient-decrease constant, and backtracks per step
+_STEP_INIT = 1.0
+_STEP_SHRINK = 0.5
+_SUFFICIENT_DECREASE = 1e-4
+_MAX_BACKTRACKS = 60
+
+# norm form: descent steps between two norm refreshes
+_INNER_STEPS = 10
+
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Continuation schedule, line-search rule, and stopping control."""
+    """Continuation schedule and stopping control."""
 
     epsilons: tuple = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
     tol: float = 1e-10
     max_iter: int = 20000
-    max_backtracks: int = 60
-    inner_steps: int = 10
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.epsilons)
@@ -83,10 +90,6 @@ class SolverSettings:
             raise StructuralError("smoothing schedule must be positive")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise StructuralError("smoothing schedule must be strictly decreasing")
-        if not (0.0 < self.step_shrink < 1.0):
-            raise StructuralError("step shrink factor must lie in (0, 1)")
-        if not (0.0 < self.sufficient_decrease <= 0.5):
-            raise StructuralError("sufficient-decrease constant must lie in (0, 1/2]")
         if self.tol <= 0 or self.max_iter < 1:
             raise StructuralError("need a positive tolerance and iteration budget")
         object.__setattr__(self, "epsilons", eps)
@@ -116,7 +119,7 @@ class _Descent:
         self.spec = spec
         self.eps = eps
         self.settings = settings
-        self.t0 = settings.step_init
+        self.t0 = _STEP_INIT
         # smoothed built-in densities vanish only where a coefficient does
         self.positive = (spec.family == "shifted_norm"
                          or np.min(spec.coefficients.get("a", 1.0)) > 0.0)
@@ -141,8 +144,6 @@ class _Descent:
         return _cell_gradient_adjoint(self.mesh, coef)
 
     def run(self, u, term_logs_fn, max_steps, stop_floor=-np.inf):
-        st = self.settings
-        c1 = st.sufficient_decrease
         trace = []
         iters = 0
         stagnated = False
@@ -157,13 +158,13 @@ class _Descent:
                 break
             t = self.t0
             accepted = False
-            for _ in range(st.max_backtracks):
+            for _ in range(_MAX_BACKTRACKS):
                 trial = u - t * g
                 phi_new, parts_new = self.eval(trial, term_logs_fn)
-                if phi_new <= phi - c1 * t * gg:
+                if phi_new <= phi - _SUFFICIENT_DECREASE * t * gg:
                     accepted = True
                     break
-                t *= st.step_shrink
+                t *= _STEP_SHRINK
             if not accepted:
                 stagnated = True
                 break
@@ -172,7 +173,7 @@ class _Descent:
             trace.append(phi)
             iters += 1
             self.t0 = t * 4.0
-            if drop < st.tol or phi < stop_floor:
+            if drop < self.settings.tol or phi < stop_floor:
                 break
         return u, trace, iters, stagnated, gnorm
 
@@ -252,7 +253,7 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
                 def term_logs(logf, _ll=loglam):
                     return logw + pv * (logf - _ll), pv
 
-                inner = min(settings.inner_steps, settings.max_iter - stage_iters)
+                inner = min(_INNER_STEPS, settings.max_iter - stage_iters)
                 u, _, iters, stag, residual = descent.run(
                     u, term_logs, inner, stop_floor=-_INNER_LOG_DROP
                 )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from suplab.cli import ConfigError, main, parse_config, run
+from suplab.solve import SolverSettings
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -20,6 +21,35 @@ cells = 64
 profile = constant
 n_schedule = 4 8
 """
+
+
+UNIT_SPHERE = """
+[density]
+family = custom
+rule = unit_sphere_distance
+level_convex = {word}
+
+[mesh]
+cells = 16
+"""
+
+# each shipped config and the subcommand that runs it
+SHIPPED = {
+    "dichotomy_high.ini": "dichotomy",
+    "dichotomy_low.ini": "dichotomy",
+    "gamma_benchmark.ini": "gamma-study",
+    "gamma_sine.ini": "gamma-study",
+    "minimizers.ini": "minimizers",
+    "norms.ini": "norms",
+    "verify.ini": "verify",
+}
+
+SUBCOMMAND_KIND = {
+    "norms": "norm_limit",
+    "gamma-study": "norm_gamma",
+    "dichotomy": "integral_dichotomy",
+    "minimizers": "constant_exponent",
+}
 
 
 def config_path(name):
@@ -39,7 +69,33 @@ class TestParseConfig:
         assert cfg.beta == 3.0
         assert cfg.n_schedule == (4, 8)
         assert cfg.solver.epsilons[0] == pytest.approx(0.1)
+        assert cfg.solver == SolverSettings()
         assert cfg.threshold == pytest.approx(0.02)
+
+    def test_solver_keys_reach_the_settings(self):
+        cfg = parse_config(MINIMAL + "\n[solver]\nepsilons = 1e-1 1e-3\ntol = 1e-8\nmax_iter = 50\n")
+        assert cfg.solver == SolverSettings(epsilons=(1e-1, 1e-3), tol=1e-8, max_iter=50)
+
+    @pytest.mark.parametrize("key", [
+        "step_init", "step_shrink", "sufficient_decrease", "max_backtracks", "inner_steps",
+    ])
+    def test_removed_solver_key_is_unknown(self, key):
+        with pytest.raises(ConfigError, match=rf"\[solver\] {key}: unknown key"):
+            parse_config(MINIMAL + f"\n[solver]\n{key} = 1\n")
+
+    @pytest.mark.parametrize("word, error", [
+        ("TRUE", "H1"), ("on", "H1"), ("1", "H1"), ("off", None), ("No", None), ("0", None),
+        ("ture", "level_convex: cannot parse"), ("maybe", "level_convex: cannot parse"),
+        ("2", "level_convex: cannot parse"),
+    ])
+    def test_boolean_words(self, word, error):
+        # unit_sphere_distance is not level convex: declaring it so fails H1
+        doc = UNIT_SPHERE.format(word=word)
+        if error is None:
+            assert not parse_config(doc).density.level_convex
+        else:
+            with pytest.raises(ConfigError, match=error):
+                parse_config(doc)
 
     def test_beta_below_one_cites_ratio_bound(self):
         bad = MINIMAL.replace("profile = constant", "profile = constant\nbeta = 0.5")
@@ -84,6 +140,19 @@ cells = 16
         cfg = parse_config(doc)
         a = cfg.density.coefficients["a"]
         assert np.all(a[:32] == 1.0) and np.all(a[32:] == 2.0)
+
+
+class TestShippedConfigs:
+    def test_every_config_is_listed(self):
+        assert sorted(n for n in os.listdir(CONFIG_DIR) if n.endswith(".ini")) == sorted(SHIPPED)
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    def test_parses_with_a_kind_its_subcommand_runs(self, name):
+        kind = parse_config(config_text(name)).kind
+        subcommand = SHIPPED[name]
+        # the verify battery takes any kind's density
+        assert kind == SUBCOMMAND_KIND.get(subcommand, kind)
+        assert kind in SUBCOMMAND_KIND.values()
 
 
 class TestRun:
@@ -167,6 +236,23 @@ class TestRun:
         code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"[study] {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, label", [
+        ("a = one", "a = constant:abc", "[density] a"),
+        ("a = one", "a = piecewise:1,x", "[density] a"),
+        ("a = one", "a = piecewise:1", "[density] a"),
+        ("a = one", "a = bogus", "[density] a"),
+        ("profile = constant", "profile = bogus", "[exponents] profile"),
+        ("profile = constant", "profile = piecewise:2,y", "[exponents] profile"),
+        ("profile = constant", "profile = constant:-1", "[exponents]:"),
+        ("n_schedule = 4 8", "n_schedule = 8 4", "[exponents]:"),
+    ])
+    def test_bad_value_is_config_error_naming_key(self, tmp_path, capsys, old, new, label):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(MINIMAL.replace(old, new))
+        code = main(["gamma-study", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert label in capsys.readouterr().err
 
     def test_csv_mode_follows_umask(self, tmp_path):
         old = os.umask(0o022)

@@ -57,6 +57,15 @@ class TestGridAndFields:
         grid = Grid.uniform_1d(0.0, 2.0, 7)
         assert grid.total_measure == pytest.approx(2.0, rel=1e-12)
 
+    def test_points_are_what_callables_take(self):
+        line = Grid.uniform_1d(0.0, 1.0, 4)
+        np.testing.assert_array_equal(line.points, [0.125, 0.375, 0.625, 0.875])
+        plane = Grid.uniform_2d((0.0, 1.0), (0.0, 2.0), (2, 3))
+        assert plane.points.shape == (6, 2)
+        np.testing.assert_array_equal(plane.points, plane.cells)
+        field = GridFunction.from_callable(plane, lambda p: p[:, 0] + 10.0 * p[:, 1])
+        np.testing.assert_array_equal(field.values, plane.cells @ [1.0, 10.0])
+
     def test_weights_must_be_positive(self):
         with pytest.raises(StructuralError):
             Grid(1, np.array([[0.5]]), np.array([0.0]))

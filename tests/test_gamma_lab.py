@@ -3,10 +3,11 @@ import pytest
 
 from suplab.discretize import BoundarySpec, MeshSpec
 from suplab.energy import DensitySpec
-from suplab.exponent_space import PreconditionError, StructuralError
+from suplab.exponent_space import Grid, PreconditionError, StructuralError
 from suplab.gamma_lab import (
     StudyConfig,
     limit_minimizer,
+    named_profile,
     run_integral_dichotomy_study,
     run_minimizer_convergence,
     run_norm_gamma_study,
@@ -48,6 +49,34 @@ class TestConfigValidation:
         # profile range [1, 3] cannot satisfy a ratio bound of 1.5
         with pytest.raises(PreconditionError):
             unit_weight_config(profile="sine", beta=1.5)
+
+
+class TestNamedProfile:
+    def test_flat_spellings_agree(self):
+        grid = Grid.uniform_1d(0.0, 1.0, 8)
+        for name in ("one", "constant", "constant:1"):
+            np.testing.assert_array_equal(named_profile(name, grid), np.ones(8))
+        np.testing.assert_array_equal(named_profile("constant:2.5", grid), np.full(8, 2.5))
+
+    def test_profiles_of_x(self):
+        grid = Grid.uniform_1d(0.0, 1.0, 4)
+        x = grid.cells[:, 0]
+        np.testing.assert_array_equal(named_profile("sine", grid), 2.0 + np.sin(2.0 * np.pi * x))
+        np.testing.assert_array_equal(named_profile("inverse_one_plus_x", grid), 1.0 / (1.0 + x))
+        np.testing.assert_array_equal(named_profile("piecewise:1,3", grid), [1.0, 1.0, 3.0, 3.0])
+
+    def test_plane_profiles_follow_x(self):
+        grid = Grid.uniform_2d((0.0, 1.0), (0.0, 1.0), (2, 3))
+        vals = named_profile("inverse_one_plus_x", grid)
+        np.testing.assert_array_equal(vals, 1.0 / (1.0 + grid.cells[:, 0]))
+
+    @pytest.mark.parametrize("name", [
+        "bogus", "Constant", "constant:", "constant:abc", "constant:1,2", "constant:inf",
+        "piecewise:1", "piecewise:1,x", "piecewise:1,2,3",
+    ])
+    def test_bad_names_are_structural_errors(self, name):
+        with pytest.raises(StructuralError, match="profile"):
+            named_profile(name, Grid.uniform_1d(0.0, 1.0, 4))
 
 
 class TestOracles:
@@ -200,6 +229,15 @@ class TestMinimizerStudy:
         res = run_minimizer_convergence(cfg)
         assert res.verdicts["distance_eventually_decreasing"]
         assert res.passed
+
+    def test_flat_profile_is_judged_by_values(self):
+        rows = {
+            name: run_minimizer_convergence(benchmark_config(
+                kind="constant_exponent", cells=16, profile=name, schedule=(4, 8),
+                threshold=0.5)).rows
+            for name in ("constant", "one", "constant:1")
+        }
+        assert rows["one"] == rows["constant"] == rows["constant:1"]
 
     def test_needs_flat_profile(self):
         with pytest.raises(PreconditionError):

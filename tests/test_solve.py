@@ -203,11 +203,3 @@ class TestSolverSettings:
     def test_schedule_must_decrease(self):
         with pytest.raises(StructuralError):
             SolverSettings(epsilons=(1e-3, 1e-2))
-
-    def test_shrink_in_unit_interval(self):
-        with pytest.raises(StructuralError):
-            SolverSettings(step_shrink=1.5)
-
-    def test_sufficient_decrease_capped(self):
-        with pytest.raises(StructuralError):
-            SolverSettings(sufficient_decrease=0.9)
