@@ -89,6 +89,16 @@ _SCHEMA = {
 }
 
 
+# [density] family -> the keys it reads besides ``family``; the built-in
+# families are level convex by construction and take no rule
+_FAMILY_KEYS = {
+    "weighted_norm": {"a", "alpha", "gamma"},
+    "shifted_norm": {"b", "alpha", "gamma"},
+    "anisotropic": {"a", "alpha", "gamma"},
+    "custom": {"a", "rule", "alpha", "gamma", "level_convex"},
+}
+
+
 def _profile(section, key, name, grid):
     try:
         return named_profile(name, grid)
@@ -99,9 +109,10 @@ def _profile(section, key, name, grid):
 def parse_config(text: str, trials: dict | None = None) -> StudyConfig:
     """Validate an INI study document and build the StudyConfig.
 
-    Unknown sections or keys, and values their key's parser rejects, are
-    errors naming the offender; hypothesis violations are errors citing the
-    label.  A key the document leaves out takes its default from
+    Unknown sections or keys, values their key's parser rejects, and
+    ``[density]`` keys the chosen family does not read are errors naming
+    the offender; hypothesis violations are errors citing the label.  A
+    key the document leaves out takes its default from
     :class:`DensitySpec`'s constructors, :class:`SolverSettings` or
     :class:`StudyConfig`; only the ``[mesh]`` keys, ``[density] family`` and
     ``[study] kind`` have their defaults here.  The verify battery's trial
@@ -154,28 +165,26 @@ def parse_config(text: str, trials: dict | None = None) -> StudyConfig:
 
     # density: the family's constructor supplies every key left out
     d = sections["density"]
-    family = d.get("family", "weighted_norm")
+    family = d.pop("family", "weighted_norm")
+    if family not in _FAMILY_KEYS:
+        raise ConfigError(f"[density] family: unknown family {family!r}")
+    for key in d:
+        if key not in _FAMILY_KEYS[family]:
+            raise ConfigError(f"[density] {key}: not used by family {family}")
     if "a" in d:
         d["a"] = _profile("density", "a", d["a"], grid)
-    kw = {key: d[key] for key in ("alpha", "gamma") if key in d}
     try:
-        if family in ("weighted_norm", "shifted_norm", "anisotropic"):
-            coeff = "b" if family == "shifted_norm" else "a"
-            if coeff in d:
-                kw[coeff] = d[coeff]
-            density = getattr(DensitySpec, family)(grid, **kw)
-        elif family == "custom":
-            if d.get("rule") not in custom_rule_names():
+        if family == "custom":
+            rule = d.pop("rule", None)
+            if rule not in custom_rule_names():
                 raise ConfigError(
                     f"[density] rule: the custom family needs one of "
-                    f"{', '.join(custom_rule_names())}, got {d.get('rule')!r}"
+                    f"{', '.join(custom_rule_names())}, got {rule!r}"
                 )
-            if "level_convex" in d:
-                kw["level_convex"] = d["level_convex"]
-            coeffs = {"a": d["a"]} if "a" in d else None
-            density = DensitySpec.custom(grid, d["rule"], coeffs, **kw)
+            coeffs = {"a": d.pop("a")} if "a" in d else None
+            density = DensitySpec.custom(grid, rule, coeffs, **d)
         else:
-            raise ConfigError(f"[density] family: unknown family {family!r}")
+            density = getattr(DensitySpec, family)(grid, **d)
     except StructuralError as exc:
         raise ConfigError(f"[density]: {exc}") from exc
 

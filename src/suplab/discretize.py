@@ -5,7 +5,9 @@ interior nodes free), cells carry the quadrature weights and gradients, so
 the discrete energies are unconstrained functions of the interior nodes.
 
 The cell-gradient stencil and its adjoint on raw node arrays live here only:
-:func:`gradient` wraps the stencil, and the descent solver calls both.
+:func:`gradient` wraps the stencil, and the descent solver calls both; the
+stencil also takes a batch of node arrays, for the solver's line-search
+trials.
 """
 
 from __future__ import annotations
@@ -158,18 +160,20 @@ class DiscreteField:
 
 
 def _cell_gradient(mesh: MeshSpec, u: np.ndarray) -> np.ndarray:
-    """Cell gradients, shape (cells, dimension), of raw node values on the mesh.
+    """Cell gradients, shape (..., cells, dimension), of raw node values on the mesh.
 
+    Axes of ``u`` before the node axes are batch axes, carried through.
     1-D cells use the forward difference across the cell; 2-D cells average
     the two edge differences per axis (the bilinear-cell gradient).
     """
     if mesh.dimension == 1:
         (h,) = mesh.spacings
-        return ((u[1:] - u[:-1]) / h)[:, None]
+        return ((u[..., 1:] - u[..., :-1]) / h)[..., None]
     hx, hy = mesh.spacings
-    dx = (u[1:, :-1] - u[:-1, :-1] + u[1:, 1:] - u[:-1, 1:]) / (2.0 * hx)
-    dy = (u[:-1, 1:] - u[:-1, :-1] + u[1:, 1:] - u[1:, :-1]) / (2.0 * hy)
-    return np.column_stack([dx.ravel(), dy.ravel()])
+    dx = (u[..., 1:, :-1] - u[..., :-1, :-1] + u[..., 1:, 1:] - u[..., :-1, 1:]) / (2.0 * hx)
+    dy = (u[..., :-1, 1:] - u[..., :-1, :-1] + u[..., 1:, 1:] - u[..., 1:, :-1]) / (2.0 * hy)
+    cells = u.shape[:-2] + (-1,)
+    return np.stack([dx.reshape(cells), dy.reshape(cells)], axis=-1)
 
 
 def _cell_gradient_adjoint(mesh: MeshSpec, coef: np.ndarray) -> np.ndarray:

@@ -81,6 +81,14 @@ def _logsumexp(t):
     return float(m + np.log(np.sum(np.exp(t - m))))
 
 
+def _logsumexp_rows(t):
+    """:func:`_logsumexp` of each row of a 2-D array, by the same float operations."""
+    m = t.max(axis=-1)
+    if not np.isfinite(m).all():
+        return np.array([_logsumexp(row) for row in t])
+    return m + np.log(np.exp(t - m[:, None]).sum(axis=-1))
+
+
 def _lock(arr):
     arr = np.array(arr, dtype=float)
     arr.setflags(write=False)

@@ -2,17 +2,22 @@
 
 The kink of |xi| is removed by the smoothing sqrt(|xi|^2 + eps^2) with a
 decreasing continuation schedule; each stage runs steepest descent with a
-backtracking sufficient-decrease line search.  :class:`SolverSettings` holds
-only the smoothing schedule, the stopping tolerance and the iteration budget;
-the line-search constants and the norm form's steps per refresh are fixed
-module constants.  Both objectives are evaluated and differentiated entirely
-in the log domain, so exponents in the hundreds never overflow:
+backtracking sufficient-decrease line search.  The backtracking trials are
+evaluated a batch at a time, in one pass of the stencil and the density
+table over a stack of trial iterates, and the density state of the accepted
+iterate is kept, so the density is computed once per batch and once per
+stage; the iterates are those of one-trial-at-a-time backtracking.
+:class:`SolverSettings` holds only the smoothing schedule, the stopping
+tolerance and the iteration budget; the line-search constants and the norm
+form's steps per refresh are fixed module constants.  Both objectives are
+evaluated and differentiated entirely in the log domain, so exponents in
+the hundreds never overflow:
 
 * norm form: the variable-exponent norm of the density field is driven down
   by alternating a norm refresh (``luxemburg_root``: closed form for constant
   exponents, Newton in log lam otherwise) with descent on the log-modular of the
   density scaled by the current norm; decreasing that modular below one
-  strictly decreases the norm.
+  strictly decreases the norm.  The refresh reads the kept density state.
 * integral form: plain descent on the log of the exponent-normalized power
   integral.
 
@@ -45,6 +50,7 @@ from .exponent_space import (
     PreconditionError,
     StructuralError,
     _logsumexp,
+    _logsumexp_rows,
     luxemburg_root,
 )
 
@@ -66,11 +72,13 @@ FUNCTIONAL_INTEGRAL = "integral"
 _INNER_LOG_DROP = 1.0
 
 # backtracking line search: first trial step of a stage, shrink factor per
-# backtrack, Armijo sufficient-decrease constant, and backtracks per step
+# backtrack, Armijo sufficient-decrease constant, most trials per step, and
+# the trials evaluated in one batch (a divisor of the most per step)
 _STEP_INIT = 1.0
 _STEP_SHRINK = 0.5
 _SUFFICIENT_DECREASE = 1e-4
 _MAX_BACKTRACKS = 60
+_TRIALS = 4
 
 # norm form: descent steps between two norm refreshes
 _INNER_STEPS = 10
@@ -107,14 +115,21 @@ class SolveResult:
 
 
 class _Descent:
-    """Backtracking steepest descent on phi(u) = logsumexp(term_logs(u)).
+    """Backtracking steepest descent on phi(u) = logsumexp(term_logs(log f(u))).
 
-    term_logs_fn(logf) maps cell-wise log densities to the per-cell term
-    logs; the gradient is the softmax-weighted scatter of p * dlog f.  The
-    warm line-search step survives across run() calls within a stage.
+    term_logs_fn(logf) maps cell-wise log densities, with any leading batch
+    axes, to the per-cell term logs and the exponent factor; the gradient is
+    the softmax-weighted scatter of p * dlog f.  The descent holds one
+    density state, the iterate ``u`` with its log f and d(log f)/d(xi): a
+    norm refresh and the next run() start from it, so the density is
+    computed once per stage and once per batch of line-search trials.  The
+    trials t, t/2, t/4, ... are evaluated :data:`_TRIALS` at a time in one
+    stencil-and-density pass, and the first, in order, that passes the
+    Armijo test is accepted: the step sequential backtracking takes.  The
+    warm step survives across run() calls within a stage.
     """
 
-    def __init__(self, mesh, spec, eps, settings):
+    def __init__(self, mesh, spec, eps, settings, u):
         self.mesh = mesh
         self.spec = spec
         self.eps = eps
@@ -123,59 +138,78 @@ class _Descent:
         # smoothed built-in densities vanish only where a coefficient does
         self.positive = (spec.family == "shifted_norm"
                          or np.min(spec.coefficients.get("a", 1.0)) > 0.0)
+        self.u = u
+        self.logf, self.dlog = self.log_density(u)
+        # a column of trial steps, broadcast against the node array
+        self.step_shape = (_TRIALS,) + (1,) * u.ndim
 
-    def eval(self, unodes, term_logs_fn):
+    def log_density(self, unodes):
+        """log f and d(log f)/d(xi) on the cells of node values, batch axes first."""
         xi = _cell_gradient(self.mesh, unodes)
         f, dlog = _density(self.spec, self.spec.coefficients, None, xi, self.eps)
         if self.positive:
-            logf = np.log(f)
-        else:
-            mask = f > 0
-            logf = np.full(f.shape, -np.inf)
-            logf[mask] = np.log(f[mask])
-        terms, pfac = term_logs_fn(logf)
+            return np.log(f), dlog
+        mask = f > 0
+        logf = np.full(f.shape, -np.inf)
+        logf[mask] = np.log(f[mask])
+        return logf, dlog
+
+    def norm(self, logw, pv):
+        """Luxemburg norm of the density field at the iterate; zero if it vanishes."""
+        mask = self.logf > -np.inf
+        if not np.any(mask):
+            return 0.0
+        return luxemburg_root(logw[mask] + pv[mask] * self.logf[mask], pv[mask])
+
+    def line_search(self, term_logs_fn, phi, g, gg):
+        """Move the state to the first trial step passing the Armijo test.
+
+        Returns the step, phi and the term logs there, or None, leaving
+        the state as it was, once :data:`_MAX_BACKTRACKS` trials have failed.
+        """
+        t = self.t0
+        for _ in range(_MAX_BACKTRACKS // _TRIALS):
+            steps = []
+            for _ in range(_TRIALS):
+                steps.append(t)
+                t *= _STEP_SHRINK
+            trials = self.u - np.array(steps).reshape(self.step_shape) * g
+            logf, dlog = self.log_density(trials)
+            terms, _ = term_logs_fn(logf)
+            phis = _logsumexp_rows(terms)
+            for j, step in enumerate(steps):
+                if phis[j] <= phi - _SUFFICIENT_DECREASE * step * gg:
+                    self.u, self.logf, self.dlog = trials[j], logf[j], dlog[j]
+                    return step, float(phis[j]), terms[j]
+        return None
+
+    def run(self, term_logs_fn, max_steps, stop_floor=-np.inf):
+        terms, pfac = term_logs_fn(self.logf)
         phi = _logsumexp(terms)
-        return phi, (terms, pfac, dlog)
-
-    def grad(self, phi, parts):
-        terms, pfac, dlog = parts
-        sigma = np.exp(terms - phi) if np.isfinite(phi) else np.zeros_like(terms)
-        coef = (sigma * pfac)[:, None] * dlog
-        return _cell_gradient_adjoint(self.mesh, coef)
-
-    def run(self, u, term_logs_fn, max_steps, stop_floor=-np.inf):
-        trace = []
+        trace = [phi]
         iters = 0
         stagnated = False
         gnorm = np.inf
-        phi, parts = self.eval(u, term_logs_fn)
-        trace.append(phi)
         while iters < max_steps:
-            g = self.grad(phi, parts)
-            gnorm = float(np.max(np.abs(g)))
-            gg = float(np.sum(g * g))
+            sigma = np.exp(terms - phi) if np.isfinite(phi) else np.zeros_like(terms)
+            g = _cell_gradient_adjoint(self.mesh, (sigma * pfac)[:, None] * self.dlog)
+            gnorm = float(np.abs(g).max())
+            gg = float((g * g).sum())
             if gg == 0.0:
                 break
-            t = self.t0
-            accepted = False
-            for _ in range(_MAX_BACKTRACKS):
-                trial = u - t * g
-                phi_new, parts_new = self.eval(trial, term_logs_fn)
-                if phi_new <= phi - _SUFFICIENT_DECREASE * t * gg:
-                    accepted = True
-                    break
-                t *= _STEP_SHRINK
-            if not accepted:
+            accepted = self.line_search(term_logs_fn, phi, g, gg)
+            if accepted is None:
                 stagnated = True
                 break
+            t, phi_new, terms = accepted
             drop = phi - phi_new
-            u, phi, parts = trial, phi_new, parts_new
+            phi = phi_new
             trace.append(phi)
             iters += 1
             self.t0 = t * 4.0
             if drop < self.settings.tol or phi < stop_floor:
                 break
-        return u, trace, iters, stagnated, gnorm
+        return trace, iters, stagnated, gnorm
 
 
 def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
@@ -217,10 +251,9 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
             return logw - log_p + pv * logf, pv
 
         for eps in settings.epsilons:
-            descent = _Descent(mesh, density, eps, settings)
-            u, trace, iters, stag, residual = descent.run(
-                u, term_logs, settings.max_iter
-            )
+            descent = _Descent(mesh, density, eps, settings, u)
+            trace, iters, stag, residual = descent.run(term_logs, settings.max_iter)
+            u = descent.u
             traces.append(
                 tuple(float(np.exp(t)) if t <= 700.0 else np.inf for t in trace)
             )
@@ -228,20 +261,9 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
             stagnated = stagnated or stag
     else:
         for eps in settings.epsilons:
-            trace = []
-            descent = _Descent(mesh, density, eps, settings)
-
-            def norm_of(unodes):
-                xi = _cell_gradient(mesh, unodes)
-                f, _ = _density(density, density.coefficients, None, xi, eps)
-                mask = f > 0
-                if not np.any(mask):
-                    return 0.0
-                base = logw[mask] + pv[mask] * np.log(f[mask])
-                return luxemburg_root(base, pv[mask])
-
-            lam = norm_of(u)
-            trace.append(lam)
+            descent = _Descent(mesh, density, eps, settings, u)
+            lam = descent.norm(logw, pv)
+            trace = [lam]
             if lam == 0.0:
                 traces.append(tuple(trace))
                 residual = 0.0
@@ -254,21 +276,22 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
                     return logw + pv * (logf - _ll), pv
 
                 inner = min(_INNER_STEPS, settings.max_iter - stage_iters)
-                u, _, iters, stag, residual = descent.run(
-                    u, term_logs, inner, stop_floor=-_INNER_LOG_DROP
+                _, iters, stag, residual = descent.run(
+                    term_logs, inner, stop_floor=-_INNER_LOG_DROP
                 )
                 total_iters += iters
                 stage_iters += max(iters, 1)
                 if stag and iters == 0:
                     stagnated = True
                     break
-                lam_new = norm_of(u)
+                lam_new = descent.norm(logw, pv)
                 trace.append(lam_new)
                 if lam - lam_new < settings.tol * max(lam_new, 1e-300):
                     lam = lam_new
                     break
                 lam = lam_new
             traces.append(tuple(trace))
+            u = descent.u
 
     final = DiscreteField(mesh, u)
     du = gradient(final)

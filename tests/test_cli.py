@@ -97,6 +97,24 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match=error):
                 parse_config(doc)
 
+    @pytest.mark.parametrize("family, key, value", [
+        ("shifted_norm", "rule", "capped_norm"), ("shifted_norm", "level_convex", "false"),
+        ("shifted_norm", "a", "inverse_one_plus_x"), ("weighted_norm", "b", "0.5"),
+        ("weighted_norm", "level_convex", "true"), ("anisotropic", "rule", "capped_norm"),
+        ("anisotropic", "b", "1"), ("custom", "b", "0.5"),
+    ])
+    def test_key_the_family_does_not_read_is_refused(self, family, key, value):
+        doc = f"[density]\nfamily = {family}\n{key} = {value}\n"
+        if family == "custom":
+            doc += "rule = capped_norm\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc + "\n[mesh]\ncells = 16\n")
+        assert str(err.value) == f"[density] {key}: not used by family {family}"
+
+    def test_unknown_family_is_named(self):
+        with pytest.raises(ConfigError, match=r"\[density\] family: unknown family 'cubic'"):
+            parse_config(MINIMAL.replace("weighted_norm", "cubic"))
+
     def test_beta_below_one_cites_ratio_bound(self):
         bad = MINIMAL.replace("profile = constant", "profile = constant\nbeta = 0.5")
         with pytest.raises(ConfigError, match="pn2"):

@@ -5,6 +5,7 @@ from suplab.discretize import (
     BoundarySpec,
     DiscreteField,
     MeshSpec,
+    _cell_gradient,
     gradient,
     interpolate_boundary,
 )
@@ -72,6 +73,22 @@ class TestGradient:
         lhs = gradient(combo).values
         rhs = a * gradient(u).values + b * gradient(v).values
         assert np.array_equal(lhs, rhs) or np.allclose(lhs, rhs, atol=1e-14)
+
+    @pytest.mark.parametrize("mesh", [mesh_1d(23), mesh_2d((5, 7))], ids=["1d", "2d"])
+    def test_batch_equals_one_call_per_array(self, mesh):
+        # the line search's trial batch must see exactly the unbatched stencil
+        rng = np.random.default_rng(4)
+        batch = rng.normal(size=(3,) + mesh.node_shape)
+        out = _cell_gradient(mesh, batch)
+        n_cells = mesh.grid().n_cells
+        assert out.shape == (3, n_cells, mesh.dimension)
+        for k in range(3):
+            one = _cell_gradient(mesh, batch[k])
+            assert one.shape == (n_cells, mesh.dimension)
+            assert np.array_equal(out[k], one)
+        # rows are cells in grid order, columns the gradient components
+        field = gradient(DiscreteField(mesh, batch[1]))
+        assert np.array_equal(out[1].reshape(field.values.shape), field.values)
 
 
 class TestInterpolateBoundary:

@@ -1,11 +1,28 @@
 import numpy as np
 import pytest
 
-from suplab.discretize import BoundarySpec, DiscreteField, MeshSpec, interpolate_boundary
-from suplab.energy import DensitySpec
-from suplab.exponent_space import ExponentField, GridFunction, PreconditionError, StructuralError
+from suplab import gamma_lab, solve
+from suplab.discretize import (
+    BoundarySpec,
+    DiscreteField,
+    MeshSpec,
+    _cell_gradient,
+    _cell_gradient_adjoint,
+    interpolate_boundary,
+)
+from suplab.energy import DensitySpec, _density
+from suplab.exponent_space import (
+    ExponentField,
+    GridFunction,
+    PreconditionError,
+    StructuralError,
+    _logsumexp,
+    luxemburg_root,
+)
+from suplab.gamma_lab import StudyConfig, run_norm_gamma_study
 from suplab.solve import (
     SolverSettings,
+    _Descent,
     minimize_power,
     oracle_minimizer_1d,
     supremal_oracle_1d,
@@ -203,3 +220,182 @@ class TestSolverSettings:
     def test_schedule_must_decrease(self):
         with pytest.raises(StructuralError):
             SolverSettings(epsilons=(1e-3, 1e-2))
+
+
+def sequential_descent(backtracks):
+    """The descent before batching, as (run, norm) methods of ``_Descent``.
+
+    Backtracking tries one step at a time, and every density is computed
+    afresh: at the start of each run, at each trial and at each norm
+    refresh.  ``backtracks`` collects the shrinks of every accepted step.
+    """
+
+    def evaluate(self, unodes, term_logs_fn):
+        xi = _cell_gradient(self.mesh, unodes)
+        f, dlog = _density(self.spec, self.spec.coefficients, None, xi, self.eps)
+        if self.positive:
+            logf = np.log(f)
+        else:
+            mask = f > 0
+            logf = np.full(f.shape, -np.inf)
+            logf[mask] = np.log(f[mask])
+        terms, pfac = term_logs_fn(logf)
+        return _logsumexp(terms), (terms, pfac, logf, dlog)
+
+    def run(self, term_logs_fn, max_steps, stop_floor=-np.inf):
+        u = self.u
+        phi, parts = evaluate(self, u, term_logs_fn)
+        trace, iters, stagnated, gnorm = [phi], 0, False, np.inf
+        while iters < max_steps:
+            terms, pfac, _, dlog = parts
+            sigma = np.exp(terms - phi) if np.isfinite(phi) else np.zeros_like(terms)
+            g = _cell_gradient_adjoint(self.mesh, (sigma * pfac)[:, None] * dlog)
+            gnorm = float(np.max(np.abs(g)))
+            gg = float(np.sum(g * g))
+            if gg == 0.0:
+                break
+            t = self.t0
+            for shrinks in range(solve._MAX_BACKTRACKS):
+                trial = u - t * g
+                phi_new, parts_new = evaluate(self, trial, term_logs_fn)
+                if phi_new <= phi - solve._SUFFICIENT_DECREASE * t * gg:
+                    break
+                t *= solve._STEP_SHRINK
+            else:
+                stagnated = True
+                break
+            backtracks.append(shrinks)
+            drop = phi - phi_new
+            u, phi, parts = trial, phi_new, parts_new
+            trace.append(phi)
+            iters += 1
+            self.t0 = t * 4.0
+            if drop < self.settings.tol or phi < stop_floor:
+                break
+        self.u, self.logf, self.dlog = u, parts[2], parts[3]
+        return trace, iters, stagnated, gnorm
+
+    def norm(self, logw, pv):
+        xi = _cell_gradient(self.mesh, self.u)
+        f, _ = _density(self.spec, self.spec.coefficients, None, xi, self.eps)
+        mask = f > 0
+        if not np.any(mask):
+            return 0.0
+        return luxemburg_root(logw[mask] + pv[mask] * np.log(f[mask]), pv[mask])
+
+    return run, norm
+
+
+def perturbed(mesh, scale, seed):
+    nodes = np.array(interpolate_boundary(mesh).node_values)
+    rng = np.random.default_rng(seed)
+    if mesh.dimension == 1:
+        nodes[1:-1] += scale * rng.normal(size=nodes.size - 2)
+    else:
+        nodes[1:-1, 1:-1] += scale * rng.normal(size=(nodes.shape[0] - 2, nodes.shape[1] - 2))
+    return DiscreteField(mesh, nodes)
+
+
+def case_variable_exponent():
+    mesh = mesh_1d(24)
+    grid = mesh.grid()
+    p = ExponentField(grid, 8.0 * (2.0 + np.sin(2 * np.pi * grid.cells[:, 0])))
+    return "norm", inverse_weight(grid), p, mesh, None
+
+
+def case_anisotropic_2d():
+    mesh = MeshSpec(2, (1.0, 1.0), (6, 6), BoundarySpec.affine(0.0, 1.0, 0.5))
+    grid = mesh.grid()
+    f = DensitySpec.anisotropic(grid, [1.0, 2.0])
+    return "norm", f, ExponentField.constant(grid, 6.0), mesh, perturbed(mesh, 0.2, 5)
+
+
+def case_shifted():
+    mesh = mesh_1d(24)
+    grid = mesh.grid()
+    f = DensitySpec.shifted_norm(grid, 0.3)
+    return "norm", f, ExponentField.constant(grid, 6.0), mesh, perturbed(mesh, 0.1, 6)
+
+
+def case_zero_weight_cell():
+    mesh = mesh_1d(24)
+    grid = mesh.grid()
+    a = 1.0 / (1.0 + grid.cells[:, 0])
+    a[5] = 0.0
+    f = DensitySpec.weighted_norm(grid, a, alpha=1e-9)
+    return "norm", f, ExponentField.constant(grid, 6.0), mesh, None
+
+
+def case_integral():
+    mesh = mesh_1d(24)
+    grid = mesh.grid()
+    return "integral", inverse_weight(grid), ExponentField.constant(grid, 4.0), mesh, None
+
+
+def case_stagnation():
+    # the affine start already minimizes |u' - 0.3|: the line search runs out
+    mesh = mesh_1d(24)
+    grid = mesh.grid()
+    f = DensitySpec.shifted_norm(grid, 0.3)
+    return "norm", f, ExponentField.constant(grid, 6.0), mesh, None
+
+
+class TestBatchedLineSearch:
+    """The batched trials and the cached density state change no iterate."""
+
+    SETTINGS = SolverSettings(epsilons=(1e-1, 1e-2, 1e-3), max_iter=500)
+
+    @pytest.mark.parametrize("case", [
+        case_variable_exponent, case_anisotropic_2d, case_shifted,
+        case_zero_weight_cell, case_integral, case_stagnation,
+    ])
+    def test_matches_sequential_backtracking(self, monkeypatch, case):
+        functional, f, p, mesh, init = case()
+        batched = minimize_power(functional, f, p, mesh, settings=self.SETTINGS, init=init)
+        backtracks = []
+        run, norm = sequential_descent(backtracks)
+        monkeypatch.setattr(_Descent, "run", run)
+        monkeypatch.setattr(_Descent, "norm", norm)
+        reference = minimize_power(functional, f, p, mesh, settings=self.SETTINGS, init=init)
+        assert np.array_equal(batched.field.node_values, reference.field.node_values)
+        assert batched.traces == reference.traces
+        assert batched.iterations == reference.iterations
+        assert batched.stagnated == reference.stagnated
+        assert batched.residual == reference.residual
+        assert batched.objective == reference.objective
+        if case is case_stagnation:
+            # every batch of trials failed, up to the cap
+            assert batched.stagnated
+        else:
+            # some accepted step lies past the first batch of trials
+            assert not batched.stagnated
+            assert max(backtracks) >= solve._TRIALS
+
+
+class TestWorkCount:
+    def test_one_density_pass_per_iteration(self, monkeypatch):
+        # one pass per stage plus one per batch of trials; recomputing the
+        # density for each trial, norm refresh and run start costs ~3 per
+        # iteration
+        calls = []
+        results = []
+
+        def density(*args):
+            calls.append(1)
+            return _density(*args)
+
+        def minimize(*args, **kw):
+            results.append(minimize_power(*args, **kw))
+            return results[-1]
+
+        monkeypatch.setattr(solve, "_density", density)
+        monkeypatch.setattr(gamma_lab, "minimize_power", minimize)
+        mesh = mesh_1d(32)
+        cfg = StudyConfig(kind="norm_gamma", density=inverse_weight(mesh.grid()), mesh=mesh,
+                          profile="sine", n_schedule=(4, 8),
+                          solver=SolverSettings(epsilons=(1e-1, 1e-2, 1e-3)))
+        run_norm_gamma_study(cfg)
+        iterations = sum(r.iterations for r in results)
+        stages = sum(len(r.traces) for r in results)
+        assert iterations > 100
+        assert len(calls) <= 1.2 * iterations + stages
