@@ -48,6 +48,7 @@ from .solve import (
     SolveResult,
     minimize_power,
     oracle_minimizer_1d,
+    power_oracle_1d,
     supremal_oracle_1d,
 )
 

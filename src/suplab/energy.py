@@ -54,14 +54,22 @@ __all__ = [
 
 
 class DensityContractError(ValueError):
-    """A custom rule produced a negative or non-finite value."""
+    """A custom rule returned a negative or non-finite value, or not one value per sample."""
 
 
 _CUSTOM_RULES: dict = {}
 
 
 def register_custom_rule(name: str, fn) -> None:
-    """Register a closed-form rule fn(coeffs, u_val, xi) -> float for custom densities."""
+    """Register a closed-form rule fn(coeffs, u_val, xi) -> values for custom densities.
+
+    Rules are evaluated on the last axis of ``xi``: one call gets a batch of
+    samples ``xi[..., k]`` with the coefficient arrays and ``u_val`` on the
+    matching leading axes (0-d for a single sample) and returns one value
+    per sample, an array of shape ``xi.shape[:-1]``.  The values must be
+    finite and nonnegative; the first sample that is not raises
+    :class:`DensityContractError` naming its ``xi``.
+    """
     _CUSTOM_RULES[name] = fn
 
 
@@ -71,18 +79,18 @@ def custom_rule_names():
 
 def _rule_unit_sphere_distance(coeffs, u_val, xi):
     # distance of |xi| from 1; sublevel sets are annuli, so NOT level convex
-    return abs(np.linalg.norm(xi) - 1.0)
+    return np.abs(np.linalg.norm(xi, axis=-1) - 1.0)
 
 
 def _rule_capped_norm(coeffs, u_val, xi):
     # min(|xi|, cap) + slope |xi|: a monotone transform of the norm, level convex
-    r = np.linalg.norm(xi)
-    return min(r, coeffs.get("cap", 1.0)) + coeffs.get("slope", 1e-6) * r
+    r = np.linalg.norm(xi, axis=-1)
+    return np.minimum(r, coeffs.get("cap", 1.0)) + coeffs.get("slope", 1e-6) * r
 
 
 def _rule_weighted_norm_power(coeffs, u_val, xi):
     # (a(x) |xi|)^power: level convex for any power > 0, growth exponent = power
-    return (coeffs["a"] * np.linalg.norm(xi)) ** coeffs["power"]
+    return (coeffs["a"] * np.linalg.norm(xi, axis=-1)) ** coeffs["power"]
 
 
 register_custom_rule("unit_sphere_distance", _rule_unit_sphere_distance)
@@ -121,14 +129,18 @@ def _custom(f, c, u, xi, eps):
     if eps > 0:
         raise PreconditionError(f"custom rule {f.rule!r} has no smoothed gradient; "
                                 "descent needs a built-in family")
-    if xi.ndim > 1:
-        vals = [_custom(f, {k: v[i] for k, v in c.items()}, u[i], xi[i], eps)[0]
-                for i in range(xi.shape[0])]
-        return np.array(vals), None
-    val = float(_CUSTOM_RULES[f.rule](c, u, xi))
-    if not np.isfinite(val) or val < 0:
-        raise DensityContractError(f"custom rule {f.rule!r} returned {val} at xi = {xi.tolist()}")
-    return val, None
+    # coefficients as arrays (0-d for one sample), so that a single sample
+    # takes the same array arithmetic as a batch
+    c = {k: np.asarray(v) for k, v in c.items()}
+    vals = np.asarray(_CUSTOM_RULES[f.rule](c, u, xi), dtype=float)
+    if vals.shape != xi.shape[:-1]:
+        raise DensityContractError(f"custom rule {f.rule!r} returned shape {vals.shape} "
+                                   f"for xi of shape {xi.shape}")
+    bad = ~np.isfinite(vals) | (vals < 0)
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise DensityContractError(f"custom rule {f.rule!r} returned {vals[i]} at xi = {xi[i].tolist()}")
+    return vals, None
 
 
 # family -> (formula, required coefficient, whether it has a component axis,

@@ -10,7 +10,8 @@ carries a ``+inf`` sentinel once its logarithm exceeds :data:`OVERFLOW_LOG`.
 Norms are Luxemburg norms, all computed by :func:`luxemburg_root`: in closed
 form, ``(sum_i w_i |u_i|^p)^(1/p)``, when the exponent is constant, and
 otherwise by Newton's method in ``t = log lam`` on the convex, decreasing map
-``t -> log modular(u / exp(t))``.
+``t -> log modular(u / exp(t))``.  The root takes one row or a padded stack
+of rows, so the relation checkers can check a chunk of instances at once.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ def _logsumexp_rows(t):
     m = t.max(axis=-1)
     if not np.isfinite(m).all():
         return np.array([_logsumexp(row) for row in t])
-    return m + np.log(np.exp(t - m[:, None]).sum(axis=-1))
+    z = t - m[:, None]
+    return m + np.log(np.exp(z, out=z).sum(axis=-1))
 
 
 def _lock(arr):
@@ -344,33 +346,61 @@ def modular(u: GridFunction, p: ExponentField) -> float:
 
 
 def luxemburg_root(base_logs, exponents):
-    """Solve logsumexp(base_logs - exponents * log(lam)) = 0 for lam > 0.
+    """Solve logsumexp(base_logs - exponents * log(lam)) = 0 for lam > 0, row by row.
 
     ``base_logs`` are the lam-free term logs (log w_i + p_i log|u_i| over the
-    nonvanishing cells).  When all exponents equal p the root is the closed
-    form exp(logsumexp(base_logs) / p).  Otherwise Newton's method runs in
-    t = log lam on F(t) = logsumexp(base_logs - exponents t), which is convex
-    and decreasing with F'(t) = -sum_i softmax_i p_i.  With L = F(0) the root
+    nonvanishing cells), one row (n,) or a stack of rows (B, n); a cell with
+    ``base_logs = -inf`` is padding, and its exponent, any finite value, is
+    ignored.  A row whose live exponents all equal p has the closed-form
+    root exp(logsumexp(base_logs) / p); a row without live cells has root 0.
+    Every other row runs Newton's method in t = log lam on
+    F(t) = logsumexp(base_logs - exponents t), which is convex and
+    decreasing with F'(t) = -sum_i softmax_i p_i.  With L = F(0) the root
     lies in [min(L/p+, L/p-), max(L/p+, L/p-)]; at the left end F >= 0, so
-    the iterates climb to the root without overshooting.  Iteration stops
-    once a step is at most :data:`ROOT_RTOL`; failing that, ArithmeticError
-    is raised.
+    the iterates climb to the root without overshooting.  A row stops, and
+    is frozen, once its step is at most :data:`ROOT_RTOL`, so it takes the
+    steps it would take alone; a row still moving after
+    :data:`_ROOT_MAX_STEPS` steps raises ArithmeticError.  Returns a float
+    for one row and an array of B roots for a stack.
     """
-    base_logs = np.asarray(base_logs, dtype=float)
-    exponents = np.asarray(exponents, dtype=float)
-    lr = _logsumexp(base_logs)
-    if (exponents == exponents[0]).all():
-        return float(np.exp(lr / exponents[0]))
-    t = min(lr / exponents.max(), lr / exponents.min())
+    base = np.asarray(base_logs, dtype=float)
+    exps = np.asarray(exponents, dtype=float)
+    if base.ndim == 1:
+        return float(luxemburg_root(base[None], exps[None])[0])
+    live = base > -np.inf
+    # a row without live cells gets p_hi = -inf < p_lo = +inf, so it is
+    # neither closed-form nor Newton and keeps root 0
+    p_hi = exps.max(axis=-1, where=live, initial=-np.inf)
+    p_lo = exps.min(axis=-1, where=live, initial=np.inf)
+    lr = _logsumexp_rows(base)
+    closed = p_hi == p_lo
+    if closed.all():
+        return np.exp(lr / p_hi)
+    roots = np.zeros(base.shape[0])
+    if closed.any():
+        roots[closed] = np.exp(lr[closed] / p_hi[closed])
+    idx = (p_hi > p_lo).nonzero()[0]
+    if idx.size == 0:
+        return roots
+    if idx.size < base.shape[0]:
+        base, exps, lr, p_hi, p_lo = base[idx], exps[idx], lr[idx], p_hi[idx], p_lo[idx]
+    t = np.minimum(lr / p_hi, lr / p_lo)[:, None]
     for _ in range(_ROOT_MAX_STEPS):
-        e = base_logs - exponents * t
-        m = e.max()
-        s = np.exp(e - m)
-        total = s.sum()
-        step = (m + np.log(total)) * total / (s @ exponents)
+        s = exps * t
+        np.subtract(base, s, out=s)
+        m = s.max(axis=-1, keepdims=True)
+        s -= m
+        np.exp(s, out=s)
+        total = s.sum(axis=-1, keepdims=True)
+        step = (m + np.log(total)) * total / np.vecdot(s, exps, keepdims=True)
         t += step
-        if abs(step) <= ROOT_RTOL:
-            return float(np.exp(t))
+        done = np.abs(step) <= ROOT_RTOL
+        if done.any():
+            done = done[:, 0]
+            roots[idx[done]] = np.exp(t[done, 0])
+            if done.all():
+                return roots
+            idx, base, exps, t = idx[~done], base[~done], exps[~done], t[~done]
     raise ArithmeticError(f"Luxemburg root: no convergence in {_ROOT_MAX_STEPS} Newton steps")
 
 
@@ -392,20 +422,129 @@ def classical_norm(u: GridFunction, q: float) -> float:
     _require_scalar(u)
     if q <= 0:
         raise PreconditionError("classical norm needs q > 0")
-    mags = np.abs(u.values)
-    mask = mags > 0
-    if not np.any(mask):
-        return 0.0
-    lr = _logsumexp(u.grid.log_weights[mask] + q * np.log(mags[mask]))
-    return float(np.exp(lr / q))
+    vals, logw, live = _one_row(u)
+    return float(_classical_rows(logw, _log_abs(vals, live), np.array([float(q)]))[0])
 
 
-def _sign_with_tol(x, tol):
-    if x > tol:
-        return 1
-    if x < -tol:
-        return -1
-    return 0
+# Relation checks.  Each checker's core takes a chunk of B instances as
+# padded (B, n) arrays: values, log-weights, exponents and a live mask; a
+# padded cell holds value 0, log-weight -inf and exponent 1.  A
+# core returns one RelationReport over the chunk (RelationReport.add_rows):
+# per check the smallest slack, the witness instance's note and the count of
+# failing instances.  The public checker is the one-instance chunk of the
+# same core.
+
+def _one_row(u: GridFunction, *fields):
+    """Values, log-weights, the fields' values and an all-live mask of (u, fields) as one-row chunks."""
+    return (u.values[None], u.grid.log_weights[None],
+            *(f.values[None] for f in fields), np.ones((1, u.grid.n_cells), dtype=bool))
+
+
+def _log_abs(vals, live):
+    """log |v| at the live nonzero cells; -inf at zeros and padding."""
+    mags = np.abs(vals)
+    nonzero = live & (mags > 0)
+    out = np.full(mags.shape, -np.inf)
+    out[nonzero] = np.log(mags[nonzero])
+    return out
+
+
+def _live_max(x, live):
+    return x.max(axis=-1, where=live, initial=-np.inf)
+
+
+def _exponent_bounds(pv, live):
+    """Row-wise p_minus and p_plus over the live cells."""
+    return -_live_max(-pv, live), _live_max(pv, live)
+
+
+def _norm_rows(logw, logmag, pv):
+    """Luxemburg norm of each row; zero for a row that vanishes."""
+    return luxemburg_root(logw + pv * logmag, pv)
+
+
+def _classical_rows(logw, logmag, q):
+    """(sum_i w_i |u_i|^q)^(1/q) of each row, for one q (B,) per row."""
+    return np.exp(_logsumexp_rows(logw + q[:, None] * logmag) / q)
+
+
+def _norm_modular_rows(vals, logw, pv, live, tol=1e-9) -> RelationReport:
+    """Core of :func:`verify_norm_modular_relations` on a chunk of instances."""
+    logmag = _log_abs(vals, live)
+    pm, pp = _exponent_bounds(pv, live)
+    logm = _logsumexp_rows(logw)
+    base = logw + pv * logmag
+    lam = luxemburg_root(base, pv)
+    lr = _logsumexp_rows(base)
+    rho = np.where(lr > OVERFLOW_LOG, np.inf, np.exp(np.minimum(lr, OVERFLOW_LOG)))
+
+    # log-scale tolerance; power comparisons amplify the root's error in
+    # log lam by up to p_plus
+    tol_log = tol * (1.0 + pp)
+
+    # the zero function (lam = 0) has its own outcomes, so its logs are
+    # replaced by 0 before the comparisons
+    zero = lam == 0.0
+    loglam = np.log(np.where(zero, 1.0, lam))
+    lr0 = np.where(zero, 0.0, lr)
+    s_lam = np.sign(loglam) * (np.abs(loglam) > tol)
+    s_rho = np.sign(lr0) * (np.abs(lr0) > tol_log)
+    # a value pinned to the unit sphere within float noise cannot
+    # contradict the other side's classification
+    on_sphere = (s_lam == 0) | (s_rho == 0)
+    gap = np.minimum(np.abs(loglam), np.abs(lr0))
+    everywhere = np.ones(lam.shape, dtype=bool)
+    inside, outside, strictly_inside = s_lam <= 0, s_lam > 0, s_lam < 0
+    root_lo = np.minimum(lr0 / pm, lr0 / pp)
+    root_hi = np.maximum(lr0 / pm, lr0 / pp)
+    zero_inside = (rho <= tol, tol - rho)
+
+    rep = RelationReport("norm/modular relations")
+
+    def vacuous_unless(applies, ok, slack, zero_ok=True, zero_slack=1.0):
+        """(passed, slack) of a check that holds vacuously off ``applies`` (a bool array)."""
+        return (np.where(zero, zero_ok, ~applies | ok),
+                np.where(zero, zero_slack, np.where(applies, slack, 1.0)))
+
+    def vacuous_note(applies, text, zero_text="vacuous"):
+        return lambda w: zero_text if zero[w] else ("" if applies[w] else text)
+
+    def iff(name, cmp, note=None):
+        consistent = on_sphere | (cmp(s_lam) == cmp(s_rho))
+        rep.add_rows(name, *vacuous_unless(everywhere, consistent, np.where(consistent, gap, -gap)),
+                     note=note)
+
+    iff("unit_ball_closed_iff", lambda s: s <= 0,
+        note=lambda w: "zero function" if zero[w]
+        else f"log norm = {loglam[w]:.3e}, log modular = {lr[w]:.3e}")
+    rep.add_rows("modular_dominated_inside",
+                 *vacuous_unless(inside, rho <= lam + tol, lam - rho, *zero_inside),
+                 note=vacuous_note(inside, "vacuous (norm > 1)", ""))
+    rep.add_rows("modular_dominates_outside",
+                 *vacuous_unless(outside, loglam <= lr0 + tol_log, lr0 - loglam),
+                 note=vacuous_note(outside, "vacuous (norm <= 1)"))
+    rep.add_rows("norm_between_modular_roots",
+                 *vacuous_unless(everywhere, (root_lo - tol_log <= loglam) & (loglam <= root_hi + tol_log),
+                                 np.minimum(loglam - root_lo, root_hi - loglam), rho == 0.0, 0.0),
+                 note=lambda w: "" if zero[w]
+                 else f"roots in logs: [{root_lo[w]:.3e}, {root_hi[w]:.3e}]")
+    iff("unit_ball_open_iff", lambda s: s < 0)
+    iff("unit_sphere_iff", lambda s: s == 0)
+    iff("exterior_iff", lambda s: s > 0)
+    rep.add_rows("power_bounds_outside",
+                 *vacuous_unless(outside, (pm * loglam <= lr0 + tol_log) & (lr0 <= pp * loglam + tol_log),
+                                 np.minimum(lr0 - pm * loglam, pp * loglam - lr0)),
+                 note=vacuous_note(outside, "vacuous"))
+    rep.add_rows("power_bounds_inside",
+                 *vacuous_unless(strictly_inside,
+                                 (pp * loglam <= lr0 + tol_log) & (lr0 <= pm * loglam + tol_log),
+                                 np.minimum(lr0 - pp * loglam, pm * loglam - lr0), *zero_inside),
+                 note=vacuous_note(strictly_inside, "vacuous", ""))
+
+    log_norm_one = np.log(luxemburg_root(logw, pv))
+    bound = np.maximum(logm / pm, logm / pp)
+    rep.add_rows("constant_one_norm_bound", log_norm_one <= bound + tol, bound - log_norm_one)
+    return rep
 
 
 def verify_norm_modular_relations(u: GridFunction, p: ExponentField, tol=1e-9) -> RelationReport:
@@ -415,97 +554,43 @@ def verify_norm_modular_relations(u: GridFunction, p: ExponentField, tol=1e-9) -
     outside the unit ball, the min/max sandwich between the modular roots,
     the p_minus/p_plus power bounds, and the bound on the norm of the
     constant-one function.  Failures are recorded, never raised: the report
-    is consumed by randomized property runs.
+    is consumed by randomized property runs, which check their instances a
+    chunk at a time through the same core.
     """
     _require_scalar(u)
     _require_same_grid(u, p)
-    rep = RelationReport("norm/modular relations")
-    pm, pp = p.p_minus, p.p_plus
-    m = u.grid.total_measure
-    logm = np.log(m)
+    vals, logw, pv, live = _one_row(u, p)
+    return _norm_modular_rows(vals, logw, pv, live, tol)
 
-    lam = luxemburg_norm(u, p)
-    lr = log_modular(u, p)
-    rho = 0.0 if lr == -np.inf else (np.inf if lr > OVERFLOW_LOG else float(np.exp(lr)))
 
-    # log-scale tolerance; power comparisons amplify the root's error in
-    # log lam by up to p_plus
-    tol_log = tol * (1.0 + pp)
+def _holder_rows(fv, gv, logw, pv, qv, sv, live, tol=1e-9) -> RelationReport:
+    """Core of :func:`holder_check` on a chunk of instances."""
+    defect = _live_max(np.abs(1.0 / sv - 1.0 / pv - 1.0 / qv), live).max()
+    if defect > 1e-10:
+        raise StructuralError(f"exponents are not Hoelder-compatible (defect {defect:.3e})")
 
-    if lam == 0.0:
-        rep.add("unit_ball_closed_iff", True, 1.0, note="zero function")
-        rep.add("modular_dominated_inside", rho <= tol, tol - rho)
-        rep.add("modular_dominates_outside", True, 1.0, note="vacuous")
-        rep.add("norm_between_modular_roots", rho == 0.0, 0.0)
-        rep.add("unit_ball_open_iff", True, 1.0)
-        rep.add("unit_sphere_iff", True, 1.0)
-        rep.add("exterior_iff", True, 1.0)
-        rep.add("power_bounds_outside", True, 1.0, note="vacuous")
-        rep.add("power_bounds_inside", rho <= tol, tol - rho)
-    else:
-        loglam = float(np.log(lam))
-        s_lam = _sign_with_tol(loglam, tol)
-        s_rho = _sign_with_tol(lr, tol_log)
-        # a value pinned to the unit sphere within float noise cannot
-        # contradict the other side's classification
-        on_sphere = s_lam == 0 or s_rho == 0
+    prod = fv * gv
+    lhs = _norm_rows(logw, _log_abs(prod, live), sv)
+    norm_f = _norm_rows(logw, _log_abs(fv, live), pv)
+    norm_g = _norm_rows(logw, _log_abs(gv, live), qv)
+    const = _live_max(sv / pv, live) + _live_max(sv / qv, live)
+    rhs = const * norm_f * norm_g
+    rep = RelationReport("Hoelder inequality")
+    rep.add_rows("product_norm_bound", lhs <= rhs + tol * np.maximum(1.0, rhs), rhs - lhs,
+                 note=lambda w: f"constant = {const[w]:.6g}")
 
-        consistent = on_sphere or (s_lam <= 0) == (s_rho <= 0)
-        rep.add(
-            "unit_ball_closed_iff",
-            consistent,
-            min(abs(loglam), abs(lr)) if consistent else -min(abs(loglam), abs(lr)),
-            note=f"log norm = {loglam:.3e}, log modular = {lr:.3e}",
-        )
-
-        if s_lam <= 0:
-            slack = lam - rho
-            rep.add("modular_dominated_inside", rho <= lam + tol, slack)
-        else:
-            rep.add("modular_dominated_inside", True, 1.0, note="vacuous (norm > 1)")
-
-        if s_lam > 0:
-            rep.add("modular_dominates_outside", loglam <= lr + tol_log, lr - loglam)
-        else:
-            rep.add("modular_dominates_outside", True, 1.0, note="vacuous (norm <= 1)")
-
-        root_lo = min(lr / pm, lr / pp)
-        root_hi = max(lr / pm, lr / pp)
-        ok = (root_lo - tol_log <= loglam) and (loglam <= root_hi + tol_log)
-        rep.add(
-            "norm_between_modular_roots",
-            ok,
-            min(loglam - root_lo, root_hi - loglam),
-            note=f"roots in logs: [{root_lo:.3e}, {root_hi:.3e}]",
-        )
-
-        for name, cmp in (
-            ("unit_ball_open_iff", lambda s: s < 0),
-            ("unit_sphere_iff", lambda s: s == 0),
-            ("exterior_iff", lambda s: s > 0),
-        ):
-            consistent = on_sphere or cmp(s_lam) == cmp(s_rho)
-            rep.add(
-                name,
-                consistent,
-                min(abs(loglam), abs(lr)) if consistent else -min(abs(loglam), abs(lr)),
-            )
-
-        if s_lam > 0:
-            ok = (pm * loglam <= lr + tol_log) and (lr <= pp * loglam + tol_log)
-            rep.add("power_bounds_outside", ok, min(lr - pm * loglam, pp * loglam - lr))
-        else:
-            rep.add("power_bounds_outside", True, 1.0, note="vacuous")
-        if s_lam < 0:
-            ok = (pp * loglam <= lr + tol_log) and (lr <= pm * loglam + tol_log)
-            rep.add("power_bounds_inside", ok, min(lr - pp * loglam, pm * loglam - lr))
-        else:
-            rep.add("power_bounds_inside", True, 1.0, note="vacuous")
-
-    one = GridFunction.constant(u.grid, 1.0)
-    log_norm_one = np.log(luxemburg_norm(one, p))
-    bound = max(logm / pm, logm / pp)
-    rep.add("constant_one_norm_bound", log_norm_one <= bound + tol, bound - log_norm_one)
+    # s identically 1: the classical pairing bound with constant
+    # 1/p_minus + 1/p'_minus, where 1/p'_minus = 1 - 1/p_plus
+    unit_s = _live_max(np.abs(sv - 1.0), live) <= 1e-12
+    if unit_s.any():
+        integral = (np.exp(logw) * np.abs(prod)).sum(axis=-1)
+        pm, pp = _exponent_bounds(pv, live)
+        const2 = 1.0 / pm + (1.0 - 1.0 / pp)
+        rhs2 = const2 * norm_f * norm_g
+        rep.add_rows("dual_pairing_bound",
+                     ~unit_s | (integral <= rhs2 + tol * np.maximum(1.0, rhs2)),
+                     np.where(unit_s, rhs2 - integral, np.inf),
+                     note=lambda w: f"constant = {const2[w]:.6g}")
     return rep
 
 
@@ -520,56 +605,57 @@ def holder_check(f: GridFunction, g: GridFunction, p: ExponentField, q: Exponent
     _require_scalar(f)
     _require_scalar(g)
     _require_same_grid(f, g, p, q, s)
-    defect = np.max(np.abs(1.0 / s.values - 1.0 / p.values - 1.0 / q.values))
-    if defect > 1e-10:
-        raise StructuralError(f"exponents are not Hoelder-compatible (defect {defect:.3e})")
+    fv, logw, gv, pv, qv, sv, live = _one_row(f, g, p, q, s)
+    return _holder_rows(fv, gv, logw, pv, qv, sv, live, tol)
 
-    rep = RelationReport("Hoelder inequality")
-    prod = GridFunction(f.grid, f.values * g.values)
-    lhs = luxemburg_norm(prod, s)
-    norm_f = luxemburg_norm(f, p)
-    norm_g = luxemburg_norm(g, q)
-    const = float(np.max(s.values / p.values) + np.max(s.values / q.values))
-    rhs = const * norm_f * norm_g
-    rep.add(
-        "product_norm_bound",
-        lhs <= rhs + tol * max(1.0, rhs),
-        rhs - lhs,
-        note=f"constant = {const:.6g}",
-    )
 
-    if np.max(np.abs(s.values - 1.0)) <= 1e-12:
-        integral = float(np.sum(f.grid.weights * np.abs(prod.values)))
-        dual_min = p.p_plus / (p.p_plus - 1.0) if p.p_plus > 1.0 else np.inf
-        const2 = 1.0 / p.p_minus + 1.0 / dual_min
-        rhs2 = const2 * norm_f * norm_g
-        rep.add(
-            "dual_pairing_bound",
-            integral <= rhs2 + tol * max(1.0, rhs2),
-            rhs2 - integral,
-            note=f"constant = {const2:.6g}",
-        )
+def _power_identity_rows(vals, logw, pv, live, s, rtol=1e-8) -> RelationReport:
+    """Core of :func:`power_identity_check` on a chunk, one power s (B,) per instance."""
+    pm, _ = _exponent_bounds(pv, live)
+    bad = ~((1.0 < s) & (s < pm))
+    if bad.any():
+        w = int(np.argmax(bad))
+        raise PreconditionError(f"power must lie in (1, p_minus) = (1, {pm[w]}), got {s[w]}")
+    logmag = _log_abs(vals, live)
+    rhs = _norm_rows(logw, logmag, pv)
+    ps = pv / s[:, None]
+    lhs = _norm_rows(logw, s[:, None] * logmag, ps) ** (1.0 / s)
+    rel = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
+    rep = RelationReport("power rescaling identity")
+    rep.add_rows("power_rescaling_identity", rel <= rtol, rtol - rel,
+                 note=lambda w: f"lhs = {lhs[w]:.12g}, rhs = {rhs[w]:.12g}")
     return rep
 
 
 def power_identity_check(u: GridFunction, p: ExponentField, s: float, rtol=1e-8) -> RelationReport:
     """Check ||  |u|^s ||_{p/s}^{1/s} = ||u||_p for 1 < s < p_minus."""
-    if not (1.0 < s < p.p_minus):
-        raise PreconditionError(f"power must lie in (1, p_minus) = (1, {p.p_minus}), got {s}")
     _require_scalar(u)
     _require_same_grid(u, p)
-    rhs = luxemburg_norm(u, p)
-    powered = GridFunction(u.grid, np.abs(u.values) ** s)
-    lhs = luxemburg_norm(powered, p.divided_by(s)) ** (1.0 / s)
-    denom = max(abs(rhs), 1e-300)
-    rel = abs(lhs - rhs) / denom
-    rep = RelationReport("power rescaling identity")
-    rep.add(
-        "power_rescaling_identity",
-        rel <= rtol,
-        rtol - rel,
-        note=f"lhs = {lhs:.12g}, rhs = {rhs:.12g}",
-    )
+    vals, logw, pv, live = _one_row(u, p)
+    return _power_identity_rows(vals, logw, pv, live, np.array([float(s)]), rtol)
+
+
+def _embedding_rows(vals, logw, pv, live, q, beta, tol=1e-9) -> RelationReport:
+    """Core of :func:`embedding_bound_check` on a chunk, one q and beta (B,) per instance."""
+    pm, pp = _exponent_bounds(pv, live)
+    bad = ~((1.0 <= q) & (q <= pm * (1 + 1e-12)))
+    if bad.any():
+        w = int(np.argmax(bad))
+        raise PreconditionError(f"q must lie in [1, p_minus] = [1, {pm[w]}], got {q[w]}")
+    bad = beta * pm < pp * (1 - 1e-12)
+    if bad.any():
+        w = int(np.argmax(bad))
+        raise PreconditionError(f"declared beta = {beta[w]} does not dominate p_plus / p_minus")
+
+    m = np.exp(_logsumexp_rows(logw))
+    logmag = _log_abs(vals, live)
+    lhs = _classical_rows(logw, logmag, q)
+    measure_factor = np.maximum(m ** (1.0 / q - 1.0 / pm), m ** (beta * (1.0 / q - 1.0 / pp)))
+    ratio_factor = (1.0 + q * (beta - 1.0) / pp) ** (1.0 / q)
+    rhs = measure_factor * ratio_factor * _norm_rows(logw, logmag, pv)
+    rep = RelationReport("embedding bound")
+    rep.add_rows("classical_norm_dominated", lhs <= rhs + tol * np.maximum(1.0, rhs), rhs - lhs,
+                 note=lambda w: f"q = {q[w]}, beta = {beta[w]}")
     return rep
 
 
@@ -583,27 +669,10 @@ def embedding_bound_check(u: GridFunction, p: ExponentField, q: float,
     """
     _require_scalar(u)
     _require_same_grid(u, p)
-    pm, pp = p.p_minus, p.p_plus
-    if not (1.0 <= q <= pm * (1 + 1e-12)):
-        raise PreconditionError(f"q must lie in [1, p_minus] = [1, {pm}], got {q}")
     if beta is None:
-        beta = pp / pm
-    if beta * pm < pp * (1 - 1e-12):
-        raise PreconditionError(f"declared beta = {beta} does not dominate p_plus / p_minus")
-
-    m = u.grid.total_measure
-    lhs = classical_norm(u, q)
-    measure_factor = max(m ** (1.0 / q - 1.0 / pm), m ** (beta * (1.0 / q - 1.0 / pp)))
-    ratio_factor = (1.0 + q * (beta - 1.0) / pp) ** (1.0 / q)
-    rhs = measure_factor * ratio_factor * luxemburg_norm(u, p)
-    rep = RelationReport("embedding bound")
-    rep.add(
-        "classical_norm_dominated",
-        lhs <= rhs + tol * max(1.0, rhs),
-        rhs - lhs,
-        note=f"q = {q}, beta = {beta}",
-    )
-    return rep
+        beta = p.p_plus / p.p_minus
+    vals, logw, pv, live = _one_row(u, p)
+    return _embedding_rows(vals, logw, pv, live, np.array([float(q)]), np.array([float(beta)]), tol)
 
 
 def norm_limit_study(u: GridFunction, seq: ExponentSequence, n_values) -> Table:

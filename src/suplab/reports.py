@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class RelationCheck:
@@ -32,6 +34,24 @@ class RelationReport:
 
     def add(self, name, passed, slack, note="", witness=None):
         self.checks.append(RelationCheck(name, bool(passed), float(slack), note, witness))
+
+    def add_rows(self, name, passed, slack, note=None):
+        """Add one check evaluated on a chunk of B instances at once.
+
+        ``passed`` and ``slack`` hold one entry per instance; an instance the
+        check does not apply to passes with slack +inf.  The check passes when
+        every instance does; its slack is the smallest, and ``note(w)`` is
+        the note of the witness instance w: the first failing one, or the
+        one of smallest slack if none fails.  ``meta["violations"]`` counts
+        the failing instances of each check and ``meta["failing"]`` marks
+        the instances failing any check.
+        """
+        bad = ~np.asarray(passed, dtype=bool)
+        slack = np.asarray(slack, dtype=float)
+        w = int(np.argmax(bad)) if bad.any() else int(np.argmin(slack))
+        self.add(name, not bad.any(), slack.min(), note(w) if note else "")
+        self.meta.setdefault("violations", {})[name] = int(bad.sum())
+        self.meta["failing"] = self.meta.get("failing", False) | bad
 
     @property
     def passed(self) -> bool:

@@ -24,9 +24,10 @@ the hundreds never overflow:
 Smoothed densities come from the family table in :mod:`suplab.energy`, the
 cell-gradient stencil and its adjoint from :mod:`suplab.discretize`.
 
-Closed-form supremal oracles for 1-D weighted problems live here as well:
-the minimum of the sup of a(x) |u'| under endpoint data is
-|g1 - g0| / integral of 1/a, attained by slopes proportional to 1/a.
+Closed-form oracles for 1-D weighted problems live here as well: the
+minimum of the sup of a(x) |u'| under endpoint data is |g1 - g0| / integral
+of 1/a, attained by slopes proportional to 1/a, and the minimum of the
+weighted p-norm of a |u'| for a constant p is its Hoelder counterpart.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ __all__ = [
     "SolveResult",
     "minimize_power",
     "supremal_oracle_1d",
+    "power_oracle_1d",
     "oracle_minimizer_1d",
 ]
 
@@ -323,6 +325,24 @@ def supremal_oracle_1d(a: GridFunction, g0: float, g1: float) -> float:
         raise PreconditionError("weight must be strictly positive")
     inv_mass = float(np.sum(a.grid.weights / a.values))
     return abs(g1 - g0) / inv_mass
+
+
+def power_oracle_1d(a: GridFunction, p: float, g0: float, g1: float) -> float:
+    """Exact minimum of the weighted p-norm (sum_i w_i (a_i |u'_i|)^p)^(1/p), constant p > 1.
+
+    Hoelder on the total rise, |g1 - g0| = |sum_i w_i (a_i u'_i) / a_i|
+    <= ||a u'||_p ||1/a||_p', gives m_p = |g1 - g0| / (sum_i w_i a_i^{-p'})^{1/p'}
+    with p' = p/(p-1), attained by slopes proportional to a^{-p'}.  As p
+    grows, m_p tends to :func:`supremal_oracle_1d`.
+    """
+    if a.grid.dimension != 1:
+        raise PreconditionError("the closed-form oracle is one-dimensional")
+    if np.any(a.values <= 0):
+        raise PreconditionError("weight must be strictly positive")
+    if not p > 1.0:
+        raise PreconditionError(f"the power oracle needs p > 1, got {p}")
+    dual = p / (p - 1.0)
+    return abs(g1 - g0) / float(np.sum(a.grid.weights * a.values ** -dual)) ** (1.0 / dual)
 
 
 def oracle_minimizer_1d(a: GridFunction, g0: float, g1: float) -> np.ndarray:

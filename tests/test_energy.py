@@ -22,6 +22,7 @@ from suplab.exponent_space import (
     StructuralError,
     luxemburg_norm,
 )
+from suplab.measure_tools import jensen_check
 from suplab.solve import SolverSettings, minimize_power
 
 from _oracles import constant_p_norm
@@ -64,6 +65,46 @@ class TestEvalDensity:
     def test_unknown_rule_rejected(self):
         with pytest.raises(StructuralError):
             DensitySpec.custom(line_grid(2), "no_such_rule")
+
+
+class TestCustomRuleBatches:
+    @pytest.mark.parametrize("rule, coeffs", [
+        ("unit_sphere_distance", {}),
+        ("capped_norm", {"cap": 0.5, "slope": 0.1}),
+        ("weighted_norm_power", {"a": lambda x: 1.0 + x, "power": 3.0}),
+    ])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_batch_equals_per_sample(self, rule, coeffs, k):
+        grid = line_grid(256)
+        coeffs = {key: v(grid.points) if callable(v) else v for key, v in coeffs.items()}
+        f = DensitySpec.custom(grid, rule, coeffs)
+        rng = np.random.default_rng(7)
+        u = GridFunction(grid, rng.normal(size=256))
+        Du = GridFunction(grid, 2.0 * rng.normal(size=(256, k)))
+        batch = density_field(f, u, Du).values
+        xi = Du.values.reshape(256, k)
+        single = [eval_density(f, i, u.values[i], xi[i]) for i in range(256)]
+        assert np.array_equal(batch, single)
+
+    def test_negative_sample_of_a_batch_is_named(self):
+        # one sample of the 256-trial batch has norm below 0.5
+        register_custom_rule("norm_minus_half", lambda c, u, xi: np.linalg.norm(xi, axis=-1) - 0.5)
+        grid = line_grid(4)
+        f = DensitySpec.custom(grid, "norm_minus_half")
+        pts = 3.0 + np.abs(np.random.default_rng(1).normal(size=(256, 1, 1)))
+        pts[137] = 0.25
+        cells = np.zeros(256, dtype=int)
+        with pytest.raises(DensityContractError, match=r"-0\.25 at xi = \[0\.25\]"):
+            jensen_check(f, cells, 0.0, (pts, np.ones((256, 1))))
+
+    def test_rule_without_one_value_per_sample_is_contract_error(self):
+        register_custom_rule("one_value_per_call", lambda c, u, xi: 1.0)
+        grid = line_grid(4)
+        f = DensitySpec.custom(grid, "one_value_per_call")
+        assert eval_density(f, 0, 0.0, np.array([2.0])) == 1.0
+        Du = GridFunction(grid, np.ones(4))
+        with pytest.raises(DensityContractError, match="shape"):
+            density_field(f, None, Du)
 
 
 def per_cell_anisotropic(cells=8):

@@ -141,6 +141,27 @@ class TestModular:
             assert log_modular(u, p) <= log_modular(v, p) + 1e-12
 
 
+HARD_CASES = ["ratio_5_up_to_40", "magnitudes_1e-2_to_1e2", "one_dominant_cell"]
+
+
+def hard_instance(case):
+    """Grid, values and exponents of a variable-exponent root that is hard for Newton."""
+    rng = np.random.default_rng(29)
+    grid = Grid.uniform_1d(0.0, 1.0, 256)
+    if case == "ratio_5_up_to_40":
+        vals = rng.uniform(0.5, 2.0, 256)
+        pv = rng.uniform(8.0, 40.0, 256)
+        pv[:2] = 8.0, 40.0
+    elif case == "magnitudes_1e-2_to_1e2":
+        vals = 10.0 ** rng.uniform(-2.0, 2.0, 256) * rng.choice([-1.0, 1.0], 256)
+        pv = rng.uniform(2.0, 10.0, 256)
+    else:
+        vals = np.full(256, 1e-2)
+        vals[97] = 1e2
+        pv = rng.uniform(4.0, 20.0, 256)
+    return grid, vals, pv
+
+
 class TestLuxemburgNorm:
     def test_zero_function(self):
         grid = Grid.uniform_1d(0.0, 1.0, 8)
@@ -170,22 +191,9 @@ class TestLuxemburgNorm:
             ref = brentq_luxemburg(u.values, p.values, grid.weights)
             assert lam == pytest.approx(ref, rel=1e-10)
 
-    @pytest.mark.parametrize("case", ["ratio_5_up_to_40", "magnitudes_1e-2_to_1e2",
-                                      "one_dominant_cell"])
+    @pytest.mark.parametrize("case", HARD_CASES)
     def test_newton_root_on_hard_instances(self, case):
-        rng = np.random.default_rng(29)
-        grid = Grid.uniform_1d(0.0, 1.0, 256)
-        if case == "ratio_5_up_to_40":
-            vals = rng.uniform(0.5, 2.0, 256)
-            pv = rng.uniform(8.0, 40.0, 256)
-            pv[:2] = 8.0, 40.0
-        elif case == "magnitudes_1e-2_to_1e2":
-            vals = 10.0 ** rng.uniform(-2.0, 2.0, 256) * rng.choice([-1.0, 1.0], 256)
-            pv = rng.uniform(2.0, 10.0, 256)
-        else:
-            vals = np.full(256, 1e-2)
-            vals[97] = 1e2
-            pv = rng.uniform(4.0, 20.0, 256)
+        grid, vals, pv = hard_instance(case)
         u, p = GridFunction(grid, vals), ExponentField(grid, pv)
         assert p.p_plus > p.p_minus
         ref = brentq_luxemburg(vals, pv, grid.weights)
@@ -196,6 +204,43 @@ class TestLuxemburgNorm:
         base = np.log([0.5, 0.5]) + np.array([2.0, 40.0]) * np.log([3.0, 0.1])
         with pytest.raises(ArithmeticError):
             luxemburg_root(base, np.array([2.0, 40.0]))
+
+    def test_row_stack_matches_single_rows(self):
+        rows = [hard_instance(case) for case in HARD_CASES]
+        short = Grid.uniform_1d(0.0, 1.0, 5)
+        rows.append((short, np.array([0.5, -2.0, 0.0, 1.5, 3.0]), np.linspace(2.0, 6.0, 5)))
+        flat = Grid.uniform_1d(0.0, 1.0, 256)
+        rows.append((flat, np.random.default_rng(3).normal(size=256), np.full(256, 6.0)))
+        width = max(grid.n_cells for grid, _, _ in rows)
+        base = np.full((len(rows), width), -np.inf)
+        exps = np.ones((len(rows), width))
+        singles = []
+        for i, (grid, vals, pv) in enumerate(rows):
+            nz = vals != 0
+            row_base = grid.log_weights[nz] + pv[nz] * np.log(np.abs(vals[nz]))
+            base[i, :row_base.size] = row_base
+            exps[i, :row_base.size] = pv[nz]
+            singles.append(luxemburg_root(row_base, pv[nz]))
+        roots = luxemburg_root(base, exps)
+        assert roots.shape == (len(rows),)
+        for i, (grid, vals, pv) in enumerate(rows):
+            if np.count_nonzero(vals) == width:
+                assert np.array_equal(roots[i], singles[i])
+            else:
+                assert abs(roots[i] - singles[i]) <= 1e-15 * singles[i]
+            assert roots[i] == pytest.approx(brentq_luxemburg(vals, pv, grid.weights), rel=1e-12)
+        assert isinstance(singles[0], float)
+
+    def test_row_without_live_cells_has_root_zero(self):
+        base = np.array([[-np.inf, -np.inf], [np.log(0.5), np.log(0.5)]])
+        roots = luxemburg_root(base, np.array([[2.0, 3.0], [2.0, 3.0]]))
+        assert roots[0] == 0.0 and roots[1] == pytest.approx(1.0, rel=1e-12)
+
+    def test_batched_root_raises_when_newton_stalls(self, monkeypatch):
+        monkeypatch.setattr(exponent_space, "_ROOT_MAX_STEPS", 1)
+        base = np.log([0.5, 0.5]) + np.array([2.0, 40.0]) * np.log([3.0, 0.1])
+        with pytest.raises(ArithmeticError):
+            luxemburg_root(np.stack([base, base - 1.0]), np.array([[2.0, 40.0], [2.0, 40.0]]))
 
     def test_constant_exponent_consistency(self):
         rng = np.random.default_rng(7)
@@ -258,6 +303,19 @@ class TestNormModularRelations:
         grid = Grid.uniform_1d(0.0, 1.0, 4)
         rep = verify_norm_modular_relations(GridFunction.constant(grid, 0.0), ExponentField.constant(grid, 2.0))
         assert rep.passed
+
+    def test_overestimated_norm_breaks_the_unit_ball_equivalences(self, monkeypatch):
+        # true norm 0.995 and modular 0.995^3 < 1; a root 1% too large puts
+        # the norm outside the unit ball while the modular stays inside
+        true_root = exponent_space.luxemburg_root
+        monkeypatch.setattr(exponent_space, "luxemburg_root",
+                            lambda base, exps: true_root(base, exps) * 1.01)
+        grid = Grid.uniform_1d(0.0, 1.0, 8)
+        rep = verify_norm_modular_relations(GridFunction.constant(grid, 0.995),
+                                            ExponentField.constant(grid, 3.0))
+        failed = {c.name for c in rep.failures()}
+        assert {"unit_ball_closed_iff", "unit_ball_open_iff", "exterior_iff"} <= failed
+        assert "unit_sphere_iff" not in failed
 
     def test_randomized_instances(self):
         rng = np.random.default_rng(23)

@@ -8,9 +8,10 @@ from suplab.discretize import (
     MeshSpec,
     _cell_gradient,
     _cell_gradient_adjoint,
+    gradient,
     interpolate_boundary,
 )
-from suplab.energy import DensitySpec, _density
+from suplab.energy import DensitySpec, _density, eval_Fn
 from suplab.exponent_space import (
     ExponentField,
     GridFunction,
@@ -25,6 +26,7 @@ from suplab.solve import (
     _Descent,
     minimize_power,
     oracle_minimizer_1d,
+    power_oracle_1d,
     supremal_oracle_1d,
 )
 
@@ -72,6 +74,41 @@ class TestSupremalOracle:
         du = np.diff(nodes) / grid.weights
         vals = a.values * du
         assert np.allclose(vals, supremal_oracle_1d(a, 0.25, 2.0), rtol=1e-10)
+
+
+class TestPowerOracle:
+    def test_equalizing_profile_attains_it(self):
+        grid = mesh_1d(200).grid()
+        a = GridFunction.from_callable(grid, lambda x: 1.0 / (1.0 + x))
+        for p in (1.5, 4.0, 16.0):
+            slopes = a.values ** -(p / (p - 1.0))
+            slopes *= 1.0 / np.sum(grid.weights * slopes)
+            field = DiscreteField(mesh_1d(200), np.concatenate([[0.0], np.cumsum(grid.weights * slopes)]))
+            value = eval_Fn(inverse_weight(grid), None, gradient(field), ExponentField.constant(grid, p))
+            assert value == pytest.approx(power_oracle_1d(a, p, 0.0, 1.0), rel=1e-12)
+
+    def test_tends_to_supremal_oracle(self):
+        grid = mesh_1d(200).grid()
+        a = GridFunction.from_callable(grid, lambda x: 1.0 / (1.0 + x))
+        lstar = supremal_oracle_1d(a, 0.0, 1.0)
+        gaps = [lstar - power_oracle_1d(a, p, 0.0, 1.0) for p in (2.0, 8.0, 64.0, 1024.0)]
+        assert all(g > 0 for g in gaps)
+        assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 1e-3 * lstar
+
+    @pytest.mark.parametrize("p", [4.0, 8.0])
+    def test_cold_solve_lands_on_it(self, p):
+        mesh = mesh_1d(32)
+        grid = mesh.grid()
+        a = GridFunction.from_callable(grid, lambda x: 1.0 / (1.0 + x))
+        m_p = power_oracle_1d(a, p, 0.0, 1.0)
+        res = minimize_power("norm", inverse_weight(grid), ExponentField.constant(grid, p), mesh)
+        assert -1e-12 <= (res.objective - m_p) / m_p <= 1e-6
+
+    def test_needs_p_above_one(self):
+        grid = mesh_1d(8).grid()
+        with pytest.raises(PreconditionError):
+            power_oracle_1d(GridFunction.constant(grid, 1.0), 1.0, 0.0, 1.0)
 
 
 class TestNormMinimization:
