@@ -117,7 +117,7 @@ class MeshSpec:
 
 @dataclass(frozen=True)
 class DiscreteField:
-    """Node values on a mesh; boundary nodes are fixed, updates go through with_interior."""
+    """Read-only node values on a mesh; the solver keeps the boundary nodes at the trace."""
 
     mesh: MeshSpec
     node_values: np.ndarray
@@ -130,20 +130,6 @@ class DiscreteField:
             )
         vals.setflags(write=False)
         object.__setattr__(self, "node_values", vals)
-
-    def interior(self) -> np.ndarray:
-        if self.mesh.dimension == 1:
-            return np.array(self.node_values[1:-1])
-        return np.array(self.node_values[1:-1, 1:-1]).ravel()
-
-    def with_interior(self, vec: np.ndarray) -> "DiscreteField":
-        vals = np.array(self.node_values)
-        if self.mesh.dimension == 1:
-            vals[1:-1] = vec
-        else:
-            nx, ny = self.mesh.cells
-            vals[1:-1, 1:-1] = np.asarray(vec, dtype=float).reshape(nx - 1, ny - 1)
-        return DiscreteField(self.mesh, vals)
 
     def cell_values(self) -> GridFunction:
         """Corner averages on the cell centers."""
@@ -209,9 +195,9 @@ def gradient(field: DiscreteField) -> GridFunction:
     return GridFunction(field.mesh.grid(), _cell_gradient(field.mesh, field.node_values))
 
 
-def interpolate_boundary(mesh: MeshSpec, g: BoundarySpec | None = None) -> DiscreteField:
+def interpolate_boundary(mesh: MeshSpec) -> DiscreteField:
     """Feasible initial field: linear blend of the trace (transfinite in 2-D)."""
-    g = g or mesh.boundary
+    g = mesh.boundary
     axes = mesh.node_axes()
     if mesh.dimension == 1:
         if g.kind == "endpoints":
@@ -222,8 +208,7 @@ def interpolate_boundary(mesh: MeshSpec, g: BoundarySpec | None = None) -> Discr
         t = axes[0] / mesh.extents[0]
         return DiscreteField(mesh, (1.0 - t) * g0 + t * g1)
 
-    spec = MeshSpec(mesh.dimension, mesh.extents, mesh.cells, g)
-    tr = spec.boundary_node_values()
+    tr = mesh.boundary_node_values()
     s = (axes[0] / mesh.extents[0])[:, None]
     t = (axes[1] / mesh.extents[1])[None, :]
     u = (

@@ -26,12 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponent_space import (
-    OVERFLOW_LOG,
     ExponentField,
     Grid,
     GridFunction,
     PreconditionError,
     StructuralError,
+    _linear,
+    _log0,
     _logsumexp,
     _require_same_grid,
     luxemburg_norm,
@@ -276,26 +277,21 @@ def eval_calFn(f: DensitySpec, u: GridFunction | None, Du: GridFunction,
     """
     vals = density_field(f, u, Du)
     _require_same_grid(vals, p)
-    mask = vals.values > 0
-    if not np.any(mask):
-        return 0.0
-    terms = (
-        vals.grid.log_weights[mask]
-        - np.log(p.values[mask])
-        + p.values[mask] * np.log(vals.values[mask])
-    )
-    lr = _logsumexp(terms)
-    if lr > OVERFLOW_LOG:
-        return np.inf
-    return float(np.exp(lr))
+    terms = vals.grid.log_weights - np.log(p.values) + p.values * _log0(vals.values)
+    return _linear(_logsumexp(terms))
 
 
-def _random_xi(rng, k, scale):
-    return scale * rng.normal(size=k)
+# the probes draw xi ~ N(0, _PROBE_SCALE^2 I) with one component per grid
+# dimension and keep at most _MAX_WITNESSES witnesses
+_PROBE_SCALE = 2.0
+_MAX_WITNESSES = 10
 
 
-def level_convexity_probe(f: DensitySpec, trials=10000, seed=0, xi_dim=None,
-                          scale=2.0, max_witnesses=10) -> RelationReport:
+def _random_xi(rng, f):
+    return _PROBE_SCALE * rng.normal(size=f.grid.dimension)
+
+
+def level_convexity_probe(f: DensitySpec, trials=10000, seed=0) -> RelationReport:
     """Randomized search for level-convexity violations along segments.
 
     Draws (cell, u, xi1, xi2, theta) and checks
@@ -304,15 +300,14 @@ def level_convexity_probe(f: DensitySpec, trials=10000, seed=0, xi_dim=None,
     not level convex, not an error.
     """
     rng = np.random.default_rng(seed)
-    k = xi_dim or f.grid.dimension
     witnesses = []
     violations = 0
     worst = np.inf
     for _ in range(trials):
         cell = int(rng.integers(f.grid.n_cells))
         u_val = float(rng.normal())
-        xi1 = _random_xi(rng, k, scale)
-        xi2 = _random_xi(rng, k, scale)
+        xi1 = _random_xi(rng, f)
+        xi2 = _random_xi(rng, f)
         theta = float(rng.uniform())
         lhs = eval_density(f, cell, u_val, theta * xi1 + (1 - theta) * xi2)
         rhs = max(eval_density(f, cell, u_val, xi1), eval_density(f, cell, u_val, xi2))
@@ -320,7 +315,7 @@ def level_convexity_probe(f: DensitySpec, trials=10000, seed=0, xi_dim=None,
         worst = min(worst, margin)
         if lhs > rhs + 1e-10 * (1.0 + abs(rhs)):
             violations += 1
-            if len(witnesses) < max_witnesses:
+            if len(witnesses) < _MAX_WITNESSES:
                 witnesses.append(
                     {"cell": cell, "u": u_val, "xi1": xi1.tolist(),
                      "xi2": xi2.tolist(), "theta": theta, "lhs": lhs, "rhs": rhs}
@@ -337,25 +332,23 @@ def level_convexity_probe(f: DensitySpec, trials=10000, seed=0, xi_dim=None,
     return rep
 
 
-def growth_check(f: DensitySpec, trials=10000, seed=0, xi_dim=None,
-                 scale=2.0, max_witnesses=10) -> RelationReport:
+def growth_check(f: DensitySpec, trials=10000, seed=0) -> RelationReport:
     """Randomized check of the coercivity bound f(x, u, xi) >= alpha |xi|^gamma."""
     rng = np.random.default_rng(seed)
-    k = xi_dim or f.grid.dimension
     witnesses = []
     violations = 0
     worst = np.inf
     for _ in range(trials):
         cell = int(rng.integers(f.grid.n_cells))
         u_val = float(rng.normal())
-        xi = _random_xi(rng, k, scale)
+        xi = _random_xi(rng, f)
         val = eval_density(f, cell, u_val, xi)
         bound = f.alpha * float(np.linalg.norm(xi)) ** f.gamma
         margin = val - bound
         worst = min(worst, margin)
         if val < bound - 1e-12 * (1.0 + bound):
             violations += 1
-            if len(witnesses) < max_witnesses:
+            if len(witnesses) < _MAX_WITNESSES:
                 center = f.grid.cells[cell]
                 witnesses.append(
                     {"cell": cell, "cell_center": center.tolist(), "u": u_val,

@@ -5,8 +5,12 @@ weights), so weighted power sums *are* the modulars of the corresponding
 variable-exponent space and every norm/modular inequality holds exactly at
 the discrete level, not merely approximately.
 
-All power sums are accumulated in the log domain; the linear-scale modular
-carries a ``+inf`` sentinel once its logarithm exceeds :data:`OVERFLOW_LOG`.
+All power sums are accumulated in the log domain by one logsumexp over the
+last axis, with any leading axes as rows.  A cell where the function
+vanishes, and a padded cell of a stacked row, is a term log of -inf
+(``log 0 = -inf``), so it adds nothing and needs no mask; an empty sum is
+-inf.  The linear-scale modular carries a ``+inf`` sentinel once its
+logarithm exceeds :data:`OVERFLOW_LOG`.
 Norms are Luxemburg norms, all computed by :func:`luxemburg_root`: in closed
 form, ``(sum_i w_i |u_i|^p)^(1/p)``, when the exponent is constant, and
 otherwise by Newton's method in ``t = log lam`` on the convex, decreasing map
@@ -72,23 +76,38 @@ class PreconditionError(ValueError):
 
 
 def _logsumexp(t):
+    """log sum_j exp(t[..., j]) over the last axis; leading axes are rows.
+
+    An empty or all -inf row gives -inf (the empty sum), and a row with a
+    +inf term gives +inf.  Returns a float for one row.
+    """
     t = np.asarray(t, dtype=float)
-    if t.size == 0:
-        return -np.inf
-    m = np.max(t)
-    if not np.isfinite(m):
-        # all -inf (empty sum) or a genuine +inf term
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(t - m))))
+    m = t.max(axis=-1, keepdims=True, initial=-np.inf)
+    finite = np.isfinite(m)
+    if not finite.all():
+        # shifted by 0, such a row sums to 0 or +inf, whose log is its max
+        with np.errstate(divide="ignore", over="ignore"):
+            return _shifted_logsumexp(t, np.where(finite, m, 0.0))
+    return _shifted_logsumexp(t, m)
 
 
-def _logsumexp_rows(t):
-    """:func:`_logsumexp` of each row of a 2-D array, by the same float operations."""
-    m = t.max(axis=-1)
-    if not np.isfinite(m).all():
-        return np.array([_logsumexp(row) for row in t])
-    z = t - m[:, None]
-    return m + np.log(np.exp(z, out=z).sum(axis=-1))
+def _shifted_logsumexp(t, m):
+    """m + log sum_j exp(t[..., j] - m) per row, for shifts m of shape (..., 1)."""
+    z = t - m
+    out = m[..., 0] + np.log(np.exp(z, out=z).sum(axis=-1))
+    return out if out.ndim else float(out)
+
+
+def _log0(x):
+    """np.log with log 0 = -inf: a vanishing or padded cell is a -inf term log."""
+    with np.errstate(divide="ignore"):
+        return np.log(x)
+
+
+def _linear(lr):
+    """exp(lr), or the +inf sentinel once lr passes :data:`OVERFLOW_LOG`."""
+    out = np.where(lr > OVERFLOW_LOG, np.inf, np.exp(np.minimum(lr, OVERFLOW_LOG)))
+    return out if out.ndim else float(out)
 
 
 def _lock(arr):
@@ -249,16 +268,6 @@ class ExponentField:
     def from_callable(cls, grid: Grid, fn) -> "ExponentField":
         return cls(grid, np.asarray(fn(grid.points), dtype=float))
 
-    def divided_by(self, s: float) -> "ExponentField":
-        if s <= 0:
-            raise PreconditionError("exponent divisor must be positive")
-        return ExponentField(self.grid, self.values / s)
-
-    def conjugate(self) -> "ExponentField":
-        if self.p_minus <= 1.0:
-            raise PreconditionError("conjugate exponent needs p(x) > 1 everywhere")
-        return ExponentField(self.grid, self.values / (self.values - 1.0))
-
 
 @dataclass(frozen=True)
 class ExponentSequence:
@@ -327,32 +336,23 @@ def log_modular(u: GridFunction, p: ExponentField) -> float:
     """log of sum_i w_i |u_i|^{p_i}; -inf when u vanishes identically."""
     _require_scalar(u)
     _require_same_grid(u, p)
-    mags = np.abs(u.values)
-    mask = mags > 0
-    if not np.any(mask):
-        return -np.inf
-    terms = u.grid.log_weights[mask] + p.values[mask] * np.log(mags[mask])
-    return _logsumexp(terms)
+    return _logsumexp(u.grid.log_weights + p.values * _log0(np.abs(u.values)))
 
 
 def modular(u: GridFunction, p: ExponentField) -> float:
     """Weighted power sum of |u| with cell-wise exponents (+inf past the overflow cap)."""
-    lr = log_modular(u, p)
-    if lr == -np.inf:
-        return 0.0
-    if lr > OVERFLOW_LOG:
-        return np.inf
-    return float(np.exp(lr))
+    return _linear(log_modular(u, p))
 
 
 def luxemburg_root(base_logs, exponents):
     """Solve logsumexp(base_logs - exponents * log(lam)) = 0 for lam > 0, row by row.
 
-    ``base_logs`` are the lam-free term logs (log w_i + p_i log|u_i| over the
-    nonvanishing cells), one row (n,) or a stack of rows (B, n); a cell with
-    ``base_logs = -inf`` is padding, and its exponent, any finite value, is
-    ignored.  A row whose live exponents all equal p has the closed-form
-    root exp(logsumexp(base_logs) / p); a row without live cells has root 0.
+    ``base_logs`` are the lam-free term logs log w_i + p_i log|u_i|, one row
+    (n,) or a stack of rows (B, n); a cell with ``base_logs = -inf``, where
+    u vanishes or a row is padded, adds nothing, and its exponent, any
+    finite value, is ignored.  A row whose live exponents all equal p has
+    the closed-form root exp(logsumexp(base_logs) / p); a row without live
+    cells has root 0.
     Every other row runs Newton's method in t = log lam on
     F(t) = logsumexp(base_logs - exponents t), which is convex and
     decreasing with F'(t) = -sum_i softmax_i p_i.  With L = F(0) the root
@@ -372,7 +372,7 @@ def luxemburg_root(base_logs, exponents):
     # neither closed-form nor Newton and keeps root 0
     p_hi = exps.max(axis=-1, where=live, initial=-np.inf)
     p_lo = exps.min(axis=-1, where=live, initial=np.inf)
-    lr = _logsumexp_rows(base)
+    lr = _logsumexp(base)
     closed = p_hi == p_lo
     if closed.all():
         return np.exp(lr / p_hi)
@@ -408,13 +408,7 @@ def luxemburg_norm(u: GridFunction, p: ExponentField) -> float:
     """inf of lam > 0 with modular(u / lam) <= 1; zero for the zero function."""
     _require_scalar(u)
     _require_same_grid(u, p)
-    mags = np.abs(u.values)
-    mask = mags > 0
-    if not np.any(mask):
-        return 0.0
-    log_mags = np.log(mags[mask])
-    base = u.grid.log_weights[mask] + p.values[mask] * log_mags
-    return luxemburg_root(base, p.values[mask])
+    return luxemburg_root(u.grid.log_weights + p.values * _log0(np.abs(u.values)), p.values)
 
 
 def classical_norm(u: GridFunction, q: float) -> float:
@@ -422,31 +416,22 @@ def classical_norm(u: GridFunction, q: float) -> float:
     _require_scalar(u)
     if q <= 0:
         raise PreconditionError("classical norm needs q > 0")
-    vals, logw, live = _one_row(u)
-    return float(_classical_rows(logw, _log_abs(vals, live), np.array([float(q)]))[0])
+    vals, logw = _one_row(u)
+    return float(_classical_rows(logw, _log0(np.abs(vals)), np.array([float(q)]))[0])
 
 
 # Relation checks.  Each checker's core takes a chunk of B instances as
-# padded (B, n) arrays: values, log-weights, exponents and a live mask; a
-# padded cell holds value 0, log-weight -inf and exponent 1.  A
-# core returns one RelationReport over the chunk (RelationReport.add_rows):
-# per check the smallest slack, the witness instance's note and the count of
-# failing instances.  The public checker is the one-instance chunk of the
-# same core.
+# padded (B, n) arrays of values, log-weights and exponents; a padded cell
+# holds value 0, log-weight -inf and exponent 1, so the live cells of a row
+# are those of finite log-weight, and a padded or vanishing cell is a -inf
+# term log of every power sum.  A core returns one RelationReport over the
+# chunk (RelationReport.add_rows): per check the smallest slack, the witness
+# instance's note and the count of failing instances.  The public checker is
+# the one-instance chunk of the same core.
 
 def _one_row(u: GridFunction, *fields):
-    """Values, log-weights, the fields' values and an all-live mask of (u, fields) as one-row chunks."""
-    return (u.values[None], u.grid.log_weights[None],
-            *(f.values[None] for f in fields), np.ones((1, u.grid.n_cells), dtype=bool))
-
-
-def _log_abs(vals, live):
-    """log |v| at the live nonzero cells; -inf at zeros and padding."""
-    mags = np.abs(vals)
-    nonzero = live & (mags > 0)
-    out = np.full(mags.shape, -np.inf)
-    out[nonzero] = np.log(mags[nonzero])
-    return out
+    """Values, log-weights and the fields' values of (u, fields) as one-row chunks."""
+    return (u.values[None], u.grid.log_weights[None], *(f.values[None] for f in fields))
 
 
 def _live_max(x, live):
@@ -465,18 +450,17 @@ def _norm_rows(logw, logmag, pv):
 
 def _classical_rows(logw, logmag, q):
     """(sum_i w_i |u_i|^q)^(1/q) of each row, for one q (B,) per row."""
-    return np.exp(_logsumexp_rows(logw + q[:, None] * logmag) / q)
+    return np.exp(_logsumexp(logw + q[:, None] * logmag) / q)
 
 
-def _norm_modular_rows(vals, logw, pv, live, tol=1e-9) -> RelationReport:
+def _norm_modular_rows(vals, logw, pv, tol=1e-9) -> RelationReport:
     """Core of :func:`verify_norm_modular_relations` on a chunk of instances."""
-    logmag = _log_abs(vals, live)
-    pm, pp = _exponent_bounds(pv, live)
-    logm = _logsumexp_rows(logw)
-    base = logw + pv * logmag
+    pm, pp = _exponent_bounds(pv, logw > -np.inf)
+    logm = _logsumexp(logw)
+    base = logw + pv * _log0(np.abs(vals))
     lam = luxemburg_root(base, pv)
-    lr = _logsumexp_rows(base)
-    rho = np.where(lr > OVERFLOW_LOG, np.inf, np.exp(np.minimum(lr, OVERFLOW_LOG)))
+    lr = _logsumexp(base)
+    rho = _linear(lr)
 
     # log-scale tolerance; power comparisons amplify the root's error in
     # log lam by up to p_plus
@@ -559,20 +543,21 @@ def verify_norm_modular_relations(u: GridFunction, p: ExponentField, tol=1e-9) -
     """
     _require_scalar(u)
     _require_same_grid(u, p)
-    vals, logw, pv, live = _one_row(u, p)
-    return _norm_modular_rows(vals, logw, pv, live, tol)
+    vals, logw, pv = _one_row(u, p)
+    return _norm_modular_rows(vals, logw, pv, tol)
 
 
-def _holder_rows(fv, gv, logw, pv, qv, sv, live, tol=1e-9) -> RelationReport:
+def _holder_rows(fv, gv, logw, pv, qv, sv, tol=1e-9) -> RelationReport:
     """Core of :func:`holder_check` on a chunk of instances."""
+    live = logw > -np.inf
     defect = _live_max(np.abs(1.0 / sv - 1.0 / pv - 1.0 / qv), live).max()
     if defect > 1e-10:
         raise StructuralError(f"exponents are not Hoelder-compatible (defect {defect:.3e})")
 
     prod = fv * gv
-    lhs = _norm_rows(logw, _log_abs(prod, live), sv)
-    norm_f = _norm_rows(logw, _log_abs(fv, live), pv)
-    norm_g = _norm_rows(logw, _log_abs(gv, live), qv)
+    lhs = _norm_rows(logw, _log0(np.abs(prod)), sv)
+    norm_f = _norm_rows(logw, _log0(np.abs(fv)), pv)
+    norm_g = _norm_rows(logw, _log0(np.abs(gv)), qv)
     const = _live_max(sv / pv, live) + _live_max(sv / qv, live)
     rhs = const * norm_f * norm_g
     rep = RelationReport("Hoelder inequality")
@@ -605,18 +590,18 @@ def holder_check(f: GridFunction, g: GridFunction, p: ExponentField, q: Exponent
     _require_scalar(f)
     _require_scalar(g)
     _require_same_grid(f, g, p, q, s)
-    fv, logw, gv, pv, qv, sv, live = _one_row(f, g, p, q, s)
-    return _holder_rows(fv, gv, logw, pv, qv, sv, live, tol)
+    fv, logw, gv, pv, qv, sv = _one_row(f, g, p, q, s)
+    return _holder_rows(fv, gv, logw, pv, qv, sv, tol)
 
 
-def _power_identity_rows(vals, logw, pv, live, s, rtol=1e-8) -> RelationReport:
+def _power_identity_rows(vals, logw, pv, s, rtol=1e-8) -> RelationReport:
     """Core of :func:`power_identity_check` on a chunk, one power s (B,) per instance."""
-    pm, _ = _exponent_bounds(pv, live)
+    pm, _ = _exponent_bounds(pv, logw > -np.inf)
     bad = ~((1.0 < s) & (s < pm))
     if bad.any():
         w = int(np.argmax(bad))
         raise PreconditionError(f"power must lie in (1, p_minus) = (1, {pm[w]}), got {s[w]}")
-    logmag = _log_abs(vals, live)
+    logmag = _log0(np.abs(vals))
     rhs = _norm_rows(logw, logmag, pv)
     ps = pv / s[:, None]
     lhs = _norm_rows(logw, s[:, None] * logmag, ps) ** (1.0 / s)
@@ -631,13 +616,13 @@ def power_identity_check(u: GridFunction, p: ExponentField, s: float, rtol=1e-8)
     """Check ||  |u|^s ||_{p/s}^{1/s} = ||u||_p for 1 < s < p_minus."""
     _require_scalar(u)
     _require_same_grid(u, p)
-    vals, logw, pv, live = _one_row(u, p)
-    return _power_identity_rows(vals, logw, pv, live, np.array([float(s)]), rtol)
+    vals, logw, pv = _one_row(u, p)
+    return _power_identity_rows(vals, logw, pv, np.array([float(s)]), rtol)
 
 
-def _embedding_rows(vals, logw, pv, live, q, beta, tol=1e-9) -> RelationReport:
+def _embedding_rows(vals, logw, pv, q, beta, tol=1e-9) -> RelationReport:
     """Core of :func:`embedding_bound_check` on a chunk, one q and beta (B,) per instance."""
-    pm, pp = _exponent_bounds(pv, live)
+    pm, pp = _exponent_bounds(pv, logw > -np.inf)
     bad = ~((1.0 <= q) & (q <= pm * (1 + 1e-12)))
     if bad.any():
         w = int(np.argmax(bad))
@@ -647,8 +632,8 @@ def _embedding_rows(vals, logw, pv, live, q, beta, tol=1e-9) -> RelationReport:
         w = int(np.argmax(bad))
         raise PreconditionError(f"declared beta = {beta[w]} does not dominate p_plus / p_minus")
 
-    m = np.exp(_logsumexp_rows(logw))
-    logmag = _log_abs(vals, live)
+    m = np.exp(_logsumexp(logw))
+    logmag = _log0(np.abs(vals))
     lhs = _classical_rows(logw, logmag, q)
     measure_factor = np.maximum(m ** (1.0 / q - 1.0 / pm), m ** (beta * (1.0 / q - 1.0 / pp)))
     ratio_factor = (1.0 + q * (beta - 1.0) / pp) ** (1.0 / q)
@@ -671,8 +656,8 @@ def embedding_bound_check(u: GridFunction, p: ExponentField, q: float,
     _require_same_grid(u, p)
     if beta is None:
         beta = p.p_plus / p.p_minus
-    vals, logw, pv, live = _one_row(u, p)
-    return _embedding_rows(vals, logw, pv, live, np.array([float(q)]), np.array([float(beta)]), tol)
+    vals, logw, pv = _one_row(u, p)
+    return _embedding_rows(vals, logw, pv, np.array([float(q)]), np.array([float(beta)]), tol)
 
 
 def norm_limit_study(u: GridFunction, seq: ExponentSequence, n_values) -> Table:
@@ -711,8 +696,4 @@ def sobolev_norm(u: GridFunction, Du: GridFunction, p: ExponentField) -> float:
     mags = np.concatenate([u.magnitude().values, Du.magnitude().values])
     pvals = np.concatenate([p.values, p.values])
     logw = np.concatenate([u.grid.log_weights, u.grid.log_weights])
-    mask = mags > 0
-    if not np.any(mask):
-        return 0.0
-    base = logw[mask] + pvals[mask] * np.log(mags[mask])
-    return luxemburg_root(base, pvals[mask])
+    return luxemburg_root(logw + pvals * _log0(mags), pvals)

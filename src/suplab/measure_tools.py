@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import DensitySpec, _density, eval_density
-from .exponent_space import Grid, GridFunction, StructuralError, _logsumexp
+from .exponent_space import Grid, GridFunction, StructuralError, _log0, _logsumexp
 from .reports import RelationReport, Table, eventually_decreasing
 
 __all__ = [
@@ -150,24 +150,22 @@ def young_q_limit(f: DensitySpec, u: GridFunction, mu: DiscreteYoungMeasure,
     if mu.grid.n_cells != u.grid.n_cells:
         raise StructuralError("field and measure live on different grids")
     logw = []
-    logf = []
-    fmax = 0.0
+    vals = []
     for i, (pts, wts) in enumerate(mu.atoms):
         for a in range(wts.size):
-            val = eval_density(f, i, u.values[i], pts[a])
-            if val < 0:
-                raise StructuralError("density must be nonnegative on all atoms")
-            fmax = max(fmax, val)
+            vals.append(eval_density(f, i, u.values[i], pts[a]))
             logw.append(np.log(mu.grid.weights[i] * wts[a]))
-            logf.append(np.log(val) if val > 0 else -np.inf)
+    vals = np.array(vals)
+    if np.any(vals < 0):
+        raise StructuralError("density must be nonnegative on all atoms")
     logw = np.array(logw)
-    logf = np.array(logf)
+    logf = _log0(vals)
+    fmax = float(vals.max())
 
     rows = []
     for q in q_values:
         q = float(q)
-        lr = _logsumexp(logw + q * logf)
-        val = 0.0 if lr == -np.inf else float(np.exp(lr / q))
+        val = float(np.exp(_logsumexp(logw + q * logf) / q))
         rows.append((int(q), val, abs(val - fmax)))
     errs = [r[2] for r in rows]
     return Table(

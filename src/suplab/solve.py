@@ -50,8 +50,9 @@ from .exponent_space import (
     GridFunction,
     PreconditionError,
     StructuralError,
+    _linear,
+    _log0,
     _logsumexp,
-    _logsumexp_rows,
     luxemburg_root,
 )
 
@@ -149,19 +150,11 @@ class _Descent:
         """log f and d(log f)/d(xi) on the cells of node values, batch axes first."""
         xi = _cell_gradient(self.mesh, unodes)
         f, dlog = _density(self.spec, self.spec.coefficients, None, xi, self.eps)
-        if self.positive:
-            return np.log(f), dlog
-        mask = f > 0
-        logf = np.full(f.shape, -np.inf)
-        logf[mask] = np.log(f[mask])
-        return logf, dlog
+        return (np.log(f) if self.positive else _log0(f)), dlog
 
     def norm(self, logw, pv):
         """Luxemburg norm of the density field at the iterate; zero if it vanishes."""
-        mask = self.logf > -np.inf
-        if not np.any(mask):
-            return 0.0
-        return luxemburg_root(logw[mask] + pv[mask] * self.logf[mask], pv[mask])
+        return luxemburg_root(logw + pv * self.logf, pv)
 
     def line_search(self, term_logs_fn, phi, g, gg):
         """Move the state to the first trial step passing the Armijo test.
@@ -178,7 +171,7 @@ class _Descent:
             trials = self.u - np.array(steps).reshape(self.step_shape) * g
             logf, dlog = self.log_density(trials)
             terms, _ = term_logs_fn(logf)
-            phis = _logsumexp_rows(terms)
+            phis = _logsumexp(terms)
             for j, step in enumerate(steps):
                 if phis[j] <= phi - _SUFFICIENT_DECREASE * step * gg:
                     self.u, self.logf, self.dlog = trials[j], logf[j], dlog[j]
@@ -256,9 +249,7 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
             descent = _Descent(mesh, density, eps, settings, u)
             trace, iters, stag, residual = descent.run(term_logs, settings.max_iter)
             u = descent.u
-            traces.append(
-                tuple(float(np.exp(t)) if t <= 700.0 else np.inf for t in trace)
-            )
+            traces.append(tuple(_linear(np.array(trace)).tolist()))
             total_iters += iters
             stagnated = stagnated or stag
     else:

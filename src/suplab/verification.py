@@ -128,8 +128,7 @@ def norm_modular_suite(rng, instances=1000) -> Table:
             logws.append(_log_weights(*_grid_draw(rng)))
             us.append(_values_draw(rng, logws[-1].size))
             ps.append(_exponents_draw(rng, logws[-1].size))
-        logw = _stack(logws, -np.inf)
-        rep = _norm_modular_rows(_stack(us, 0.0), logw, _stack(ps, 1.0), logw > -np.inf)
+        rep = _norm_modular_rows(_stack(us, 0.0), _stack(logws, -np.inf), _stack(ps, 1.0))
         for name, bad in rep.meta["violations"].items():
             counts[name] = counts.get(name, 0) + bad
     rows = [(name, instances, bad, int(bad == 0)) for name, bad in sorted(counts.items())]
@@ -143,7 +142,16 @@ def norm_modular_suite(rng, instances=1000) -> Table:
 
 
 def holder_suite(rng, instances=200) -> Table:
+    """Hoelder instances; every fourth is the equality case of the s = 1 bounds.
+
+    That case has s = 1, a constant p = 1/theta_0 with its conjugate
+    q = p/(p-1), and g = sign(f) |f|^(p-1), so ||fg||_1 = ||f||_p ||g||_q
+    and both checks, the product bound and the dual pairing bound, hold
+    with equality.  Its usual draws are made and then overwritten, so the
+    generator calls are those of every other instance.
+    """
     failures = 0
+    k = 0
     for size in _chunks(instances):
         logws, fs, gs, ps, qs, ss = [], [], [], [], [], []
         for _ in range(size):
@@ -151,14 +159,22 @@ def holder_suite(rng, instances=200) -> Table:
             n = logws[-1].size
             sv = rng.uniform(1.0, 3.0, size=n)
             theta = rng.uniform(0.2, 0.8, size=n)
-            ps.append(sv / theta)
-            qs.append(sv / (1.0 - theta))
+            fv = _values_draw(rng, n)
+            gv = _values_draw(rng, n)
+            if k % 4 == 0:
+                p = 1.0 / theta[0]
+                sv, pv, qv = np.ones(n), np.full(n, p), np.full(n, p / (p - 1.0))
+                gv = np.sign(fv) * np.abs(fv) ** (p - 1.0)
+            else:
+                pv, qv = sv / theta, sv / (1.0 - theta)
+            fs.append(fv)
+            gs.append(gv)
+            ps.append(pv)
+            qs.append(qv)
             ss.append(sv)
-            fs.append(_values_draw(rng, n))
-            gs.append(_values_draw(rng, n))
-        logw = _stack(logws, -np.inf)
-        rep = _holder_rows(_stack(fs, 0.0), _stack(gs, 0.0), logw, _stack(ps, 1.0),
-                           _stack(qs, 1.0), _stack(ss, 1.0), logw > -np.inf)
+            k += 1
+        rep = _holder_rows(_stack(fs, 0.0), _stack(gs, 0.0), _stack(logws, -np.inf),
+                           _stack(ps, 1.0), _stack(qs, 1.0), _stack(ss, 1.0))
         failures += int(rep.meta["failing"].sum())
     return _suite_table("holder_inequality", instances, failures, "holder_zero_failures")
 
@@ -172,8 +188,7 @@ def power_identity_suite(rng, instances=200, rtol=1e-8) -> Table:
             ps.append(_exponents_draw(rng, logws[-1].size, p_floor=2.2))
             us.append(_values_draw(rng, logws[-1].size))
             powers.append(float(rng.uniform(1.0 + 1e-6, float(np.min(ps[-1])) - 1e-9)))
-        logw = _stack(logws, -np.inf)
-        rep = _power_identity_rows(_stack(us, 0.0), logw, _stack(ps, 1.0), logw > -np.inf,
+        rep = _power_identity_rows(_stack(us, 0.0), _stack(logws, -np.inf), _stack(ps, 1.0),
                                    np.array(powers), rtol=rtol)
         failures += int(rep.meta["failing"].sum())
     return _suite_table("power_rescaling_identity", instances, failures,
@@ -194,8 +209,7 @@ def embedding_suite(rng, instances=200) -> Table:
             qs.append(p_minus if k % 2 == 0 else float(rng.uniform(1.0, p_minus)))
             betas.append(max(1.0, p_plus / p_minus) * float(rng.uniform(1.0, 1.5)))
             k += 1
-        logw = _stack(logws, -np.inf)
-        rep = _embedding_rows(_stack(us, 0.0), logw, _stack(ps, 1.0), logw > -np.inf,
+        rep = _embedding_rows(_stack(us, 0.0), _stack(logws, -np.inf), _stack(ps, 1.0),
                               np.array(qs), np.array(betas))
         failures += int(rep.meta["failing"].sum())
     return _suite_table("embedding_bound", instances, failures, "embedding_zero_failures")

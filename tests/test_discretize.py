@@ -115,18 +115,6 @@ class TestInterpolateBoundary:
 
 
 class TestDiscreteField:
-    def test_boundary_survives_interior_updates(self):
-        mesh = mesh_2d((4, 4))
-        u = interpolate_boundary(mesh)
-        before = np.array(u.node_values)
-        v = u.with_interior(np.full(9, 42.0))
-        assert v.node_values[0, 0] == before[0, 0]
-        assert np.array_equal(v.node_values[0, :], before[0, :])
-        assert np.array_equal(v.node_values[:, -1], before[:, -1])
-        assert np.all(v.node_values[1:-1, 1:-1] == 42.0)
-        # original untouched
-        assert np.array_equal(u.node_values, before)
-
     def test_cell_values_average_corners(self):
         mesh = mesh_1d(4, 0.0, 1.0)
         u = interpolate_boundary(mesh)

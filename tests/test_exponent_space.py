@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from suplab import exponent_space
+from suplab.energy import DensitySpec, eval_calFn, eval_Fn
 from suplab.exponent_space import (
     ExponentField,
     ExponentSequence,
@@ -10,6 +11,7 @@ from suplab.exponent_space import (
     GridMismatchError,
     PreconditionError,
     StructuralError,
+    _logsumexp,
     classical_norm,
     embedding_bound_check,
     holder_check,
@@ -516,3 +518,69 @@ class TestSobolev:
         z = GridFunction(grid, np.zeros((16, 2)))
         # |u| = 5 cell-wise
         assert sobolev_modular(u, z, p) == pytest.approx(125.0, rel=1e-12)
+
+
+class TestLogDomainConvention:
+    """A vanishing cell is a -inf term log: it adds nothing and needs no mask."""
+
+    def test_logsumexp_of_empty_and_non_finite_rows(self):
+        assert _logsumexp(np.array([])) == -np.inf
+        assert _logsumexp(np.full(3, -np.inf)) == -np.inf
+        assert _logsumexp(np.array([0.5, np.inf, -np.inf])) == np.inf
+        assert _logsumexp(np.array([0.0, np.log(3.0)])) == pytest.approx(np.log(4.0), rel=1e-15)
+        assert np.array_equal(_logsumexp(np.zeros((3, 0))), np.full(3, -np.inf))
+
+    def test_logsumexp_of_a_stack_is_its_rows(self):
+        rng = np.random.default_rng(11)
+        rows = rng.normal(scale=50.0, size=(5, 200))
+        rows[1, ::3] = -np.inf
+        rows[2] = -np.inf
+        rows[3, 7] = np.inf
+        stacked = _logsumexp(rows)
+        single = np.array([_logsumexp(row) for row in rows])
+        assert np.array_equal(stacked, single)
+        assert stacked[2] == -np.inf and stacked[3] == np.inf
+        finite = rows[[0, 1, 4]]
+        assert np.array_equal(_logsumexp(finite), single[[0, 1, 4]])
+
+    @staticmethod
+    def field_with_zeros():
+        rng = np.random.default_rng(12)
+        grid = Grid.uniform_1d(0.0, 1.3, 40)
+        vals = rng.uniform(0.5, 3.0, 40) * rng.choice([-1.0, 1.0], 40)
+        zero = rng.uniform(size=40) < 0.3
+        vals[zero] = 0.0
+        pv = rng.uniform(2.0, 6.0, 40)
+        sub = Grid(1, grid.cells[~zero], grid.weights[~zero])
+        return (grid, vals, pv), (sub, vals[~zero], pv[~zero])
+
+    @staticmethod
+    def functionals(grid, vals, pv):
+        u = GridFunction(grid, vals)
+        du = GridFunction(grid, 0.5 * vals)
+        p = ExponentField(grid, pv)
+        f = DensitySpec.weighted_norm(grid, 2.0)
+        return {
+            "log_modular": log_modular(u, p),
+            "modular": modular(u, p),
+            "luxemburg_norm": luxemburg_norm(u, p),
+            "sobolev_norm": sobolev_norm(u, du, p),
+            "classical_norm": classical_norm(u, 2.5),
+            "eval_calFn": eval_calFn(f, u, du, p),
+            "eval_Fn": eval_Fn(f, u, du, p),
+        }
+
+    def test_zero_cells_match_the_field_without_them(self):
+        full, restricted = self.field_with_zeros()
+        assert 0 < np.count_nonzero(full[1] == 0.0) < full[1].size
+        got = self.functionals(*full)
+        want = self.functionals(*restricted)
+        for name in got:
+            assert got[name] == pytest.approx(want[name], rel=1e-14), name
+
+    def test_zero_field(self):
+        grid = Grid.uniform_1d(0.0, 1.0, 8)
+        got = self.functionals(grid, np.zeros(8), np.linspace(2.0, 5.0, 8))
+        assert got == {"log_modular": -np.inf, "modular": 0.0, "luxemburg_norm": 0.0,
+                       "sobolev_norm": 0.0, "classical_norm": 0.0, "eval_calFn": 0.0,
+                       "eval_Fn": 0.0}

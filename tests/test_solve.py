@@ -315,10 +315,9 @@ def sequential_descent(backtracks):
     def norm(self, logw, pv):
         xi = _cell_gradient(self.mesh, self.u)
         f, _ = _density(self.spec, self.spec.coefficients, None, xi, self.eps)
-        mask = f > 0
-        if not np.any(mask):
-            return 0.0
-        return luxemburg_root(logw[mask] + pv[mask] * np.log(f[mask]), pv[mask])
+        # a vanishing cell is a -inf term log, which the root ignores
+        with np.errstate(divide="ignore"):
+            return luxemburg_root(logw + pv * np.log(f), pv)
 
     return run, norm
 

@@ -12,6 +12,7 @@ import pytest
 from suplab import exponent_space, verification
 from suplab.exponent_space import (
     ExponentField,
+    GridFunction,
     embedding_bound_check,
     holder_check,
     power_identity_check,
@@ -33,15 +34,23 @@ def reference_norm_modular(rng, instances):
 
 def reference_holder(rng, instances):
     failing = 0
-    for _ in range(instances):
+    for k in range(instances):
         grid = random_grid(rng, max_cells=128)
         sv = rng.uniform(1.0, 3.0, size=grid.n_cells)
         theta = rng.uniform(0.2, 0.8, size=grid.n_cells)
-        p = ExponentField(grid, sv / theta)
-        q = ExponentField(grid, sv / (1.0 - theta))
-        s = ExponentField(grid, sv)
         f = random_grid_function(rng, grid)
         g = random_grid_function(rng, grid)
+        if k % 4 == 0:
+            # equality case: s = 1, conjugate constant exponents, g = sign(f) |f|^(p-1)
+            pc = 1.0 / theta[0]
+            p = ExponentField.constant(grid, pc)
+            q = ExponentField.constant(grid, pc / (pc - 1.0))
+            s = ExponentField.constant(grid, 1.0)
+            g = GridFunction(grid, np.sign(f.values) * np.abs(f.values) ** (pc - 1.0))
+        else:
+            p = ExponentField(grid, sv / theta)
+            q = ExponentField(grid, sv / (1.0 - theta))
+            s = ExponentField(grid, sv)
         failing += not holder_check(f, g, p, q, s).passed
     return {"holder_inequality": failing}
 
@@ -114,3 +123,9 @@ def test_wrong_root_is_caught_by_chunked_suites(monkeypatch, seed):
     table = verification.embedding_suite(np.random.default_rng(seed), 200)
     assert failure_counts(table)["embedding_bound"] > 0
     assert not table.verdicts["embedding_zero_failures"]
+    # the Hoelder suite's equality instances are tight, and a low root
+    # lowers their right-hand sides, products of two norms, more than the
+    # left, so they fail
+    table = verification.holder_suite(np.random.default_rng(seed), 200)
+    assert failure_counts(table)["holder_inequality"] > 0
+    assert not table.verdicts["holder_zero_failures"]
