@@ -35,7 +35,6 @@ from .exponent_space import (
 )
 from .gamma_lab import (
     StudyConfig,
-    StudyResult,
     run_integral_dichotomy_study,
     run_minimizer_convergence,
     run_norm_gamma_study,

@@ -8,12 +8,17 @@ contract the studies rely on is checked at parse time and violations are
 reported by key path, citing the hypothesis label (H1 level convexity, H2
 growth, pn1/pn2 exponent growth and ratio bound).
 
-    suplab <verify|norms|gamma-study|dichotomy|minimizers>
-        --config <path> --out <dir> [--seed <u64>]
+    suplab <subcommand> --config <path> --out <dir> [--seed <u64>]
 
-Outputs are CSV files whose first line records the config hash and seed;
-identical (config, seed) pairs produce byte-identical files.  Exit codes:
-0 success, 1 a study verdict failed, 2 configuration error.
+One table (``_SUBCOMMANDS``) names each subcommand (verify, norms,
+gamma-study, dichotomy, minimizers) with its help text, the study kind it
+needs and its runner; ``verify`` runs the property battery instead.  Every
+subcommand yields one :class:`~suplab.reports.Table`, written as
+``<subcommand>.csv``, plus ``solver_trace.csv`` when the table carries
+solver traces and a ``manifest.csv`` of the files' SHA-256.  Every CSV's
+first line records the config hash and seed; identical (config, seed)
+pairs produce byte-identical files.  Exit codes: 0 success, 1 a verdict
+failed, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import numpy as np
 from .discretize import BoundarySpec, MeshSpec
 from .energy import DensitySpec, custom_rule_names, growth_check, level_convexity_probe
 from .exponent_space import PreconditionError, StructuralError
+# the runners are bound here for _SUBCOMMANDS' per-call lookup
 from .gamma_lab import (
     STUDY_KINDS,
     StudyConfig,
@@ -44,6 +50,21 @@ from .solve import SolverSettings
 from .verification import full_verification
 
 __all__ = ["ConfigError", "RunManifest", "parse_config", "run", "main"]
+
+# subcommand -> (help, study kind, runner); verify has neither.  A runner is
+# named, not held: run looks the name up in this module per call, so a
+# rebinding of it (a profiling wrapper, a test double) is the one called.
+_SUBCOMMANDS = {
+    "verify": ("run the randomized property suite and report pass/fail", None, None),
+    "norms": ("tabulate variable-exponent norms against the supremum",
+              "norm_limit", "run_norm_limit"),
+    "gamma-study": ("sweep the norm-form minima toward the supremal oracle",
+                    "norm_gamma", "run_norm_gamma_study"),
+    "dichotomy": ("evaluate the power integral on a fixed probe",
+                  "integral_dichotomy", "run_integral_dichotomy_study"),
+    "minimizers": ("track minimizers toward the limiting profile",
+                   "constant_exponent", "run_minimizer_convergence"),
+}
 
 
 class ConfigError(ValueError):
@@ -82,8 +103,7 @@ _SCHEMA = {
              "g0": float, "g1": float, "c0": float, "cx": float, "cy": float},
     "exponents": {"profile": str, "beta": float, "n_schedule": _ints},
     "solver": {"epsilons": _floats, "tol": float, "max_iter": int},
-    "study": {"kind": str, "threshold": float, "delta": float, "probe_scale": float,
-              "divergence_threshold": float, "convergence_threshold": float,
+    "study": {"kind": str, "threshold": float, "probe_scale": float,
               "instances": int, "pair_instances": int, "jensen_trials": int,
               "probe_trials": int},
 }
@@ -275,56 +295,34 @@ def run(subcommand: str, config_path: str, out_dir: str, seed: int = 0) -> RunMa
     with open(config_path, "rb") as fh:
         raw = fh.read()
     config_hash = hashlib.sha256(raw).hexdigest()
-    cfg_text = raw.decode()
     os.makedirs(out_dir, exist_ok=True)
-
-    files = []
-    passed = True
-    # subcommand -> (study kind, runner); the runners are looked up per call
-    studies = {
-        "norms": ("norm_limit", run_norm_limit),
-        "gamma-study": ("norm_gamma", run_norm_gamma_study),
-        "dichotomy": ("integral_dichotomy", run_integral_dichotomy_study),
-        "minimizers": ("constant_exponent", run_minimizer_convergence),
-    }
-
-    if subcommand == "verify":
-        trials = {}
-        cfg = parse_config(cfg_text, trials)
-        table = full_verification(seed=seed, density=cfg.density, **trials)
-        digest = _write_csv(os.path.join(out_dir, "verify.csv"),
-                            table.columns, table.rows, config_hash, seed)
-        files.append(("verify.csv", digest))
-        passed = table.passed
-    elif subcommand in studies:
-        cfg = parse_config(cfg_text)
-        expected, runner = studies[subcommand]
-        if cfg.kind != expected:
-            raise ConfigError(
-                f"[study] kind: subcommand {subcommand!r} needs kind {expected!r}, "
-                f"got {cfg.kind!r}"
-            )
-        result = runner(cfg)
-        name = subcommand.replace("-", "_") + ".csv"
-        digest = _write_csv(os.path.join(out_dir, name),
-                            result.columns, result.rows, config_hash, seed)
-        files.append((name, digest))
-        if "traces" in result.meta:
-            digest = _write_csv(
-                os.path.join(out_dir, "solver_trace.csv"),
-                ("n", "stage", "step", "objective"),
-                _trace_rows(result.meta["traces"]),
-                config_hash, seed,
-            )
-            files.append(("solver_trace.csv", digest))
-        passed = result.passed
-    else:
+    if subcommand not in _SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
+    _, kind, runner = _SUBCOMMANDS[subcommand]
 
-    manifest_rows = sorted(files)
+    trials = {}
+    cfg = parse_config(raw.decode(), trials)
+    if kind is None:
+        table = full_verification(seed=seed, density=cfg.density, **trials)
+    elif cfg.kind != kind:
+        raise ConfigError(
+            f"[study] kind: subcommand {subcommand!r} needs kind {kind!r}, got {cfg.kind!r}"
+        )
+    else:
+        table = globals()[runner](cfg)
+
+    outputs = [(subcommand.replace("-", "_") + ".csv", table.columns, table.rows)]
+    if "traces" in table.meta:
+        outputs.append(("solver_trace.csv", ("n", "stage", "step", "objective"),
+                        _trace_rows(table.meta["traces"])))
+    files = []
+    for name, columns, rows in outputs:
+        digest = _write_csv(os.path.join(out_dir, name), columns, rows, config_hash, seed)
+        files.append((name, digest))
+    files.sort()
     _write_csv(os.path.join(out_dir, "manifest.csv"),
-               ("file", "sha256"), manifest_rows, config_hash, seed)
-    return RunManifest(config_path, out_dir, seed, tuple(manifest_rows), passed)
+               ("file", "sha256"), files, config_hash, seed)
+    return RunManifest(config_path, out_dir, seed, tuple(files), table.passed)
 
 
 def main(argv=None) -> int:
@@ -333,13 +331,7 @@ def main(argv=None) -> int:
         description="variable-exponent norm checks and supremal approximation studies",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    for name, blurb in (
-        ("verify", "run the randomized property suite and report pass/fail"),
-        ("norms", "tabulate variable-exponent norms against the supremum"),
-        ("gamma-study", "sweep the norm-form minima toward the supremal oracle"),
-        ("dichotomy", "evaluate the power integral on a fixed probe"),
-        ("minimizers", "track minimizers toward the limiting profile"),
-    ):
+    for name, (blurb, _, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", required=True, help="INI study document")
         p.add_argument("--out", required=True, help="output directory for CSV reports")

@@ -193,19 +193,23 @@ class DensitySpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise StructuralError(f"unknown density family {self.family!r}")
-        if not (self.alpha > 0 and self.gamma > 0):
-            raise StructuralError("growth constants alpha, gamma must be positive")
         coeffs = {k: _per_cell(self.grid.n_cells, v) for k, v in self.coefficients.items()}
         _, key, per_component = _FAMILIES[self.family]
         if key is not None:
             if key not in coeffs:
                 raise StructuralError(f"{self.family} needs an {key!r} coefficient field")
             arr = coeffs[key]
+            # a weight scales |xi|: a zero weight is a free cell, a negative
+            # or non-finite one no density at all
+            if key == "a" and not np.all(np.isfinite(arr) & (arr >= 0)):
+                raise StructuralError(f"{self.family} weight 'a' must be finite and nonnegative")
             if per_component and arr.ndim == 1:
                 arr = arr[:, None]
             if arr.ndim != 1 + per_component:
                 raise StructuralError(f"{self.family} {key!r} has shape {arr.shape[1:]} per cell")
             coeffs[key] = arr
+        if not (self.alpha > 0 and self.gamma > 0):
+            raise StructuralError("growth constants alpha, gamma must be positive")
         object.__setattr__(self, "coefficients", coeffs)
         if self.family == "custom":
             if self.rule is None or self.rule not in _CUSTOM_RULES:

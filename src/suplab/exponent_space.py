@@ -44,6 +44,7 @@ __all__ = [
     "verify_norm_modular_relations",
     "holder_check",
     "power_identity_check",
+    "embedding_constant",
     "embedding_bound_check",
     "norm_limit_study",
     "sobolev_modular",
@@ -412,12 +413,12 @@ def luxemburg_norm(u: GridFunction, p: ExponentField) -> float:
 
 
 def classical_norm(u: GridFunction, q: float) -> float:
-    """Weighted q-norm (sum_i w_i |u_i|^q)^(1/q), accumulated in the log domain."""
+    """Weighted q-norm (sum_i w_i |u_i|^q)^(1/q): the Luxemburg norm of constant exponent q."""
     _require_scalar(u)
     if q <= 0:
         raise PreconditionError("classical norm needs q > 0")
     vals, logw = _one_row(u)
-    return float(_classical_rows(logw, _log0(np.abs(vals)), np.array([float(q)]))[0])
+    return float(_norm_rows(logw, _log0(np.abs(vals)), np.full(vals.shape, float(q)))[0])
 
 
 # Relation checks.  Each checker's core takes a chunk of B instances as
@@ -446,11 +447,6 @@ def _exponent_bounds(pv, live):
 def _norm_rows(logw, logmag, pv):
     """Luxemburg norm of each row; zero for a row that vanishes."""
     return luxemburg_root(logw + pv * logmag, pv)
-
-
-def _classical_rows(logw, logmag, q):
-    """(sum_i w_i |u_i|^q)^(1/q) of each row, for one q (B,) per row."""
-    return np.exp(_logsumexp(logw + q[:, None] * logmag) / q)
 
 
 def _norm_modular_rows(vals, logw, pv, tol=1e-9) -> RelationReport:
@@ -561,7 +557,7 @@ def _holder_rows(fv, gv, logw, pv, qv, sv, tol=1e-9) -> RelationReport:
     const = _live_max(sv / pv, live) + _live_max(sv / qv, live)
     rhs = const * norm_f * norm_g
     rep = RelationReport("Hoelder inequality")
-    rep.add_rows("product_norm_bound", lhs <= rhs + tol * np.maximum(1.0, rhs), rhs - lhs,
+    rep.add_rows("product_norm_bound", lhs <= rhs * (1.0 + tol), rhs - lhs,
                  note=lambda w: f"constant = {const[w]:.6g}")
 
     # s identically 1: the classical pairing bound with constant
@@ -573,7 +569,7 @@ def _holder_rows(fv, gv, logw, pv, qv, sv, tol=1e-9) -> RelationReport:
         const2 = 1.0 / pm + (1.0 - 1.0 / pp)
         rhs2 = const2 * norm_f * norm_g
         rep.add_rows("dual_pairing_bound",
-                     ~unit_s | (integral <= rhs2 + tol * np.maximum(1.0, rhs2)),
+                     ~unit_s | (integral <= rhs2 * (1.0 + tol)),
                      np.where(unit_s, rhs2 - integral, np.inf),
                      note=lambda w: f"constant = {const2[w]:.6g}")
     return rep
@@ -620,6 +616,17 @@ def power_identity_check(u: GridFunction, p: ExponentField, s: float, rtol=1e-8)
     return _power_identity_rows(vals, logw, pv, np.array([float(s)]), rtol)
 
 
+def embedding_constant(m, q, p_minus, p_plus, beta):
+    """Constant C of ||u||_q <= C ||u||_p on a space of total measure m.
+
+    C = max(m^(1/q - 1/p-), m^(beta (1/q - 1/p+))) (1 + q (beta - 1)/p+)^(1/q)
+    for 1 <= q <= p_minus and a ratio bound beta with p_plus <= beta p_minus;
+    the arguments may be arrays of one instance per entry.
+    """
+    measure = np.maximum(m ** (1.0 / q - 1.0 / p_minus), m ** (beta * (1.0 / q - 1.0 / p_plus)))
+    return measure * (1.0 + q * (beta - 1.0) / p_plus) ** (1.0 / q)
+
+
 def _embedding_rows(vals, logw, pv, q, beta, tol=1e-9) -> RelationReport:
     """Core of :func:`embedding_bound_check` on a chunk, one q and beta (B,) per instance."""
     pm, pp = _exponent_bounds(pv, logw > -np.inf)
@@ -634,12 +641,12 @@ def _embedding_rows(vals, logw, pv, q, beta, tol=1e-9) -> RelationReport:
 
     m = np.exp(_logsumexp(logw))
     logmag = _log0(np.abs(vals))
-    lhs = _classical_rows(logw, logmag, q)
-    measure_factor = np.maximum(m ** (1.0 / q - 1.0 / pm), m ** (beta * (1.0 / q - 1.0 / pp)))
-    ratio_factor = (1.0 + q * (beta - 1.0) / pp) ** (1.0 / q)
-    rhs = measure_factor * ratio_factor * _norm_rows(logw, logmag, pv)
+    # the classical norm in closed form, not through luxemburg_root, so that
+    # a wrong root breaks the bound instead of scaling both of its sides
+    lhs = np.exp(_logsumexp(logw + q[:, None] * logmag) / q)
+    rhs = embedding_constant(m, q, pm, pp, beta) * _norm_rows(logw, logmag, pv)
     rep = RelationReport("embedding bound")
-    rep.add_rows("classical_norm_dominated", lhs <= rhs + tol * np.maximum(1.0, rhs), rhs - lhs,
+    rep.add_rows("classical_norm_dominated", lhs <= rhs * (1.0 + tol), rhs - lhs,
                  note=lambda w: f"q = {q[w]}, beta = {beta[w]}")
     return rep
 
@@ -648,9 +655,9 @@ def embedding_bound_check(u: GridFunction, p: ExponentField, q: float,
                           beta=None, tol=1e-9) -> RelationReport:
     """Classical-q-norm control by the variable-exponent norm on finite measure.
 
-    ||u||_q <= max(m^(1/q - 1/p-), m^(beta (1/q - 1/p+))) (1 + q (beta - 1)/p+)^(1/q) ||u||_p
-    for 1 <= q <= p_minus, where m is the total measure and beta is any
-    declared ratio bound with p_plus <= beta p_minus.
+    ||u||_q <= C ||u||_p for 1 <= q <= p_minus, with C the
+    :func:`embedding_constant` of the total measure m and any declared ratio
+    bound beta with p_plus <= beta p_minus.
     """
     _require_scalar(u)
     _require_same_grid(u, p)

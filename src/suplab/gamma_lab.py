@@ -15,8 +15,12 @@ how a quantity of interest approaches its closed-form limit:
 * ``norm_limit``          plain variable-exponent norms of a fixed field
                           against its supremum.
 
-Rows are computed in increasing n with warm-started solves (each minimizer
-seeds the next exponent's descent); results are deterministic.
+Every runner returns a :class:`~suplab.reports.Table` with the columns
+``n, p_minus, p_plus``, then the study's quantity, its limit and its error,
+plus named boolean verdicts; the meta of the two solving studies carries
+the per-n objective ``traces`` and the ``stagnant_rows``.  Those two share
+one sweep: rows are computed in increasing n with warm-started solves (each
+minimizer seeds the next exponent's descent); results are deterministic.
 """
 
 from __future__ import annotations
@@ -32,9 +36,10 @@ from .exponent_space import (
     GridFunction,
     PreconditionError,
     StructuralError,
+    embedding_constant,
     norm_limit_study,
 )
-from .reports import eventually_decreasing
+from .reports import Table, eventually_decreasing
 from .solve import (
     FUNCTIONAL_NORM,
     SolverSettings,
@@ -45,9 +50,11 @@ from .solve import (
 
 __all__ = [
     "STUDY_KINDS",
+    "DICHOTOMY_MARGIN",
+    "DIVERGENCE_THRESHOLD",
+    "CONVERGENCE_THRESHOLD",
     "named_profile",
     "StudyConfig",
-    "StudyResult",
     "run_norm_gamma_study",
     "run_integral_dichotomy_study",
     "run_minimizer_convergence",
@@ -55,6 +62,14 @@ __all__ = [
 ]
 
 STUDY_KINDS = ("norm_gamma", "integral_dichotomy", "norm_limit", "constant_exponent")
+
+# the dichotomy study: the probe's supremal value must be at least this far
+# from 1, and the power integral must end above DIVERGENCE_THRESHOLD (or
+# overflow) on the diverging branch, below CONVERGENCE_THRESHOLD on the
+# vanishing one
+DICHOTOMY_MARGIN = 0.1
+DIVERGENCE_THRESHOLD = 1e8
+CONVERGENCE_THRESHOLD = 1e-8
 
 # named profiles of the x coordinate; "one" and "constant" are both the flat profile
 _PROFILES = {
@@ -107,10 +122,7 @@ class StudyConfig:
     n_schedule: tuple = (4, 8, 16, 32, 64)
     solver: SolverSettings = field(default_factory=SolverSettings)
     threshold: float = 0.02
-    delta: float = 0.1
     probe_scale: float = 1.0
-    divergence_threshold: float = 1e8
-    convergence_threshold: float = 1e-8
 
     def __post_init__(self):
         if self.kind not in STUDY_KINDS:
@@ -125,19 +137,6 @@ class StudyConfig:
     def sequence(self) -> ExponentSequence:
         grid = self.mesh.grid()
         return ExponentSequence(grid, named_profile(self.profile, grid), self.beta)
-
-
-@dataclass
-class StudyResult:
-    kind: str
-    columns: tuple
-    rows: list
-    verdicts: dict
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(self.verdicts.values())
 
 
 def _weight_field(cfg: StudyConfig) -> GridFunction:
@@ -186,7 +185,29 @@ def limit_minimizer(cfg: StudyConfig) -> DiscreteField:
     return interpolate_boundary(cfg.mesh)
 
 
-def run_norm_gamma_study(cfg: StudyConfig) -> StudyResult:
+def _solve_sweep(cfg: StudyConfig):
+    """Warm-started norm-form minima along the schedule, in increasing n.
+
+    Each solve starts from the previous n's minimizer.  Returns the
+    (n, p_n, SolveResult) of every n and the meta of a solving study:
+    ``traces``, the objective traces of each n (solver_trace.csv), and
+    ``stagnant_rows``, the n whose solve stagnated.
+    """
+    seq = cfg.sequence()
+    sweep = []
+    warm = None
+    for n in cfg.n_schedule:
+        p = seq.field(n)
+        res = minimize_power(FUNCTIONAL_NORM, cfg.density, p, cfg.mesh,
+                             settings=cfg.solver, init=warm)
+        warm = res.field
+        sweep.append((n, p, res))
+    meta = {"traces": {n: res.traces for n, _, res in sweep},
+            "stagnant_rows": [n for n, _, res in sweep if res.stagnated]}
+    return sweep, meta
+
+
+def run_norm_gamma_study(cfg: StudyConfig) -> Table:
     """Sweep the norm-form minima m_n against the supremal oracle.
 
     Verdicts: the relative errors are eventually decreasing and end below
@@ -197,40 +218,29 @@ def run_norm_gamma_study(cfg: StudyConfig) -> StudyResult:
     if cfg.kind != "norm_gamma":
         raise PreconditionError(f"study kind is {cfg.kind!r}, expected 'norm_gamma'")
     lstar = study_oracle(cfg)
-    seq = cfg.sequence()
-    grid = cfg.mesh.grid()
     initial = interpolate_boundary(cfg.mesh)
     init_du = gradient(initial)
     init_cells = initial.cell_values()
+    # the floor alpha |g1 - g0| / C, with C the constant of the embedding
+    # of L^{p_n} into L^1, holds for the 1-D weighted norm
+    floored = (cfg.mesh.dimension == 1 and cfg.density.gamma == 1.0
+               and cfg.density.family == "weighted_norm")
+    if floored:
+        g0, g1 = _boundary_rise(cfg)
+    m = cfg.mesh.grid().total_measure
 
+    sweep, meta = _solve_sweep(cfg)
     rows = []
     bounds_ok = True
-    stagnant = []
-    traces = {}
-    warm = None
-    m = grid.total_measure
-    for n in cfg.n_schedule:
-        p = seq.field(n)
-        res = minimize_power(FUNCTIONAL_NORM, cfg.density, p, cfg.mesh,
-                             settings=cfg.solver, init=warm)
-        warm = res.field
-        traces[n] = res.traces
-        if res.stagnated:
-            stagnant.append(n)
+    for n, p, res in sweep:
         err = abs(res.objective - lstar) / abs(lstar) if lstar != 0 else abs(res.objective)
         rows.append((n, p.p_minus, p.p_plus, res.objective, lstar, err))
-
         ceiling = eval_Fn(cfg.density, init_cells, init_du, p)
         if res.objective > ceiling * (1.0 + 1e-6) + 1e-12:
             bounds_ok = False
-        if cfg.mesh.dimension == 1 and cfg.density.gamma == 1.0 \
-                and cfg.density.family == "weighted_norm":
-            g0, g1 = _boundary_rise(cfg)
-            embed = max(m ** (1.0 - 1.0 / p.p_minus),
-                        m ** (cfg.beta * (1.0 - 1.0 / p.p_plus)))
-            embed *= 1.0 + (cfg.beta - 1.0) / p.p_plus
-            floor = cfg.density.alpha * abs(g1 - g0) / embed
-            if res.objective < floor - 1e-9:
+        if floored:
+            embed = embedding_constant(m, 1.0, p.p_minus, p.p_plus, cfg.beta)
+            if res.objective < cfg.density.alpha * abs(g1 - g0) / embed - 1e-9:
                 bounds_ok = False
 
     errs = [r[5] for r in rows]
@@ -238,16 +248,11 @@ def run_norm_gamma_study(cfg: StudyConfig) -> StudyResult:
         "error_eventually_decreasing": eventually_decreasing(errs),
         "final_error_below_threshold": errs[-1] <= cfg.threshold,
         "bounds_ok": bounds_ok,
-        "no_stagnation": not stagnant,
+        "no_stagnation": not meta["stagnant_rows"],
     }
-    return StudyResult(
-        kind=cfg.kind,
-        columns=("n", "p_minus", "p_plus", "minimum", "oracle", "rel_error"),
-        rows=rows,
-        verdicts=verdicts,
-        meta={"oracle": lstar, "stagnant_rows": stagnant, "final_error": errs[-1],
-              "traces": traces},
-    )
+    meta.update(oracle=lstar, final_error=errs[-1])
+    return Table(("n", "p_minus", "p_plus", "minimum", "oracle", "rel_error"),
+                 rows, verdicts, meta)
 
 
 def probe_field(cfg: StudyConfig) -> DiscreteField:
@@ -255,13 +260,13 @@ def probe_field(cfg: StudyConfig) -> DiscreteField:
     return limit_minimizer(cfg).scaled(cfg.probe_scale)
 
 
-def run_integral_dichotomy_study(cfg: StudyConfig) -> StudyResult:
+def run_integral_dichotomy_study(cfg: StudyConfig) -> Table:
     """Evaluate the power integral on a fixed probe across the schedule.
 
-    The probe's supremal value must sit clearly on one side of 1 (margin
-    delta); the verdict then demands collapse below the convergence
-    threshold, or blow-up past the divergence threshold (or the overflow
-    sentinel), by the final n.
+    The probe's supremal value must sit clearly on one side of 1 (by
+    :data:`DICHOTOMY_MARGIN`); the verdict then demands collapse below
+    :data:`CONVERGENCE_THRESHOLD`, or blow-up past
+    :data:`DIVERGENCE_THRESHOLD` (or the overflow sentinel), by the final n.
     """
     if cfg.kind != "integral_dichotomy":
         raise PreconditionError(f"study kind is {cfg.kind!r}, expected 'integral_dichotomy'")
@@ -269,10 +274,10 @@ def run_integral_dichotomy_study(cfg: StudyConfig) -> StudyResult:
     du = gradient(u)
     ucells = u.cell_values()
     sup = eval_supremal(cfg.density, ucells, du)
-    if abs(sup - 1.0) < cfg.delta:
+    if abs(sup - 1.0) < DICHOTOMY_MARGIN:
         raise PreconditionError(
-            f"probe sits on the dichotomy boundary (sup = {sup:.6g}, delta = {cfg.delta}); "
-            "rescale the probe"
+            f"probe sits on the dichotomy boundary (sup = {sup:.6g}, "
+            f"margin = {DICHOTOMY_MARGIN}); rescale the probe"
         )
     diverging = sup > 1.0
     oracle = np.inf if diverging else 0.0
@@ -281,25 +286,20 @@ def run_integral_dichotomy_study(cfg: StudyConfig) -> StudyResult:
     for n in cfg.n_schedule:
         p = seq.field(n)
         val = eval_calFn(cfg.density, ucells, du, p)
-        err = (cfg.divergence_threshold / val) if diverging else val
+        err = (DIVERGENCE_THRESHOLD / val) if diverging else val
         rows.append((n, p.p_minus, p.p_plus, val, oracle, err))
     final = rows[-1][3]
     if diverging:
-        reached = (final >= cfg.divergence_threshold) or np.isinf(final)
+        reached = (final >= DIVERGENCE_THRESHOLD) or np.isinf(final)
         verdicts = {"diverges_by_final_n": bool(reached)}
     else:
-        verdicts = {"vanishes_by_final_n": bool(final < cfg.convergence_threshold)}
-    return StudyResult(
-        kind=cfg.kind,
-        columns=("n", "p_minus", "p_plus", "value", "oracle", "error"),
-        rows=rows,
-        verdicts=verdicts,
-        meta={"sup": sup, "branch": "diverging" if diverging else "vanishing",
-              "probe_scale": cfg.probe_scale},
-    )
+        verdicts = {"vanishes_by_final_n": bool(final < CONVERGENCE_THRESHOLD)}
+    return Table(("n", "p_minus", "p_plus", "value", "oracle", "error"), rows, verdicts,
+                 {"sup": sup, "branch": "diverging" if diverging else "vanishing",
+                  "probe_scale": cfg.probe_scale})
 
 
-def run_minimizer_convergence(cfg: StudyConfig) -> StudyResult:
+def run_minimizer_convergence(cfg: StudyConfig) -> Table:
     """Track the minimizers themselves toward the limiting profile.
 
     Restricted to 1-D flat-profile weighted problems, where the finite-n
@@ -308,43 +308,27 @@ def run_minimizer_convergence(cfg: StudyConfig) -> StudyResult:
     """
     if cfg.kind != "constant_exponent":
         raise PreconditionError(f"study kind is {cfg.kind!r}, expected 'constant_exponent'")
-    seq = cfg.sequence()
-    if cfg.mesh.dimension != 1 or np.ptp(seq.profile) > 0:
+    if cfg.mesh.dimension != 1 or np.ptp(cfg.sequence().profile) > 0:
         raise PreconditionError("minimizer tracking needs a 1-D flat-profile study")
     ustar = limit_minimizer(cfg).node_values
+
+    sweep, meta = _solve_sweep(cfg)
     rows = []
-    fields = {}
-    traces = {}
-    warm = None
-    stagnant = []
-    for n in cfg.n_schedule:
-        p = seq.field(n)
-        res = minimize_power(FUNCTIONAL_NORM, cfg.density, p, cfg.mesh,
-                             settings=cfg.solver, init=warm)
-        warm = res.field
-        fields[n] = res.field
-        traces[n] = res.traces
-        if res.stagnated:
-            stagnant.append(n)
+    for n, p, res in sweep:
         dist = float(np.max(np.abs(res.field.node_values - ustar)))
         rows.append((n, p.p_minus, p.p_plus, dist, 0.0, dist))
     dists = [r[3] for r in rows]
     verdicts = {
         "distance_eventually_decreasing": eventually_decreasing(dists),
         "final_distance_below_threshold": dists[-1] <= cfg.threshold,
-        "no_stagnation": not stagnant,
+        "no_stagnation": not meta["stagnant_rows"],
     }
-    return StudyResult(
-        kind=cfg.kind,
-        columns=("n", "p_minus", "p_plus", "sup_distance", "oracle", "error"),
-        rows=rows,
-        verdicts=verdicts,
-        meta={"fields": fields, "stagnant_rows": stagnant,
-              "final_distance": dists[-1], "traces": traces},
-    )
+    meta.update(fields={n: res.field for n, _, res in sweep}, final_distance=dists[-1])
+    return Table(("n", "p_minus", "p_plus", "sup_distance", "oracle", "error"),
+                 rows, verdicts, meta)
 
 
-def run_norm_limit(cfg: StudyConfig) -> StudyResult:
+def run_norm_limit(cfg: StudyConfig) -> Table:
     """Variable-exponent norms of the probe's density field against its supremum."""
     if cfg.kind != "norm_limit":
         raise PreconditionError(f"study kind is {cfg.kind!r}, expected 'norm_limit'")
@@ -361,10 +345,5 @@ def run_norm_limit(cfg: StudyConfig) -> StudyResult:
         "error_eventually_decreasing": table.verdicts["error_eventually_decreasing"],
         "final_error_below_threshold": errs[-1] <= cfg.threshold * max(sup, 1e-300),
     }
-    return StudyResult(
-        kind=cfg.kind,
-        columns=("n", "p_minus", "p_plus", "norm", "sup", "error"),
-        rows=rows,
-        verdicts=verdicts,
-        meta={"sup": sup, "final_error": errs[-1]},
-    )
+    return Table(("n", "p_minus", "p_plus", "norm", "sup", "error"), rows, verdicts,
+                 {"sup": sup, "final_error": errs[-1]})

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from suplab import cli
 from suplab.cli import ConfigError, main, parse_config, run
 from suplab.solve import SolverSettings
 
@@ -82,6 +83,15 @@ class TestParseConfig:
     def test_removed_solver_key_is_unknown(self, key):
         with pytest.raises(ConfigError, match=rf"\[solver\] {key}: unknown key"):
             parse_config(MINIMAL + f"\n[solver]\n{key} = 1\n")
+
+    @pytest.mark.parametrize("key", ["delta", "divergence_threshold", "convergence_threshold"])
+    def test_removed_study_key_is_unknown(self, key):
+        with pytest.raises(ConfigError, match=rf"\[study\] {key}: unknown key"):
+            parse_config(MINIMAL + f"\n[study]\n{key} = 1\n")
+
+    def test_negative_weight_is_named(self):
+        with pytest.raises(ConfigError, match=r"\[density\]: weighted_norm weight 'a'"):
+            parse_config(MINIMAL.replace("a = one", "a = constant:-1"))
 
     @pytest.mark.parametrize("word, error", [
         ("TRUE", "H1"), ("on", "H1"), ("1", "H1"), ("off", None), ("No", None), ("0", None),
@@ -182,6 +192,24 @@ class TestRun:
         text = (tmp_path / "norms.csv").read_text().splitlines()
         assert text[0].startswith("# config_sha256=") and text[0].endswith("seed=7")
         assert text[1] == "n,p_minus,p_plus,norm,sup,error"
+
+    def test_runner_is_looked_up_per_call(self, tmp_path, monkeypatch):
+        # a rebinding of the module's runner name (as a profiler's wrapper
+        # does) must be the runner that run calls
+        calls = []
+        real = cli.run_norm_limit
+
+        def recording(cfg):
+            calls.append(cfg.kind)
+            return real(cfg)
+
+        monkeypatch.setattr(cli, "run_norm_limit", recording)
+        assert run("norms", config_path("norms.ini"), str(tmp_path)).passed
+        assert calls == ["norm_limit"]
+
+    def test_unknown_subcommand_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown subcommand 'plot'"):
+            run("plot", config_path("norms.ini"), str(tmp_path))
 
     def test_dichotomy_diverging_exit_zero(self, tmp_path):
         code = main(["dichotomy", "--config", config_path("dichotomy_high.ini"),

@@ -66,6 +66,21 @@ class TestEvalDensity:
         with pytest.raises(StructuralError):
             DensitySpec.custom(line_grid(2), "no_such_rule")
 
+    @pytest.mark.parametrize("make", [
+        lambda g: DensitySpec.weighted_norm(g, -1.0, alpha=1.0),
+        lambda g: DensitySpec.weighted_norm(g, np.array([1.0, np.nan, 1.0, 1.0])),
+        lambda g: DensitySpec.anisotropic(g, np.array([1.0, -2.0]), alpha=0.5),
+        lambda g: DensitySpec.anisotropic(g, np.inf),
+    ])
+    def test_negative_or_nonfinite_weight_is_named(self, make):
+        with pytest.raises(StructuralError, match="weight 'a' must be finite and nonnegative"):
+            make(line_grid(4))
+
+    def test_zero_weight_cell_is_legal(self):
+        a = np.array([1.0, 0.0, 1.0, 1.0])
+        f = DensitySpec.weighted_norm(line_grid(4), a, alpha=1e-9)
+        assert eval_density(f, 1, 0.0, np.array([2.0])) == 0.0
+
 
 class TestCustomRuleBatches:
     @pytest.mark.parametrize("rule, coeffs", [

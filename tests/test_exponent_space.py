@@ -14,6 +14,7 @@ from suplab.exponent_space import (
     _logsumexp,
     classical_norm,
     embedding_bound_check,
+    embedding_constant,
     holder_check,
     log_modular,
     luxemburg_norm,
@@ -368,6 +369,24 @@ class TestHolder:
             rep = holder_check(f, g, p, q, s)
             assert rep.passed, rep.summary()
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-4])
+    def test_underestimated_norms_fail_at_any_magnitude(self, monkeypatch, scale):
+        # the equality case of the s = 1 bounds: g = sign(f) |f|^(p-1) gives
+        # ||fg||_1 = ||f||_p ||g||_q; with every root 1% too small both
+        # checks fail by about a percent, which an absolute tolerance would
+        # pass once the norms are small
+        true_root = exponent_space.luxemburg_root
+        monkeypatch.setattr(exponent_space, "luxemburg_root",
+                            lambda base, exps: true_root(base, exps) / 1.01)
+        grid = Grid.uniform_1d(0.0, 1.0, 32)
+        fv = scale * np.random.default_rng(43).normal(size=32)
+        p = ExponentField.constant(grid, 3.0)
+        q = ExponentField.constant(grid, 1.5)
+        s = ExponentField.constant(grid, 1.0)
+        rep = holder_check(GridFunction(grid, fv), GridFunction(grid, np.sign(fv) * fv ** 2),
+                           p, q, s)
+        assert {c.name for c in rep.failures()} == {"product_norm_bound", "dual_pairing_bound"}
+
     def test_randomized_variable_exponents(self):
         rng = np.random.default_rng(31)
         for _ in range(40):
@@ -433,6 +452,24 @@ class TestEmbeddingBound:
         lhs = classical_norm(u, 2.0)
         assert lhs == pytest.approx(2.0, rel=1e-12)
         assert check.slack == pytest.approx(np.sqrt(1.5) * 2.0 - 2.0, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-9])
+    def test_underestimated_norm_fails_at_any_magnitude(self, monkeypatch, scale):
+        # q = p on unit measure: the constant is 1 and the bound an equality,
+        # so a root 1% too small breaks it however small the norms are
+        true_root = exponent_space.luxemburg_root
+        monkeypatch.setattr(exponent_space, "luxemburg_root",
+                            lambda base, exps: true_root(base, exps) / 1.01)
+        grid = Grid.uniform_1d(0.0, 1.0, 16)
+        u = GridFunction(grid, scale * np.random.default_rng(47).normal(size=16))
+        assert not embedding_bound_check(u, ExponentField.constant(grid, 3.0), q=3.0).passed
+
+    def test_constant_at_q_one_is_the_l1_embedding(self):
+        # at q = 1 the constant is max(m^(1-1/p-), m^(beta(1-1/p+))) (1 + (beta-1)/p+)
+        for m, pm, pp, beta in [(1.0, 4.0, 12.0, 3.0), (0.7, 2.5, 5.0, 2.0), (1.8, 8.0, 8.0, 1.5)]:
+            expected = max(m ** (1.0 - 1.0 / pm), m ** (beta * (1.0 - 1.0 / pp)))
+            expected *= 1.0 + (beta - 1.0) / pp
+            assert embedding_constant(m, 1.0, pm, pp, beta) == expected
 
     def test_q_above_p_minus_raises(self):
         grid, p = piecewise_grid()

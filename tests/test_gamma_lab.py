@@ -5,6 +5,7 @@ from suplab.discretize import BoundarySpec, MeshSpec
 from suplab.energy import DensitySpec
 from suplab.exponent_space import Grid, PreconditionError, StructuralError
 from suplab.gamma_lab import (
+    DIVERGENCE_THRESHOLD,
     StudyConfig,
     limit_minimizer,
     named_profile,
@@ -14,6 +15,7 @@ from suplab.gamma_lab import (
     run_norm_limit,
     study_oracle,
 )
+from suplab.reports import Table
 
 
 def benchmark_config(kind="norm_gamma", cells=64, profile="constant",
@@ -166,6 +168,17 @@ class TestNormGammaStudy:
             assert row[3] == pytest.approx(1.0, rel=1e-7)
         assert res.passed
 
+    def test_solving_studies_share_the_sweep(self):
+        # the same problem under both solving kinds: the same warm-started
+        # solves, so the same traces and stagnant rows, each in a Table
+        gamma = run_norm_gamma_study(benchmark_config(cells=16, schedule=(4, 8)))
+        mini = run_minimizer_convergence(
+            benchmark_config(kind="constant_exponent", cells=16, schedule=(4, 8)))
+        assert isinstance(gamma, Table) and isinstance(mini, Table)
+        assert gamma.meta["traces"] == mini.meta["traces"]
+        assert gamma.meta["stagnant_rows"] == mini.meta["stagnant_rows"] == []
+        assert set(gamma.meta["traces"]) == {4, 8}
+
 
 class TestDichotomyStudy:
     def test_vanishing_branch_closed_form(self):
@@ -199,7 +212,7 @@ class TestDichotomyStudy:
         cfg = unit_weight_config(kind="integral_dichotomy", profile="sine",
                                  beta=3.0, schedule=(5, 10, 20, 30), probe_scale=2.0)
         res = run_integral_dichotomy_study(cfg)
-        assert res.rows[-1][3] >= cfg.divergence_threshold
+        assert res.rows[-1][3] >= DIVERGENCE_THRESHOLD
         assert res.verdicts["diverges_by_final_n"]
 
 
