@@ -16,9 +16,9 @@ from suplab.gamma_lab import run_integral_dichotomy_study, run_norm_gamma_study
 mesh = MeshSpec(1, (1.0,), (64,), BoundarySpec.endpoints(0.0, 1.0))
 density = DensitySpec.weighted_norm(mesh.grid(), lambda x: 1.0 / (1.0 + x), alpha=0.5)
 
-for profile, beta in (("constant", 3.0), ("sine", 3.0)):
+for profile in ("constant", "sine"):
     cfg = StudyConfig(kind="norm_gamma", density=density, mesh=mesh,
-                      profile=profile, beta=beta, n_schedule=(4, 8, 16, 32))
+                      profile=profile, n_schedule=(4, 8, 16, 32))
     res = run_norm_gamma_study(cfg)
     print(f"norm-form minima, {profile} exponent profile (oracle {res.meta['oracle']:.6f}):")
     print(f"  {'n':>4s}  {'p-':>7s}  {'p+':>7s}  {'minimum':>12s}  {'rel error':>10s}")
@@ -30,7 +30,7 @@ for profile, beta in (("constant", 3.0), ("sine", 3.0)):
 unit = DensitySpec.weighted_norm(mesh.grid(), 1.0)
 for scale, schedule in ((0.5, (5, 10, 20, 30, 40, 50)), (2.0, (5, 10, 15, 20, 25, 30))):
     cfg = StudyConfig(kind="integral_dichotomy", density=unit, mesh=mesh,
-                      profile="sine", beta=3.0, n_schedule=schedule, probe_scale=scale)
+                      profile="sine", n_schedule=schedule, probe_scale=scale)
     res = run_integral_dichotomy_study(cfg)
     print(f"dichotomy, probe scale {scale} (sup = {res.meta['sup']:.3f}, {res.meta['branch']}):")
     for n, pm, pp, val, oracle, err in res.rows:

@@ -6,7 +6,8 @@ section's keys and the parser of each value.  [density] a and [exponents]
 profile are named profiles (:func:`suplab.gamma_lab.named_profile`).  Every
 contract the studies rely on is checked at parse time and violations are
 reported by key path, citing the hypothesis label (H1 level convexity, H2
-growth, pn1/pn2 exponent growth and ratio bound).
+growth).  The exponent growth (pn1) and ratio bound (pn2) hold by
+construction: p_n = n * profile has beta = max(profile) / min(profile).
 
     suplab <subcommand> --config <path> --out <dir> [--seed <u64>]
 
@@ -101,11 +102,9 @@ _SCHEMA = {
                 "gamma": float, "level_convex": _bool},
     "mesh": {"dimension": int, "extent": _floats, "cells": _ints, "boundary": str,
              "g0": float, "g1": float, "c0": float, "cx": float, "cy": float},
-    "exponents": {"profile": str, "beta": float, "n_schedule": _ints},
+    "exponents": {"profile": str, "n_schedule": _ints},
     "solver": {"epsilons": _floats, "tol": float, "max_iter": int},
-    "study": {"kind": str, "threshold": float, "probe_scale": float,
-              "instances": int, "pair_instances": int, "jensen_trials": int,
-              "probe_trials": int},
+    "study": {"kind": str, "threshold": float, "probe_scale": float},
 }
 
 
@@ -126,7 +125,7 @@ def _profile(section, key, name, grid):
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
 
-def parse_config(text: str, trials: dict | None = None) -> StudyConfig:
+def parse_config(text: str) -> StudyConfig:
     """Validate an INI study document and build the StudyConfig.
 
     Unknown sections or keys, values their key's parser rejects, and
@@ -135,10 +134,7 @@ def parse_config(text: str, trials: dict | None = None) -> StudyConfig:
     key the document leaves out takes its default from
     :class:`DensitySpec`'s constructors, :class:`SolverSettings` or
     :class:`StudyConfig`; only the ``[mesh]`` keys, ``[density] family`` and
-    ``[study] kind`` have their defaults here.  The verify battery's trial
-    counts ([study] instances, pair_instances, jensen_trials, probe_trials)
-    must be positive; when ``trials`` is given, those set are stored in it as
-    :func:`full_verification` keywords.
+    ``[study] kind`` have their defaults here.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -236,13 +232,6 @@ def parse_config(text: str, trials: dict | None = None) -> StudyConfig:
     except StructuralError as exc:
         raise ConfigError(f"[solver]: {exc}") from exc
     study = sections["study"]
-    for key in ("instances", "pair_instances", "jensen_trials", "probe_trials"):
-        if key in study:
-            count = study.pop(key)
-            if count < 1:
-                raise ConfigError(f"[study] {key}: trial count must be positive, got {count}")
-            if trials is not None:
-                trials[key] = count
     kind = study.pop("kind", "norm_gamma")
     try:
         return StudyConfig(kind=kind, density=density, mesh=mesh, solver=solver,
@@ -295,19 +284,19 @@ def run(subcommand: str, config_path: str, out_dir: str, seed: int = 0) -> RunMa
     with open(config_path, "rb") as fh:
         raw = fh.read()
     config_hash = hashlib.sha256(raw).hexdigest()
-    os.makedirs(out_dir, exist_ok=True)
     if subcommand not in _SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     _, kind, runner = _SUBCOMMANDS[subcommand]
 
-    trials = {}
-    cfg = parse_config(raw.decode(), trials)
-    if kind is None:
-        table = full_verification(seed=seed, density=cfg.density, **trials)
-    elif cfg.kind != kind:
+    cfg = parse_config(raw.decode())
+    if kind is not None and cfg.kind != kind:
         raise ConfigError(
             f"[study] kind: subcommand {subcommand!r} needs kind {kind!r}, got {cfg.kind!r}"
         )
+    # the output directory exists only once the config is accepted
+    os.makedirs(out_dir, exist_ok=True)
+    if kind is None:
+        table = full_verification(seed=seed, density=cfg.density)
     else:
         table = globals()[runner](cfg)
 

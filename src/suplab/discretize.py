@@ -30,7 +30,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundarySpec:
-    """Dirichlet trace: interval endpoint values, or an affine function of position."""
+    """Dirichlet trace: interval endpoint values, or an affine function of position.
+
+    A 1-D mesh stores an affine trace as the endpoint values it takes.
+    """
 
     kind: str
     params: tuple
@@ -77,6 +80,10 @@ class MeshSpec:
             raise StructuralError("need at least two cells per axis")
         if self.boundary.kind == "endpoints" and self.dimension != 1:
             raise StructuralError("endpoint traces only make sense in 1-D")
+        if self.boundary.kind == "affine" and self.dimension == 1:
+            # a 1-D trace is its two end values
+            g0, g1 = self.boundary.value(np.array([[0.0], [extents[0]]]))
+            object.__setattr__(self, "boundary", BoundarySpec.endpoints(g0, g1))
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "cells", cells)
 
@@ -100,17 +107,8 @@ class MeshSpec:
         )
 
     def boundary_node_values(self) -> np.ndarray:
-        """Trace values on all nodes (interior entries are meaningless filler)."""
-        axes = self.node_axes()
-        if self.boundary.kind == "endpoints":
-            g0, g1 = self.boundary.params
-            out = np.empty(self.node_shape)
-            out[0], out[-1] = g0, g1
-            out[1:-1] = 0.0
-            return out
-        if self.dimension == 1:
-            return self.boundary.value(axes[0][:, None])
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
+        """Trace values on all nodes of a 2-D mesh (interior entries are filler)."""
+        X, Y = np.meshgrid(*self.node_axes(), indexing="ij")
         pts = np.column_stack([X.ravel(), Y.ravel()])
         return self.boundary.value(pts).reshape(self.node_shape)
 
@@ -197,14 +195,9 @@ def gradient(field: DiscreteField) -> GridFunction:
 
 def interpolate_boundary(mesh: MeshSpec) -> DiscreteField:
     """Feasible initial field: linear blend of the trace (transfinite in 2-D)."""
-    g = mesh.boundary
     axes = mesh.node_axes()
     if mesh.dimension == 1:
-        if g.kind == "endpoints":
-            g0, g1 = g.params
-        else:
-            g0 = float(g.value(np.array([[0.0]])))
-            g1 = float(g.value(np.array([[mesh.extents[0]]])))
+        g0, g1 = mesh.boundary.params
         t = axes[0] / mesh.extents[0]
         return DiscreteField(mesh, (1.0 - t) * g0 + t * g1)
 

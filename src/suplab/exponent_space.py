@@ -265,23 +265,18 @@ class ExponentField:
     def constant(cls, grid: Grid, q: float) -> "ExponentField":
         return cls(grid, np.full(grid.n_cells, float(q)))
 
-    @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "ExponentField":
-        return cls(grid, np.asarray(fn(grid.points), dtype=float))
-
 
 @dataclass(frozen=True)
 class ExponentSequence:
     """Family n -> n * profile(x) of exponent fields on a fixed grid.
 
-    ``beta`` is the declared uniform ratio bound: every generated field must
-    satisfy p_plus <= beta * p_minus, and the minima must grow along any
-    requested prefix.
+    Growth (pn1) and the ratio bound (pn2) hold by construction: the minima
+    n * min(profile) grow with n, and every field has p_plus / p_minus =
+    max(profile) / min(profile), the sequence's :attr:`beta`.
     """
 
     grid: Grid
     profile: np.ndarray
-    beta: float
 
     def __post_init__(self):
         prof = np.asarray(self.profile, dtype=float).ravel()
@@ -289,31 +284,18 @@ class ExponentSequence:
             raise StructuralError("profile must be sampled on the grid cells")
         if not np.all(prof > 0):
             raise StructuralError("exponent profile must be positive")
-        if not self.beta > 1.0:
-            raise PreconditionError(f"ratio bound beta must exceed 1 (pn2), got {self.beta}")
-        if np.max(prof) > self.beta * np.min(prof) * (1 + 1e-12):
-            raise PreconditionError(
-                "profile violates the ratio bound (pn2): "
-                f"max/min = {np.max(prof) / np.min(prof):.6g} > beta = {self.beta}"
-            )
         object.__setattr__(self, "profile", _lock(prof))
+
+    @property
+    def beta(self) -> float:
+        """The tightest uniform ratio bound p_plus <= beta p_minus (pn2)."""
+        return float(np.max(self.profile) / np.min(self.profile))
 
     def field(self, n) -> ExponentField:
         vals = float(n) * self.profile
         if np.min(vals) <= 1.0:
             raise PreconditionError(f"n = {n} gives an exponent not exceeding 1")
         return ExponentField(self.grid, vals)
-
-    def check_prefix(self, n_values) -> None:
-        """Validate growth (pn1) and the ratio bound (pn2) on a finite prefix."""
-        prev = None
-        for n in n_values:
-            f = self.field(n)
-            if f.p_plus > self.beta * f.p_minus * (1 + 1e-12):
-                raise PreconditionError(f"ratio bound (pn2) fails at n = {n}")
-            if prev is not None and f.p_minus < prev - 1e-12:
-                raise PreconditionError("exponent minima must be nondecreasing (pn1)")
-            prev = f.p_minus
 
 
 def _require_same_grid(*objs):

@@ -1,7 +1,9 @@
 """Convergence studies for the power-law approximation of supremal energies.
 
-Each study sweeps an exponent schedule p_n(x) = n * profile(x) and tabulates
-how a quantity of interest approaches its closed-form limit:
+Each study sweeps an exponent schedule p_n(x) = n * profile(x), whose
+minima grow with n (pn1) under the ratio bound beta = max(profile) /
+min(profile) (pn2), and tabulates how a quantity of interest approaches its
+closed-form limit:
 
 * ``norm_gamma``          minima of the norm-form energy against the
                           supremal oracle (the convergence-of-minima story);
@@ -118,7 +120,6 @@ class StudyConfig:
     density: DensitySpec
     mesh: MeshSpec
     profile: str = "sine"
-    beta: float = 3.0
     n_schedule: tuple = (4, 8, 16, 32, 64)
     solver: SolverSettings = field(default_factory=SolverSettings)
     threshold: float = 0.02
@@ -131,12 +132,13 @@ class StudyConfig:
         if len(sched) == 0 or any(b <= a for a, b in zip(sched, sched[1:])):
             raise StructuralError("the n schedule must be strictly increasing")
         object.__setattr__(self, "n_schedule", sched)
-        # growth (pn1) and ratio bound (pn2) on the requested prefix
-        self.sequence().check_prefix(sched)
+        # pn1 and pn2 hold by construction; the first n must lift every
+        # exponent above 1, and then every later n does
+        self.sequence().field(sched[0])
 
     def sequence(self) -> ExponentSequence:
         grid = self.mesh.grid()
-        return ExponentSequence(grid, named_profile(self.profile, grid), self.beta)
+        return ExponentSequence(grid, named_profile(self.profile, grid))
 
 
 def _weight_field(cfg: StudyConfig) -> GridFunction:
@@ -145,15 +147,6 @@ def _weight_field(cfg: StudyConfig) -> GridFunction:
             "closed-form oracles need the weighted-norm density family"
         )
     return GridFunction(cfg.mesh.grid(), cfg.density.coefficients["a"])
-
-
-def _boundary_rise(cfg: StudyConfig):
-    b = cfg.mesh.boundary
-    if b.kind == "endpoints":
-        return b.params[0], b.params[1]
-    g0 = float(b.value(np.array([[0.0]])))
-    g1 = float(b.value(np.array([[cfg.mesh.extents[0]]])))
-    return g0, g1
 
 
 def study_oracle(cfg: StudyConfig) -> float:
@@ -165,7 +158,7 @@ def study_oracle(cfg: StudyConfig) -> float:
     """
     if cfg.mesh.dimension == 1:
         a = _weight_field(cfg)
-        g0, g1 = _boundary_rise(cfg)
+        g0, g1 = cfg.mesh.boundary.params
         return supremal_oracle_1d(a, g0, g1)
     if cfg.mesh.boundary.kind != "affine":
         raise PreconditionError("2-D studies need affine boundary data")
@@ -180,7 +173,7 @@ def limit_minimizer(cfg: StudyConfig) -> DiscreteField:
     """The limiting optimal field: equalizing profile in 1-D, affine extension in 2-D."""
     if cfg.mesh.dimension == 1:
         a = _weight_field(cfg)
-        g0, g1 = _boundary_rise(cfg)
+        g0, g1 = cfg.mesh.boundary.params
         return DiscreteField(cfg.mesh, oracle_minimizer_1d(a, g0, g1))
     return interpolate_boundary(cfg.mesh)
 
@@ -222,11 +215,13 @@ def run_norm_gamma_study(cfg: StudyConfig) -> Table:
     init_du = gradient(initial)
     init_cells = initial.cell_values()
     # the floor alpha |g1 - g0| / C, with C the constant of the embedding
-    # of L^{p_n} into L^1, holds for the 1-D weighted norm
+    # of L^{p_n} into L^1 at the sequence's ratio bound beta, holds for the
+    # 1-D weighted norm
     floored = (cfg.mesh.dimension == 1 and cfg.density.gamma == 1.0
                and cfg.density.family == "weighted_norm")
     if floored:
-        g0, g1 = _boundary_rise(cfg)
+        g0, g1 = cfg.mesh.boundary.params
+        beta = cfg.sequence().beta
     m = cfg.mesh.grid().total_measure
 
     sweep, meta = _solve_sweep(cfg)
@@ -239,7 +234,7 @@ def run_norm_gamma_study(cfg: StudyConfig) -> Table:
         if res.objective > ceiling * (1.0 + 1e-6) + 1e-12:
             bounds_ok = False
         if floored:
-            embed = embedding_constant(m, 1.0, p.p_minus, p.p_plus, cfg.beta)
+            embed = embedding_constant(m, 1.0, p.p_minus, p.p_plus, beta)
             if res.objective < cfg.density.alpha * abs(g1 - g0) / embed - 1e-9:
                 bounds_ok = False
 
@@ -329,7 +324,7 @@ def run_minimizer_convergence(cfg: StudyConfig) -> Table:
 
 
 def run_norm_limit(cfg: StudyConfig) -> Table:
-    """Variable-exponent norms of the probe's density field against its supremum."""
+    """Variable-exponent norms of the probe's cell values |u| against their supremum."""
     if cfg.kind != "norm_limit":
         raise PreconditionError(f"study kind is {cfg.kind!r}, expected 'norm_limit'")
     u = probe_field(cfg)

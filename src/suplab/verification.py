@@ -293,20 +293,19 @@ def density_probe_suite(density: DensitySpec, seed=0, trials=10000) -> Table:
     )
 
 
-def full_verification(seed=0, density: DensitySpec | None = None,
-                      instances=1000, pair_instances=200, jensen_trials=10000,
-                      probe_trials=10000) -> Table:
-    """The whole property battery with one seed; one row per check."""
+def full_verification(seed=0, density: DensitySpec | None = None) -> Table:
+    """The whole property battery with one seed, each suite at its default
+    count; one row per check."""
     rng = np.random.default_rng(seed)
     tables = [
-        norm_modular_suite(rng, instances),
-        holder_suite(rng, pair_instances),
-        power_identity_suite(rng, pair_instances),
-        embedding_suite(rng, pair_instances),
-        jensen_suite(rng, jensen_trials),
+        norm_modular_suite(rng),
+        holder_suite(rng),
+        power_identity_suite(rng),
+        embedding_suite(rng),
+        jensen_suite(rng),
     ]
     if density is not None:
-        tables.append(density_probe_suite(density, seed=seed, trials=probe_trials))
+        tables.append(density_probe_suite(density, seed=seed))
     rows = []
     verdicts = {}
     for t in tables:

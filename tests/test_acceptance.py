@@ -85,7 +85,7 @@ def test_criterion_04_norm_limit():
         ("flat", np.ones(grid.n_cells)),
         ("sine", 2.0 + np.sin(2.0 * np.pi * grid.cells[:, 0])),
     ):
-        seq = ExponentSequence(grid, profile, beta=3.0)
+        seq = ExponentSequence(grid, profile)
         table = norm_limit_study(u, seq, schedule)
         max_dev = 0.0
         for n, norm, _ in table.rows:
@@ -171,13 +171,13 @@ def test_criterion_09_dichotomy():
     dens = DensitySpec.weighted_norm(mesh.grid(), 1.0)
 
     low = StudyConfig(kind="integral_dichotomy", density=dens, mesh=mesh,
-                      profile="sine", beta=3.0, n_schedule=(5, 10, 20, 30, 40, 50),
+                      profile="sine", n_schedule=(5, 10, 20, 30, 40, 50),
                       probe_scale=0.5)
     res_low = run_integral_dichotomy_study(low)
     low_final = res_low.rows[-1][3]
 
     high = StudyConfig(kind="integral_dichotomy", density=dens, mesh=mesh,
-                       profile="sine", beta=3.0, n_schedule=(5, 10, 15, 20, 25, 30),
+                       profile="sine", n_schedule=(5, 10, 15, 20, 25, 30),
                        probe_scale=2.0)
     res_high = run_integral_dichotomy_study(high)
     high_final = res_high.rows[-1][3]
@@ -199,15 +199,7 @@ def test_criterion_10_determinism(tmp_path):
         (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         for name in ("norms.csv", "manifest.csv")
     )
-    vq = os.path.join(str(tmp_path), "verify_quick.ini")
-    with open(os.path.join(CONFIG_DIR, "verify.ini")) as fh:
-        text = fh.read()
-    text = (text.replace("instances = 1000", "instances = 30")
-                .replace("pair_instances = 200", "pair_instances = 10")
-                .replace("jensen_trials = 10000", "jensen_trials = 200")
-                .replace("probe_trials = 10000", "probe_trials = 200"))
-    with open(vq, "w") as fh:
-        fh.write(text)
+    vq = os.path.join(CONFIG_DIR, "verify.ini")
     cli_run("verify", vq, str(tmp_path / "va"), seed=9)
     cli_run("verify", vq, str(tmp_path / "vb"), seed=9)
     identical = identical and (

@@ -35,6 +35,10 @@ class TestMeshSpec:
         with pytest.raises(StructuralError):
             MeshSpec(2, (1.0, 1.0), (4, 4), BoundarySpec.endpoints(0, 1))
 
+    def test_affine_trace_needs_one_slope_per_axis(self):
+        with pytest.raises(StructuralError, match="2 slopes for dimension 1"):
+            MeshSpec(1, (1.0,), (4,), BoundarySpec.affine(0.0, 1.0, 2.0))
+
     def test_grid_measure(self):
         mesh = mesh_2d((4, 5))
         assert mesh.grid().total_measure == pytest.approx(1.0, rel=1e-12)

@@ -249,7 +249,7 @@ class TestPowerFunctionals:
         f = DensitySpec.weighted_norm(grid, lambda t: 1.0 / (1.0 + t))
         du = GridFunction(grid, 1.0 + 0.5 * np.sin(3.0 * x))
         sup = eval_supremal(f, None, du)
-        seq = ExponentSequence(grid, 2.0 + np.sin(2 * np.pi * x), beta=3.0)
+        seq = ExponentSequence(grid, 2.0 + np.sin(2 * np.pi * x))
         errs = []
         for n in (25, 50, 100, 200):
             val = eval_Fn(f, None, du, seq.field(n))

@@ -88,17 +88,21 @@ class TestGridAndFields:
         with pytest.raises(StructuralError):
             GridFunction(grid, np.array([1.0, np.inf]))
 
-    def test_sequence_requires_beta_above_one(self):
+    def test_sequence_beta_is_profile_ratio(self):
         grid = Grid.uniform_1d(0.0, 1.0, 4)
-        with pytest.raises(PreconditionError):
-            ExponentSequence(grid, np.ones(4), beta=0.5)
+        assert ExponentSequence(grid, np.ones(4)).beta == 1.0
+        assert ExponentSequence(grid, np.array([0.5, 2.0, 1.0, 1.5])).beta == 4.0
 
     def test_sequence_prefix_checks(self):
+        # growth (pn1) and the ratio bound (pn2) hold by construction; only
+        # an exponent not above 1 is refused
         grid = Grid.uniform_1d(0.0, 1.0, 8)
-        seq = ExponentSequence(grid, np.full(8, 2.0), beta=1.5)
-        seq.check_prefix([2, 4, 8])
-        with pytest.raises(PreconditionError):
-            seq.check_prefix([8, 4])
+        seq = ExponentSequence(grid, np.linspace(0.3, 0.9, 8))
+        fields = [seq.field(n) for n in (4, 8, 16)]
+        assert all(f.p_plus <= seq.beta * f.p_minus * (1 + 1e-15) for f in fields)
+        assert [f.p_minus for f in fields] == sorted(f.p_minus for f in fields)
+        with pytest.raises(PreconditionError, match="n = 3"):
+            seq.field(3)
 
 
 class TestModular:
@@ -488,7 +492,7 @@ class TestEmbeddingBound:
 class TestNormLimit:
     def test_constant_function_exact(self):
         grid = Grid.uniform_1d(0.0, 1.0, 16)
-        seq = ExponentSequence(grid, np.ones(16), beta=1.5)
+        seq = ExponentSequence(grid, np.ones(16))
         u = GridFunction.constant(grid, 2.5)
         table = norm_limit_study(u, seq, [2, 4, 8, 16])
         for _, norm, err in table.rows:
@@ -498,7 +502,7 @@ class TestNormLimit:
 
     def test_identity_profile_against_oracles(self):
         grid = Grid.uniform_1d(0.0, 1.0, 32)
-        seq = ExponentSequence(grid, np.ones(32), beta=1.5)
+        seq = ExponentSequence(grid, np.ones(32))
         u = GridFunction.from_callable(grid, lambda x: x)
         ns = [4, 8, 16, 32, 64, 128, 200]
         table = norm_limit_study(u, seq, ns)
@@ -510,7 +514,7 @@ class TestNormLimit:
     def test_variable_profile_decreasing(self):
         grid = Grid.uniform_1d(0.0, 1.0, 32)
         x = grid.cells[:, 0]
-        seq = ExponentSequence(grid, 2.0 + np.sin(2 * np.pi * x), beta=3.0)
+        seq = ExponentSequence(grid, 2.0 + np.sin(2 * np.pi * x))
         u = GridFunction.from_callable(grid, lambda t: t)
         table = norm_limit_study(u, seq, [4, 8, 16, 32, 64, 128, 200])
         assert table.verdicts["error_eventually_decreasing"]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from suplab.discretize import BoundarySpec, MeshSpec
+from suplab import gamma_lab
+from suplab.discretize import BoundarySpec, MeshSpec, interpolate_boundary
 from suplab.energy import DensitySpec
 from suplab.exponent_space import Grid, PreconditionError, StructuralError
 from suplab.gamma_lab import (
@@ -16,6 +17,7 @@ from suplab.gamma_lab import (
     study_oracle,
 )
 from suplab.reports import Table
+from suplab.solve import FUNCTIONAL_NORM, SolveResult
 
 
 def benchmark_config(kind="norm_gamma", cells=64, profile="constant",
@@ -43,14 +45,17 @@ class TestConfigValidation:
         with pytest.raises(StructuralError):
             unit_weight_config(kind="telescope")
 
-    def test_beta_checked_through_sequence(self):
-        with pytest.raises(PreconditionError):
-            unit_weight_config(beta=0.5)
+    def test_exponents_checked_through_sequence(self):
+        # 4 * 0.25 = 1 is not above 1; a later n cannot repair the first
+        with pytest.raises(PreconditionError, match="n = 4"):
+            unit_weight_config(profile="constant:0.25", schedule=(4, 8))
+        unit_weight_config(profile="constant:0.25", schedule=(5, 8))
 
     def test_sine_profile_needs_wide_beta(self):
-        # profile range [1, 3] cannot satisfy a ratio bound of 1.5
-        with pytest.raises(PreconditionError):
-            unit_weight_config(profile="sine", beta=1.5)
+        # the profile's range [1, 3] is its ratio bound; sampled at the cell
+        # centers it stays just inside
+        beta = unit_weight_config(profile="sine").sequence().beta
+        assert 2.9 < beta < 3.0
 
 
 class TestNamedProfile:
@@ -95,6 +100,25 @@ class TestOracles:
                           profile="constant", n_schedule=(4, 8))
         assert study_oracle(cfg) == pytest.approx(10.0, rel=1e-12)
 
+    def test_1d_affine_trace_is_its_end_values(self):
+        # stored as endpoints(c0, c0 + L cx): trace, oracle, initial field
+        # and limiting minimizer agree bit for bit
+        c0, cx, extent = 0.1, 1.3, 0.7
+        affine = MeshSpec(1, (extent,), (16,), BoundarySpec.affine(c0, cx))
+        ends = MeshSpec(1, (extent,), (16,), BoundarySpec.endpoints(c0, c0 + extent * cx))
+        assert affine.boundary == ends.boundary
+        assert np.array_equal(interpolate_boundary(affine).node_values,
+                              interpolate_boundary(ends).node_values)
+
+        def config(mesh):
+            dens = DensitySpec.weighted_norm(mesh.grid(), lambda x: 1.0 / (1.0 + x))
+            return StudyConfig(kind="norm_gamma", density=dens, mesh=mesh,
+                               profile="constant", n_schedule=(4,))
+
+        assert study_oracle(config(affine)) == study_oracle(config(ends))
+        assert np.array_equal(limit_minimizer(config(affine)).node_values,
+                              limit_minimizer(config(ends)).node_values)
+
     def test_piecewise_limit_minimizer(self):
         # weight 1 on (0, 1/2) and 2 on (1/2, 1): value 1/(1/2 + 1/4) = 4/3,
         # slopes 4/3 and 2/3
@@ -130,7 +154,7 @@ class TestNormGammaStudy:
     def test_variable_profile_reaches_same_limit(self):
         const = run_norm_gamma_study(benchmark_config(schedule=(8, 16, 32)))
         sine = run_norm_gamma_study(
-            benchmark_config(profile="sine", beta=3.0, schedule=(8, 16, 32))
+            benchmark_config(profile="sine", schedule=(8, 16, 32))
         )
         m_const = const.rows[-1][3]
         m_sine = sine.rows[-1][3]
@@ -155,6 +179,20 @@ class TestNormGammaStudy:
     def test_wrong_kind_rejected(self):
         with pytest.raises(PreconditionError):
             run_norm_gamma_study(unit_weight_config(kind="norm_limit"))
+
+    @pytest.mark.parametrize("minimum, ok", [(0.4, False), (0.5, True)])
+    def test_floor_uses_the_profile_ratio(self, monkeypatch, minimum, ok):
+        # a flat profile has beta = 1, so at p = 4 the floor is
+        # alpha |g1 - g0| = 0.5; a declared beta = 3 would lower it to
+        # 0.5 / (1 + 2/4) = 1/3 and accept 0.4
+        mesh = MeshSpec(1, (1.0,), (32,), BoundarySpec.endpoints(0.0, 1.0))
+        dens = DensitySpec.weighted_norm(mesh.grid(), 1.0, alpha=0.5)
+        cfg = StudyConfig(kind="norm_gamma", density=dens, mesh=mesh,
+                          profile="constant", n_schedule=(4,))
+        fake = SolveResult(interpolate_boundary(mesh), minimum, 0, ((minimum,),), 0.0,
+                           False, FUNCTIONAL_NORM)
+        monkeypatch.setattr(gamma_lab, "minimize_power", lambda *args, **kw: fake)
+        assert run_norm_gamma_study(cfg).verdicts["bounds_ok"] is ok
 
     def test_2d_affine_data(self):
         # the affine extension is optimal for a constant weight, so every
@@ -210,7 +248,7 @@ class TestDichotomyStudy:
 
     def test_sine_profile_diverges_early(self):
         cfg = unit_weight_config(kind="integral_dichotomy", profile="sine",
-                                 beta=3.0, schedule=(5, 10, 20, 30), probe_scale=2.0)
+                                 schedule=(5, 10, 20, 30), probe_scale=2.0)
         res = run_integral_dichotomy_study(cfg)
         assert res.rows[-1][3] >= DIVERGENCE_THRESHOLD
         assert res.verdicts["diverges_by_final_n"]
@@ -255,7 +293,7 @@ class TestMinimizerStudy:
     def test_needs_flat_profile(self):
         with pytest.raises(PreconditionError):
             run_minimizer_convergence(
-                benchmark_config(kind="constant_exponent", profile="sine", beta=3.0)
+                benchmark_config(kind="constant_exponent", profile="sine")
             )
 
 
