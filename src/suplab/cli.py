@@ -81,8 +81,16 @@ class RunManifest:
     passed: bool
 
 
+def _float(raw):
+    # nan and +-inf parse as floats but satisfy no contract a key states
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 def _floats(raw):
-    return tuple(float(v) for v in raw.split())
+    return tuple(_float(v) for v in raw.split())
 
 
 def _ints(raw):
@@ -98,13 +106,13 @@ def _bool(raw):
 
 # section -> key -> parser of the key's raw string; any other key is unknown
 _SCHEMA = {
-    "density": {"family": str, "a": str, "b": float, "rule": str, "alpha": float,
-                "gamma": float, "level_convex": _bool},
+    "density": {"family": str, "a": str, "b": _float, "rule": str, "alpha": _float,
+                "gamma": _float, "level_convex": _bool},
     "mesh": {"dimension": int, "extent": _floats, "cells": _ints, "boundary": str,
-             "g0": float, "g1": float, "c0": float, "cx": float, "cy": float},
+             "g0": _float, "g1": _float, "c0": _float, "cx": _float, "cy": _float},
     "exponents": {"profile": str, "n_schedule": _ints},
-    "solver": {"epsilons": _floats, "tol": float, "max_iter": int},
-    "study": {"kind": str, "threshold": float, "probe_scale": float},
+    "solver": {"epsilons": _floats, "tol": _float, "max_iter": int},
+    "study": {"kind": str, "threshold": _float, "probe_scale": _float},
 }
 
 
@@ -128,13 +136,14 @@ def _profile(section, key, name, grid):
 def parse_config(text: str) -> StudyConfig:
     """Validate an INI study document and build the StudyConfig.
 
-    Unknown sections or keys, values their key's parser rejects, and
-    ``[density]`` keys the chosen family does not read are errors naming
-    the offender; hypothesis violations are errors citing the label.  A
-    key the document leaves out takes its default from
-    :class:`DensitySpec`'s constructors, :class:`SolverSettings` or
-    :class:`StudyConfig`; only the ``[mesh]`` keys, ``[density] family`` and
-    ``[study] kind`` have their defaults here.
+    Unknown sections or keys, values their key's parser rejects (every
+    float must be finite), and ``[density]`` keys the chosen family does
+    not read are errors naming the offender; hypothesis violations are
+    errors citing the label.  A key the document leaves out takes its
+    default from :class:`DensitySpec`'s constructors,
+    :class:`SolverSettings` or :class:`StudyConfig`; only the ``[mesh]``
+    keys, ``[density] family`` and ``[study] kind`` have their defaults
+    here.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:

@@ -17,6 +17,11 @@ tabulated coefficient fields, so probe reports can cite parameters instead
 of opaque callables.  The two hypotheses a density must satisfy for the
 approximation theory, level convexity in xi and the coercivity bound
 f >= alpha |xi|^gamma, are verified statistically by the probes below.
+Each probe draws all its samples first, one Generator call per array, and
+then evaluates them with one :func:`eval_density` call per density value.
+The benchmark's tracer coverage test pins that call count
+(``perfbench/test_perfbench.py``), so the evaluations stay per value until
+ROADMAP item 1 re-expresses the pin.
 """
 
 from __future__ import annotations
@@ -291,44 +296,44 @@ _PROBE_SCALE = 2.0
 _MAX_WITNESSES = 10
 
 
-def _random_xi(rng, f):
-    return _PROBE_SCALE * rng.normal(size=f.grid.dimension)
-
-
 def level_convexity_probe(f: DensitySpec, trials=10000, seed=0) -> RelationReport:
     """Randomized search for level-convexity violations along segments.
 
-    Draws (cell, u, xi1, xi2, theta) and checks
-    f(theta xi1 + (1-theta) xi2) <= max(f(xi1), f(xi2)).
-    Violations are returned with witnesses; they are evidence the density is
-    not level convex, not an error.
+    Draws (cell, u, xi1, xi2, theta) for every trial as arrays and checks
+    f(theta xi1 + (1-theta) xi2) <= max(f(xi1), f(xi2)), with one
+    :func:`eval_density` call per density value, three per trial (per value
+    until ROADMAP item 1 re-expresses the tracer's call-count pin).
+    Violations are returned with witnesses, the first ones in trial order;
+    they are evidence the density is not level convex, not an error.
     """
     rng = np.random.default_rng(seed)
-    witnesses = []
-    violations = 0
-    worst = np.inf
-    for _ in range(trials):
-        cell = int(rng.integers(f.grid.n_cells))
-        u_val = float(rng.normal())
-        xi1 = _random_xi(rng, f)
-        xi2 = _random_xi(rng, f)
-        theta = float(rng.uniform())
-        lhs = eval_density(f, cell, u_val, theta * xi1 + (1 - theta) * xi2)
-        rhs = max(eval_density(f, cell, u_val, xi1), eval_density(f, cell, u_val, xi2))
-        margin = rhs - lhs
-        worst = min(worst, margin)
-        if lhs > rhs + 1e-10 * (1.0 + abs(rhs)):
-            violations += 1
-            if len(witnesses) < _MAX_WITNESSES:
-                witnesses.append(
-                    {"cell": cell, "u": u_val, "xi1": xi1.tolist(),
-                     "xi2": xi2.tolist(), "theta": theta, "lhs": lhs, "rhs": rhs}
-                )
+    shape = (trials, f.grid.dimension)
+    cells = rng.integers(f.grid.n_cells, size=trials)
+    u = rng.normal(size=trials)
+    xi1 = _PROBE_SCALE * rng.normal(size=shape)
+    xi2 = _PROBE_SCALE * rng.normal(size=shape)
+    theta = rng.uniform(size=trials)
+    t = theta[:, None]
+    mid = t * xi1 + (1 - t) * xi2
+    lhs = np.empty(trials)
+    rhs = np.empty(trials)
+    for i in range(trials):
+        c, v = cells[i], u[i]
+        lhs[i] = eval_density(f, c, v, mid[i])
+        rhs[i] = max(eval_density(f, c, v, xi1[i]), eval_density(f, c, v, xi2[i]))
+    bad = np.flatnonzero(lhs > rhs + 1e-10 * (1.0 + np.abs(rhs)))
+    witnesses = [
+        {"cell": int(cells[i]), "u": float(u[i]), "xi1": xi1[i].tolist(),
+         "xi2": xi2[i].tolist(), "theta": float(theta[i]), "lhs": float(lhs[i]),
+         "rhs": float(rhs[i])}
+        for i in bad[:_MAX_WITNESSES]
+    ]
+    violations = len(bad)
     rep = RelationReport(f"level convexity of {f.family}")
     rep.add(
         "level_convexity",
         violations == 0,
-        worst,
+        np.min(rhs - lhs, initial=np.inf),
         note=f"{violations}/{trials} violations",
         witness=witnesses[0] if witnesses else None,
     )
@@ -337,32 +342,35 @@ def level_convexity_probe(f: DensitySpec, trials=10000, seed=0) -> RelationRepor
 
 
 def growth_check(f: DensitySpec, trials=10000, seed=0) -> RelationReport:
-    """Randomized check of the coercivity bound f(x, u, xi) >= alpha |xi|^gamma."""
+    """Randomized check of the coercivity bound f(x, u, xi) >= alpha |xi|^gamma.
+
+    Draws (cell, u, xi) for every trial as arrays, computes the bounds as
+    one array expression and evaluates the density with one
+    :func:`eval_density` call per trial (per value until ROADMAP item 1
+    re-expresses the tracer's call-count pin); the witnesses are the first
+    violations in trial order.
+    """
     rng = np.random.default_rng(seed)
-    witnesses = []
-    violations = 0
-    worst = np.inf
-    for _ in range(trials):
-        cell = int(rng.integers(f.grid.n_cells))
-        u_val = float(rng.normal())
-        xi = _random_xi(rng, f)
-        val = eval_density(f, cell, u_val, xi)
-        bound = f.alpha * float(np.linalg.norm(xi)) ** f.gamma
-        margin = val - bound
-        worst = min(worst, margin)
-        if val < bound - 1e-12 * (1.0 + bound):
-            violations += 1
-            if len(witnesses) < _MAX_WITNESSES:
-                center = f.grid.cells[cell]
-                witnesses.append(
-                    {"cell": cell, "cell_center": center.tolist(), "u": u_val,
-                     "xi": xi.tolist(), "value": val, "bound": bound}
-                )
+    cells = rng.integers(f.grid.n_cells, size=trials)
+    u = rng.normal(size=trials)
+    xi = _PROBE_SCALE * rng.normal(size=(trials, f.grid.dimension))
+    bound = f.alpha * np.linalg.norm(xi, axis=-1) ** f.gamma
+    val = np.empty(trials)
+    for i in range(trials):
+        val[i] = eval_density(f, cells[i], u[i], xi[i])
+    bad = np.flatnonzero(val < bound - 1e-12 * (1.0 + bound))
+    witnesses = [
+        {"cell": int(cells[i]), "cell_center": f.grid.cells[cells[i]].tolist(),
+         "u": float(u[i]), "xi": xi[i].tolist(), "value": float(val[i]),
+         "bound": float(bound[i])}
+        for i in bad[:_MAX_WITNESSES]
+    ]
+    violations = len(bad)
     rep = RelationReport(f"growth bound of {f.family}")
     rep.add(
         "growth_lower_bound",
         violations == 0,
-        worst,
+        np.min(val - bound, initial=np.inf),
         note=f"{violations}/{trials} violations (alpha={f.alpha}, gamma={f.gamma})",
         witness=witnesses[0] if witnesses else None,
     )

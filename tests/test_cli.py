@@ -61,6 +61,21 @@ REMOVED_KEYS = [
     ("study", "jensen_trials"), ("study", "probe_trials"),
 ]
 
+# every float-valued key of the schema, a list or a single value: (section, key)
+FLOAT_KEYS = [
+    ("density", "b"), ("density", "alpha"), ("density", "gamma"),
+    ("mesh", "extent"), ("mesh", "g0"), ("mesh", "g1"), ("mesh", "c0"), ("mesh", "cx"),
+    ("mesh", "cy"), ("solver", "epsilons"), ("solver", "tol"), ("study", "threshold"),
+    ("study", "probe_scale"),
+]
+
+
+def with_key(doc, section, key, raw):
+    """``doc`` with ``key = raw`` first in ``[section]``, adding the section if missing."""
+    if f"[{section}]" not in doc:
+        doc += f"\n[{section}]\n"
+    return doc.replace(f"[{section}]\n", f"[{section}]\n{key} = {raw}\n")
+
 
 def config_path(name):
     return os.path.join(CONFIG_DIR, name)
@@ -96,10 +111,17 @@ class TestParseConfig:
     @pytest.mark.parametrize("section, key", REMOVED_KEYS,
                              ids=[key for _, key in REMOVED_KEYS])
     def test_removed_study_key_is_unknown(self, section, key):
-        doc = MINIMAL if f"[{section}]" in MINIMAL else MINIMAL + f"\n[{section}]\n"
-        doc = doc.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n")
         with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: unknown key"):
-            parse_config(doc)
+            parse_config(with_key(MINIMAL, section, key, "1"))
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, key", FLOAT_KEYS, ids=[key for _, key in FLOAT_KEYS])
+    def test_non_finite_float_is_refused(self, section, key, raw):
+        # a nan tol never stops a stage, an inf threshold passes every
+        # error, a nan extent or trace value fails later naming no key
+        with pytest.raises(ConfigError) as err:
+            parse_config(with_key(MINIMAL, section, key, raw))
+        assert str(err.value) == f"[{section}] {key}: cannot parse {raw!r}"
 
     def test_negative_weight_is_named(self):
         with pytest.raises(ConfigError, match=r"\[density\]: weighted_norm weight 'a'"):

@@ -298,6 +298,45 @@ class TestProbes:
         w = rep.checks[0].witness
         assert w is not None and w["lhs"] > w["rhs"]
 
+    @pytest.mark.parametrize("grid", [line_grid(16), Grid.uniform_2d((0.0, 1.0), (0.0, 1.0), (4, 4))],
+                             ids=["1d", "2d"])
+    def test_level_convexity_witnesses_recompute(self, grid):
+        f = DensitySpec.custom(grid, "unit_sphere_distance", level_convex=False)
+        rep = level_convexity_probe(f, trials=2000, seed=8)
+        witnesses = rep.meta["witnesses"]
+        assert len(witnesses) == min(rep.meta["violations"], 10) > 0
+        for w in witnesses:
+            xi1, xi2, theta = np.array(w["xi1"]), np.array(w["xi2"]), w["theta"]
+            assert xi1.shape == (grid.dimension,)
+            lhs = eval_density(f, w["cell"], w["u"], theta * xi1 + (1 - theta) * xi2)
+            rhs = max(eval_density(f, w["cell"], w["u"], xi1),
+                      eval_density(f, w["cell"], w["u"], xi2))
+            assert (lhs, rhs) == (w["lhs"], w["rhs"])
+            assert lhs > rhs
+
+    def test_growth_witnesses_recompute(self):
+        grid = line_grid(64)
+        f = DensitySpec.weighted_norm(grid, lambda x: 1.0 / (1.0 + x), alpha=0.9)
+        rep = growth_check(f, trials=2000, seed=9)
+        witnesses = rep.meta["witnesses"]
+        assert len(witnesses) == min(rep.meta["violations"], 10) > 0
+        for w in witnesses:
+            xi = np.array(w["xi"])
+            assert w["cell_center"] == grid.cells[w["cell"]].tolist()
+            assert w["value"] == eval_density(f, w["cell"], w["u"], xi)
+            assert w["bound"] == pytest.approx(0.9 * np.linalg.norm(xi), rel=1e-15)
+            assert w["value"] < w["bound"]
+
+    def test_probes_repeat_with_the_seed(self):
+        grid = line_grid(16)
+        annulus = DensitySpec.custom(grid, "unit_sphere_distance", level_convex=False)
+        steep = DensitySpec.weighted_norm(grid, lambda x: 1.0 / (1.0 + x), alpha=0.9)
+        for probe, f in ((level_convexity_probe, annulus), (growth_check, steep)):
+            first = probe(f, trials=500, seed=11).meta
+            assert first["violations"] > 0
+            assert probe(f, trials=500, seed=11).meta == first
+            assert probe(f, trials=500, seed=12).meta != first
+
     def test_growth_passes_at_infimum(self):
         grid = line_grid(64)
         f = DensitySpec.weighted_norm(grid, lambda x: 1.0 / (1.0 + x), alpha=0.5)
