@@ -1,5 +1,7 @@
+import hashlib
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,10 +300,17 @@ class TestRun:
             .replace("n_schedule = 4 8 16 32 64", "n_schedule = 4 8")
             .replace("threshold = 0.01", "threshold = 0.1")
         )
-        code = main(["minimizers", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        code = main(["minimizers", "--config", str(cfg), "--out", str(out)])
         assert code == 0
-        lines = (tmp_path / "o" / "minimizers.csv").read_text().splitlines()
+        lines = (out / "minimizers.csv").read_text().splitlines()
         assert lines[1] == "n,p_minus,p_plus,sup_distance,oracle,error"
+        # each digest the manifest lists is that of the bytes on disk
+        listed = dict(line.split(",") for line in
+                      (out / "manifest.csv").read_text().splitlines()[2:])
+        assert sorted(listed) == ["minimizers.csv", "solver_trace.csv"]
+        for name, digest in listed.items():
+            assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest(), name
 
     @pytest.mark.parametrize("old, new, label", [
         ("a = one", "a = constant:abc", "[density] a"),
@@ -319,6 +328,23 @@ class TestRun:
         code = main(["gamma-study", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert label in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, subcommand, key, raw", [
+        # a negative threshold fails every verdict
+        ("norms.ini", "norms", "threshold", "-1"),
+        # a zero probe is the zero field, whose power integral passes vacuously
+        ("dichotomy_low.ini", "dichotomy", "probe_scale", "0"),
+        ("dichotomy_low.ini", "dichotomy", "probe_scale", "-0.5"),
+    ])
+    def test_out_of_range_study_value_is_config_error(self, tmp_path, capsys, name,
+                                                      subcommand, key, raw):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(with_key(re.sub(rf"(?m)^{key} = .*\n", "", config_text(name)),
+                                "study", key, raw))
+        code = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"[study] {key}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_csv_mode_follows_umask(self, tmp_path):
         old = os.umask(0o022)
@@ -338,6 +364,34 @@ class TestRun:
         assert header == ["check", "trials", "failures", "passed"]
         for line in lines[2:]:
             assert line.split(",")[3] == "1"
+
+
+class TestWriteCsv:
+    def test_raising_rows_leave_the_old_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"old\n")
+
+        def rows():
+            # more than one write buffer reaches the temp file before the failure
+            for i in range(20000):
+                yield i, 0.25 * i
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            cli._write_csv(str(path), ("a", "b"), rows(), "0" * 64, 0)
+        assert path.read_bytes() == b"old\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_memory_does_not_grow_with_the_rows(self, tmp_path):
+        rows = ((i // 1000, 0, i, 1.0 / (i + 1)) for i in range(120_000))
+        tracemalloc.start()
+        try:
+            cli._write_csv(str(tmp_path / "t.csv"), ("n", "stage", "step", "objective"),
+                           rows, "0" * 64, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 def readme_config_table():
