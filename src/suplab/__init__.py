@@ -43,7 +43,6 @@ from .gamma_lab import (
 from .measure_tools import DiscreteYoungMeasure, barycenter, jensen_check, young_q_limit
 from .reports import RelationCheck, RelationReport, Table, eventually_decreasing
 from .solve import (
-    SolverSettings,
     SolveResult,
     minimize_power,
     oracle_minimizer_1d,

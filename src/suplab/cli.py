@@ -1,13 +1,14 @@
 """Configuration parsing, study execution, and CSV report emission.
 
-Configs are flat INI documents with five sections: [density], [mesh],
-[exponents], [solver], [study]; one table (``_SCHEMA``) names each
-section's keys and the parser of each value.  [density] a and [exponents]
-profile are named profiles (:func:`suplab.gamma_lab.named_profile`).  Every
-contract the studies rely on is checked at parse time and violations are
-reported by key path, citing the hypothesis label (H1 level convexity, H2
-growth).  The exponent growth (pn1) and ratio bound (pn2) hold by
-construction: p_n = n * profile has beta = max(profile) / min(profile).
+Configs are flat INI documents with four sections: [density], [mesh],
+[exponents], [study] (the solver has no settings); one table (``_SCHEMA``)
+names each section's keys and the parser of each value.  [density] a and
+[exponents] profile are named profiles
+(:func:`suplab.gamma_lab.named_profile`).  Every contract the studies rely
+on is checked at parse time and violations are reported by key path,
+citing the hypothesis label (H1 level convexity, H2 growth).  The exponent
+growth (pn1) and ratio bound (pn2) hold by construction: p_n = n * profile
+has beta = max(profile) / min(profile).
 
     suplab <subcommand> --config <path> --out <dir> [--seed <u64>]
 
@@ -51,7 +52,6 @@ from .gamma_lab import (
     run_norm_gamma_study,
     run_norm_limit,
 )
-from .solve import SolverSettings
 from .verification import full_verification
 
 __all__ = ["ConfigError", "RunManifest", "parse_config", "run", "main"]
@@ -115,7 +115,6 @@ _SCHEMA = {
     "mesh": {"dimension": int, "extent": _floats, "cells": _ints, "boundary": str,
              "g0": _float, "g1": _float, "c0": _float, "cx": _float, "cy": _float},
     "exponents": {"profile": str, "n_schedule": _ints},
-    "solver": {"epsilons": _floats, "tol": _float, "max_iter": int},
     "study": {"kind": str, "threshold": _float, "probe_scale": _float},
 }
 
@@ -129,6 +128,12 @@ _FAMILY_KEYS = {
     "custom": {"a", "rule", "alpha", "gamma", "level_convex"},
 }
 
+# [mesh] boundary -> its trace keys with their defaults, in the order of the
+# BoundarySpec constructor of that name; a trace in d dimensions reads the
+# first 1 + d (an affine one: c0 and a slope per axis)
+_TRACE_KEYS = {"endpoints": {"g0": 0.0, "g1": 1.0},
+               "affine": {"c0": 0.0, "cx": 1.0, "cy": 0.0}}
+
 
 def _profile(section, key, name, grid):
     try:
@@ -141,13 +146,13 @@ def parse_config(text: str) -> StudyConfig:
     """Validate an INI study document and build the StudyConfig.
 
     Unknown sections or keys, values their key's parser rejects (every
-    float must be finite), and ``[density]`` keys the chosen family does
-    not read are errors naming the offender; hypothesis violations are
-    errors citing the label.  A key the document leaves out takes its
-    default from :class:`DensitySpec`'s constructors,
-    :class:`SolverSettings` or :class:`StudyConfig`; only the ``[mesh]``
-    keys, ``[density] family`` and ``[study] kind`` have their defaults
-    here.
+    float must be finite), and keys the chosen ``[density]`` family,
+    ``[mesh]`` trace or ``[study]`` kind does not read are errors naming
+    the offender; hypothesis violations are errors citing the label.  A
+    key the document leaves out takes its default from
+    :class:`DensitySpec`'s constructors or :class:`StudyConfig`; only the
+    ``[mesh]`` keys, ``[density] family`` and ``[study] kind`` have their
+    defaults here.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -177,15 +182,13 @@ def parse_config(text: str) -> StudyConfig:
     if len(cells) == 1 and dimension == 2:
         cells = cells * 2
     bkind = m.get("boundary", "endpoints" if dimension == 1 else "affine")
-    if bkind == "endpoints":
-        boundary = BoundarySpec.endpoints(m.get("g0", 0.0), m.get("g1", 1.0))
-    elif bkind == "affine":
-        slopes = [m.get("cx", 1.0)]
-        if dimension == 2:
-            slopes.append(m.get("cy", 0.0))
-        boundary = BoundarySpec.affine(m.get("c0", 0.0), *slopes)
-    else:
+    if bkind not in _TRACE_KEYS:
         raise ConfigError(f"[mesh] boundary: unknown trace kind {bkind!r}")
+    trace = dict(itertools.islice(_TRACE_KEYS[bkind].items(), 1 + dimension))
+    for key in m:
+        if key not in trace and key not in ("dimension", "extent", "cells", "boundary"):
+            raise ConfigError(f"[mesh] {key}: not used by trace {bkind}")
+    boundary = getattr(BoundarySpec, bkind)(*(m.get(k, v) for k, v in trace.items()))
     try:
         mesh = MeshSpec(dimension, extents, cells, boundary)
     except (StructuralError, PreconditionError) as exc:
@@ -236,28 +239,27 @@ def parse_config(text: str) -> StudyConfig:
                 f"xi1={w['xi1']}, xi2={w['xi2']}, theta={w['theta']:.4g}"
             )
 
-    # exponents, solver, study: the dataclasses supply every key left out
+    # exponents, study: StudyConfig supplies every key left out
     exponents = sections["exponents"]
     if "profile" in exponents:
         _profile("exponents", "profile", exponents["profile"], grid)
-    try:
-        solver = SolverSettings(**sections["solver"])
-    except StructuralError as exc:
-        raise ConfigError(f"[solver]: {exc}") from exc
     study = sections["study"]
+    kind = study.pop("kind", "norm_gamma")
+    if kind not in STUDY_KINDS:
+        raise ConfigError(f"[study] kind: unknown study kind {kind!r}")
+    for key in study:
+        if key not in STUDY_KINDS[kind]:
+            raise ConfigError(f"[study] {key}: not used by kind {kind}")
     # a negative threshold fails every verdict; a zero probe passes vacuously
     if study.get("threshold", 0.0) < 0:
         raise ConfigError(f"[study] threshold: must be >= 0, got {study['threshold']!r}")
     if study.get("probe_scale", 1.0) <= 0:
         raise ConfigError(f"[study] probe_scale: must be > 0, got {study['probe_scale']!r}")
-    kind = study.pop("kind", "norm_gamma")
     try:
-        return StudyConfig(kind=kind, density=density, mesh=mesh, solver=solver,
-                           **exponents, **study)
+        return StudyConfig(kind=kind, density=density, mesh=mesh, **exponents, **study)
     except (StructuralError, PreconditionError) as exc:
-        # every check but the kind's is on the exponent sequence
-        section = "[exponents]" if kind in STUDY_KINDS else "[study] kind"
-        raise ConfigError(f"{section}: {exc}") from exc
+        # the kind is known, so every check left is on the exponent sequence
+        raise ConfigError(f"[exponents]: {exc}") from exc
 
 
 def _fmt(value) -> str:
@@ -324,12 +326,12 @@ def run(subcommand: str, config_path: str, out_dir: str, seed: int = 0) -> RunMa
         raise ConfigError(
             f"[study] kind: subcommand {subcommand!r} needs kind {kind!r}, got {cfg.kind!r}"
         )
-    # the output directory exists only once the config is accepted
-    os.makedirs(out_dir, exist_ok=True)
     if kind is None:
         table = full_verification(seed=seed, density=cfg.density)
     else:
         table = globals()[runner](cfg)
+    # the output directory exists only once the config and the runner accept
+    os.makedirs(out_dir, exist_ok=True)
 
     outputs = [(subcommand.replace("-", "_") + ".csv", table.columns, table.rows)]
     if "traces" in table.meta:

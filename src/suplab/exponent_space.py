@@ -29,6 +29,8 @@ from .reports import RelationReport, Table, eventually_decreasing
 __all__ = [
     "OVERFLOW_LOG",
     "ROOT_RTOL",
+    "RELATION_TOL",
+    "POWER_IDENTITY_RTOL",
     "StructuralError",
     "GridMismatchError",
     "PreconditionError",
@@ -62,6 +64,12 @@ ROOT_RTOL = 1e-12
 # convergent roots take 3-9 Newton steps (quadratic near the root), so
 # reaching this cap means the iteration is not converging
 _ROOT_MAX_STEPS = 200
+
+# slack of the norm/modular relations (absolute on norms and modulars) and of
+# the Hoelder and embedding bounds (relative), and the power rescaling
+# identity's largest relative gap between its two sides
+RELATION_TOL = 1e-9
+POWER_IDENTITY_RTOL = 1e-8
 
 
 class StructuralError(ValueError):
@@ -431,7 +439,7 @@ def _norm_rows(logw, logmag, pv):
     return luxemburg_root(logw + pv * logmag, pv)
 
 
-def _norm_modular_rows(vals, logw, pv, tol=1e-9) -> RelationReport:
+def _norm_modular_rows(vals, logw, pv) -> RelationReport:
     """Core of :func:`verify_norm_modular_relations` on a chunk of instances."""
     pm, pp = _exponent_bounds(pv, logw > -np.inf)
     logm = _logsumexp(logw)
@@ -442,14 +450,14 @@ def _norm_modular_rows(vals, logw, pv, tol=1e-9) -> RelationReport:
 
     # log-scale tolerance; power comparisons amplify the root's error in
     # log lam by up to p_plus
-    tol_log = tol * (1.0 + pp)
+    tol_log = RELATION_TOL * (1.0 + pp)
 
     # the zero function (lam = 0) has its own outcomes, so its logs are
     # replaced by 0 before the comparisons
     zero = lam == 0.0
     loglam = np.log(np.where(zero, 1.0, lam))
     lr0 = np.where(zero, 0.0, lr)
-    s_lam = np.sign(loglam) * (np.abs(loglam) > tol)
+    s_lam = np.sign(loglam) * (np.abs(loglam) > RELATION_TOL)
     s_rho = np.sign(lr0) * (np.abs(lr0) > tol_log)
     # a value pinned to the unit sphere within float noise cannot
     # contradict the other side's classification
@@ -459,7 +467,7 @@ def _norm_modular_rows(vals, logw, pv, tol=1e-9) -> RelationReport:
     inside, outside, strictly_inside = s_lam <= 0, s_lam > 0, s_lam < 0
     root_lo = np.minimum(lr0 / pm, lr0 / pp)
     root_hi = np.maximum(lr0 / pm, lr0 / pp)
-    zero_inside = (rho <= tol, tol - rho)
+    zero_inside = (rho <= RELATION_TOL, RELATION_TOL - rho)
 
     rep = RelationReport("norm/modular relations")
 
@@ -480,7 +488,7 @@ def _norm_modular_rows(vals, logw, pv, tol=1e-9) -> RelationReport:
         note=lambda w: "zero function" if zero[w]
         else f"log norm = {loglam[w]:.3e}, log modular = {lr[w]:.3e}")
     rep.add_rows("modular_dominated_inside",
-                 *vacuous_unless(inside, rho <= lam + tol, lam - rho, *zero_inside),
+                 *vacuous_unless(inside, rho <= lam + RELATION_TOL, lam - rho, *zero_inside),
                  note=vacuous_note(inside, "vacuous (norm > 1)", ""))
     rep.add_rows("modular_dominates_outside",
                  *vacuous_unless(outside, loglam <= lr0 + tol_log, lr0 - loglam),
@@ -505,11 +513,12 @@ def _norm_modular_rows(vals, logw, pv, tol=1e-9) -> RelationReport:
 
     log_norm_one = np.log(luxemburg_root(logw, pv))
     bound = np.maximum(logm / pm, logm / pp)
-    rep.add_rows("constant_one_norm_bound", log_norm_one <= bound + tol, bound - log_norm_one)
+    rep.add_rows("constant_one_norm_bound", log_norm_one <= bound + RELATION_TOL,
+                 bound - log_norm_one)
     return rep
 
 
-def verify_norm_modular_relations(u: GridFunction, p: ExponentField, tol=1e-9) -> RelationReport:
+def verify_norm_modular_relations(u: GridFunction, p: ExponentField) -> RelationReport:
     """Check every norm/modular relation of the bounded-exponent space on (u, p).
 
     Covers the unit-ball equivalences, the one-sided dominations inside and
@@ -522,10 +531,10 @@ def verify_norm_modular_relations(u: GridFunction, p: ExponentField, tol=1e-9) -
     _require_scalar(u)
     _require_same_grid(u, p)
     vals, logw, pv = _one_row(u, p)
-    return _norm_modular_rows(vals, logw, pv, tol)
+    return _norm_modular_rows(vals, logw, pv)
 
 
-def _holder_rows(fv, gv, logw, pv, qv, sv, tol=1e-9) -> RelationReport:
+def _holder_rows(fv, gv, logw, pv, qv, sv) -> RelationReport:
     """Core of :func:`holder_check` on a chunk of instances."""
     live = logw > -np.inf
     defect = _live_max(np.abs(1.0 / sv - 1.0 / pv - 1.0 / qv), live).max()
@@ -539,7 +548,7 @@ def _holder_rows(fv, gv, logw, pv, qv, sv, tol=1e-9) -> RelationReport:
     const = _live_max(sv / pv, live) + _live_max(sv / qv, live)
     rhs = const * norm_f * norm_g
     rep = RelationReport("Hoelder inequality")
-    rep.add_rows("product_norm_bound", lhs <= rhs * (1.0 + tol), rhs - lhs,
+    rep.add_rows("product_norm_bound", lhs <= rhs * (1.0 + RELATION_TOL), rhs - lhs,
                  note=lambda w: f"constant = {const[w]:.6g}")
 
     # s identically 1: the classical pairing bound with constant
@@ -551,14 +560,14 @@ def _holder_rows(fv, gv, logw, pv, qv, sv, tol=1e-9) -> RelationReport:
         const2 = 1.0 / pm + (1.0 - 1.0 / pp)
         rhs2 = const2 * norm_f * norm_g
         rep.add_rows("dual_pairing_bound",
-                     ~unit_s | (integral <= rhs2 * (1.0 + tol)),
+                     ~unit_s | (integral <= rhs2 * (1.0 + RELATION_TOL)),
                      np.where(unit_s, rhs2 - integral, np.inf),
                      note=lambda w: f"constant = {const2[w]:.6g}")
     return rep
 
 
 def holder_check(f: GridFunction, g: GridFunction, p: ExponentField, q: ExponentField,
-                 s: ExponentField, tol=1e-9) -> RelationReport:
+                 s: ExponentField) -> RelationReport:
     """Hoelder bound ||fg||_s <= ((s/p)+ + (s/q)+) ||f||_p ||g||_q.
 
     Requires 1/s = 1/p + 1/q cell-wise.  When s is identically 1 the
@@ -569,10 +578,10 @@ def holder_check(f: GridFunction, g: GridFunction, p: ExponentField, q: Exponent
     _require_scalar(g)
     _require_same_grid(f, g, p, q, s)
     fv, logw, gv, pv, qv, sv = _one_row(f, g, p, q, s)
-    return _holder_rows(fv, gv, logw, pv, qv, sv, tol)
+    return _holder_rows(fv, gv, logw, pv, qv, sv)
 
 
-def _power_identity_rows(vals, logw, pv, s, rtol=1e-8) -> RelationReport:
+def _power_identity_rows(vals, logw, pv, s) -> RelationReport:
     """Core of :func:`power_identity_check` on a chunk, one power s (B,) per instance."""
     pm, _ = _exponent_bounds(pv, logw > -np.inf)
     bad = ~((1.0 < s) & (s < pm))
@@ -585,17 +594,18 @@ def _power_identity_rows(vals, logw, pv, s, rtol=1e-8) -> RelationReport:
     lhs = _norm_rows(logw, s[:, None] * logmag, ps) ** (1.0 / s)
     rel = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
     rep = RelationReport("power rescaling identity")
-    rep.add_rows("power_rescaling_identity", rel <= rtol, rtol - rel,
+    rep.add_rows("power_rescaling_identity", rel <= POWER_IDENTITY_RTOL,
+                 POWER_IDENTITY_RTOL - rel,
                  note=lambda w: f"lhs = {lhs[w]:.12g}, rhs = {rhs[w]:.12g}")
     return rep
 
 
-def power_identity_check(u: GridFunction, p: ExponentField, s: float, rtol=1e-8) -> RelationReport:
+def power_identity_check(u: GridFunction, p: ExponentField, s: float) -> RelationReport:
     """Check ||  |u|^s ||_{p/s}^{1/s} = ||u||_p for 1 < s < p_minus."""
     _require_scalar(u)
     _require_same_grid(u, p)
     vals, logw, pv = _one_row(u, p)
-    return _power_identity_rows(vals, logw, pv, np.array([float(s)]), rtol)
+    return _power_identity_rows(vals, logw, pv, np.array([float(s)]))
 
 
 def embedding_constant(m, q, p_minus, p_plus, beta):
@@ -609,7 +619,7 @@ def embedding_constant(m, q, p_minus, p_plus, beta):
     return measure * (1.0 + q * (beta - 1.0) / p_plus) ** (1.0 / q)
 
 
-def _embedding_rows(vals, logw, pv, q, beta, tol=1e-9) -> RelationReport:
+def _embedding_rows(vals, logw, pv, q, beta) -> RelationReport:
     """Core of :func:`embedding_bound_check` on a chunk, one q and beta (B,) per instance."""
     pm, pp = _exponent_bounds(pv, logw > -np.inf)
     bad = ~((1.0 <= q) & (q <= pm * (1 + 1e-12)))
@@ -628,13 +638,13 @@ def _embedding_rows(vals, logw, pv, q, beta, tol=1e-9) -> RelationReport:
     lhs = np.exp(_logsumexp(logw + q[:, None] * logmag) / q)
     rhs = embedding_constant(m, q, pm, pp, beta) * _norm_rows(logw, logmag, pv)
     rep = RelationReport("embedding bound")
-    rep.add_rows("classical_norm_dominated", lhs <= rhs * (1.0 + tol), rhs - lhs,
+    rep.add_rows("classical_norm_dominated", lhs <= rhs * (1.0 + RELATION_TOL), rhs - lhs,
                  note=lambda w: f"q = {q[w]}, beta = {beta[w]}")
     return rep
 
 
 def embedding_bound_check(u: GridFunction, p: ExponentField, q: float,
-                          beta=None, tol=1e-9) -> RelationReport:
+                          beta=None) -> RelationReport:
     """Classical-q-norm control by the variable-exponent norm on finite measure.
 
     ||u||_q <= C ||u||_p for 1 <= q <= p_minus, with C the
@@ -646,7 +656,7 @@ def embedding_bound_check(u: GridFunction, p: ExponentField, q: float,
     if beta is None:
         beta = p.p_plus / p.p_minus
     vals, logw, pv = _one_row(u, p)
-    return _embedding_rows(vals, logw, pv, np.array([float(q)]), np.array([float(beta)]), tol)
+    return _embedding_rows(vals, logw, pv, np.array([float(q)]), np.array([float(beta)]))
 
 
 def norm_limit_study(u: GridFunction, seq: ExponentSequence, n_values) -> Table:

@@ -27,7 +27,7 @@ minimizer seeds the next exponent's descent); results are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .exponent_space import (
 from .reports import Table, eventually_decreasing
 from .solve import (
     FUNCTIONAL_NORM,
-    SolverSettings,
     minimize_power,
     oracle_minimizer_1d,
     supremal_oracle_1d,
@@ -63,7 +62,10 @@ __all__ = [
     "run_norm_limit",
 ]
 
-STUDY_KINDS = ("norm_gamma", "integral_dichotomy", "norm_limit", "constant_exponent")
+# study kind -> the StudyConfig fields its runner reads besides the mesh,
+# density and exponent schedule
+STUDY_KINDS = {"norm_gamma": {"threshold"}, "integral_dichotomy": {"probe_scale"},
+               "norm_limit": {"threshold", "probe_scale"}, "constant_exponent": {"threshold"}}
 
 # the dichotomy study: the probe's supremal value must be at least this far
 # from 1, and the power integral must end above DIVERGENCE_THRESHOLD (or
@@ -114,14 +116,13 @@ def named_profile(name: str, grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Everything a study needs: density, mesh, exponent schedule, solver knobs."""
+    """Everything a study needs: density, mesh, exponent schedule, threshold, probe scale."""
 
     kind: str
     density: DensitySpec
     mesh: MeshSpec
     profile: str = "sine"
     n_schedule: tuple = (4, 8, 16, 32, 64)
-    solver: SolverSettings = field(default_factory=SolverSettings)
     threshold: float = 0.02
     probe_scale: float = 1.0
 
@@ -191,8 +192,7 @@ def _solve_sweep(cfg: StudyConfig):
     warm = None
     for n in cfg.n_schedule:
         p = seq.field(n)
-        res = minimize_power(FUNCTIONAL_NORM, cfg.density, p, cfg.mesh,
-                             settings=cfg.solver, init=warm)
+        res = minimize_power(FUNCTIONAL_NORM, cfg.density, p, cfg.mesh, init=warm)
         warm = res.field
         sweep.append((n, p, res))
     meta = {"traces": {n: res.traces for n, _, res in sweep},

@@ -20,6 +20,7 @@ from .reports import RelationReport, Table, eventually_decreasing
 
 __all__ = [
     "DEFAULT_Q_SCHEDULE",
+    "JENSEN_TOL",
     "DiscreteYoungMeasure",
     "barycenter",
     "jensen_check",
@@ -28,6 +29,9 @@ __all__ = [
 
 # error decays like log(.)/q, so a geometric schedule shows the trend in few rows
 DEFAULT_Q_SCHEDULE = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+
+# f(mean) may exceed the max over the atoms by JENSEN_TOL (1 + |max|)
+JENSEN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -66,10 +70,6 @@ class DiscreteYoungMeasure:
             cleaned.append((pts, wts))
         object.__setattr__(self, "atoms", tuple(cleaned))
 
-    @property
-    def point_dim(self) -> int:
-        return self.atoms[0][0].shape[1]
-
     @classmethod
     def from_field(cls, Du: GridFunction) -> "DiscreteYoungMeasure":
         """The deterministic measure: one unit atom at Du(x) per cell."""
@@ -84,7 +84,7 @@ def barycenter(mu: DiscreteYoungMeasure) -> GridFunction:
     return GridFunction(mu.grid, vals)
 
 
-def jensen_check(f, cell, u_val, atoms, tol=1e-10) -> RelationReport:
+def jensen_check(f, cell, u_val, atoms) -> RelationReport:
     """Check f(x, u, mean) <= max over atoms of f(x, u, atom), for one trial or a batch.
 
     Over a finite support the measure-essential supremum is the plain max.
@@ -124,7 +124,7 @@ def jensen_check(f, cell, u_val, atoms, tol=1e-10) -> RelationReport:
     atom_vals[live] = values(np.nonzero(live)[0], pts[live])
     rhs = atom_vals.max(axis=1)
     margin = rhs - lhs
-    bad = lhs > rhs + tol * (1.0 + np.abs(rhs))
+    bad = lhs > rhs + JENSEN_TOL * (1.0 + np.abs(rhs))
     w = int(np.argmax(bad)) if bad.any() else int(np.argmin(margin))
     rep = RelationReport("Jensen bound over atoms")
     rep.add(

@@ -91,19 +91,24 @@ class Table:
         return all(self.verdicts.values())
 
 
-def eventually_decreasing(values, min_tail=2, rtol=1e-12) -> bool:
-    """True when the trailing run of nonincreasing values has length >= min_tail.
+# eventually_decreasing: the shortest tail that counts and the rise it forgives
+MIN_TAIL = 2
+TAIL_RTOL = 1e-12
+
+
+def eventually_decreasing(values) -> bool:
+    """True when the trailing run of nonincreasing values has length >= MIN_TAIL.
 
     The checked sequences (norm errors, minimum gaps) may rise at first; the
     verdict only requires a monotone tail inside the produced range.
     """
     vals = list(values)
-    if len(vals) < min_tail:
+    if len(vals) < MIN_TAIL:
         return True
     tail = 1
     for i in range(len(vals) - 1, 0, -1):
-        if vals[i] <= vals[i - 1] * (1.0 + rtol) + rtol:
+        if vals[i] <= vals[i - 1] * (1.0 + TAIL_RTOL) + TAIL_RTOL:
             tail += 1
         else:
             break
-    return tail >= min_tail
+    return tail >= MIN_TAIL

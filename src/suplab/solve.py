@@ -7,9 +7,9 @@ evaluated a batch at a time, in one pass of the stencil and the density
 table over a stack of trial iterates, and the density state of the accepted
 iterate is kept, so the density is computed once per batch and once per
 stage; the iterates are those of one-trial-at-a-time backtracking.
-:class:`SolverSettings` holds only the smoothing schedule, the stopping
-tolerance and the iteration budget; the line-search constants and the norm
-form's steps per refresh are fixed module constants.  Both objectives are
+The smoothing schedule, the stopping tolerance, the iteration budget, the
+line-search constants and the norm form's steps per refresh are fixed
+module constants.  Both objectives are
 evaluated and differentiated entirely in the log domain, so exponents in
 the hundreds never overflow:
 
@@ -59,7 +59,6 @@ from .exponent_space import (
 __all__ = [
     "FUNCTIONAL_NORM",
     "FUNCTIONAL_INTEGRAL",
-    "SolverSettings",
     "SolveResult",
     "minimize_power",
     "supremal_oracle_1d",
@@ -69,6 +68,12 @@ __all__ = [
 
 FUNCTIONAL_NORM = "norm"
 FUNCTIONAL_INTEGRAL = "integral"
+
+# smoothing continuation, one stage per eps; a stage stops once the objective
+# drops by less than _TOL (relative for the norm) or after _MAX_ITER steps
+_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+_TOL = 1e-10
+_MAX_ITER = 20000
 
 # diminishing returns pushing the scaled modular far below one before the
 # norm is refreshed: the norm moves by at most exp(J / p_minus)
@@ -85,25 +90,6 @@ _TRIALS = 4
 
 # norm form: descent steps between two norm refreshes
 _INNER_STEPS = 10
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """Continuation schedule and stopping control."""
-
-    epsilons: tuple = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-    tol: float = 1e-10
-    max_iter: int = 20000
-
-    def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilons)
-        if len(eps) == 0 or any(e <= 0 for e in eps):
-            raise StructuralError("smoothing schedule must be positive")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise StructuralError("smoothing schedule must be strictly decreasing")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise StructuralError("need a positive tolerance and iteration budget")
-        object.__setattr__(self, "epsilons", eps)
 
 
 @dataclass
@@ -132,11 +118,10 @@ class _Descent:
     warm step survives across run() calls within a stage.
     """
 
-    def __init__(self, mesh, spec, eps, settings, u):
+    def __init__(self, mesh, spec, eps, u):
         self.mesh = mesh
         self.spec = spec
         self.eps = eps
-        self.settings = settings
         self.t0 = _STEP_INIT
         # smoothed built-in densities vanish only where a coefficient does
         self.positive = (spec.family == "shifted_norm"
@@ -202,14 +187,13 @@ class _Descent:
             trace.append(phi)
             iters += 1
             self.t0 = t * 4.0
-            if drop < self.settings.tol or phi < stop_floor:
+            if drop < _TOL or phi < stop_floor:
                 break
         return trace, iters, stagnated, gnorm
 
 
 def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
-                   mesh: MeshSpec, settings: SolverSettings | None = None,
-                   init: DiscreteField | None = None) -> SolveResult:
+                   mesh: MeshSpec, init: DiscreteField | None = None) -> SolveResult:
     """Minimize the chosen power-law functional over the interior nodes.
 
     ``functional`` is ``"norm"`` (variable-exponent norm of the density
@@ -220,7 +204,6 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
     """
     if functional not in (FUNCTIONAL_NORM, FUNCTIONAL_INTEGRAL):
         raise PreconditionError(f"unknown functional {functional!r}")
-    settings = settings or SolverSettings()
     grid = mesh.grid()
     if p.grid.n_cells != grid.n_cells:
         raise StructuralError("exponent field does not live on the mesh cells")
@@ -245,16 +228,16 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
         def term_logs(logf):
             return logw - log_p + pv * logf, pv
 
-        for eps in settings.epsilons:
-            descent = _Descent(mesh, density, eps, settings, u)
-            trace, iters, stag, residual = descent.run(term_logs, settings.max_iter)
+        for eps in _EPSILONS:
+            descent = _Descent(mesh, density, eps, u)
+            trace, iters, stag, residual = descent.run(term_logs, _MAX_ITER)
             u = descent.u
             traces.append(tuple(_linear(np.array(trace)).tolist()))
             total_iters += iters
             stagnated = stagnated or stag
     else:
-        for eps in settings.epsilons:
-            descent = _Descent(mesh, density, eps, settings, u)
+        for eps in _EPSILONS:
+            descent = _Descent(mesh, density, eps, u)
             lam = descent.norm(logw, pv)
             trace = [lam]
             if lam == 0.0:
@@ -262,13 +245,13 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
                 residual = 0.0
                 continue
             stage_iters = 0
-            while stage_iters < settings.max_iter:
+            while stage_iters < _MAX_ITER:
                 loglam = np.log(lam)
 
                 def term_logs(logf, _ll=loglam):
                     return logw + pv * (logf - _ll), pv
 
-                inner = min(_INNER_STEPS, settings.max_iter - stage_iters)
+                inner = min(_INNER_STEPS, _MAX_ITER - stage_iters)
                 _, iters, stag, residual = descent.run(
                     term_logs, inner, stop_floor=-_INNER_LOG_DROP
                 )
@@ -279,7 +262,7 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
                     break
                 lam_new = descent.norm(logw, pv)
                 trace.append(lam_new)
-                if lam - lam_new < settings.tol * max(lam_new, 1e-300):
+                if lam - lam_new < _TOL * max(lam_new, 1e-300):
                     lam = lam_new
                     break
                 lam = lam_new

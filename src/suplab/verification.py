@@ -179,7 +179,7 @@ def holder_suite(rng, instances=200) -> Table:
     return _suite_table("holder_inequality", instances, failures, "holder_zero_failures")
 
 
-def power_identity_suite(rng, instances=200, rtol=1e-8) -> Table:
+def power_identity_suite(rng, instances=200) -> Table:
     failures = 0
     for size in _chunks(instances):
         logws, us, ps, powers = [], [], [], []
@@ -189,7 +189,7 @@ def power_identity_suite(rng, instances=200, rtol=1e-8) -> Table:
             us.append(_values_draw(rng, logws[-1].size))
             powers.append(float(rng.uniform(1.0 + 1e-6, float(np.min(ps[-1])) - 1e-9)))
         rep = _power_identity_rows(_stack(us, 0.0), _stack(logws, -np.inf), _stack(ps, 1.0),
-                                   np.array(powers), rtol=rtol)
+                                   np.array(powers))
         failures += int(rep.meta["failing"].sum())
     return _suite_table("power_rescaling_identity", instances, failures,
                         "power_identity_zero_failures")

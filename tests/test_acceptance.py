@@ -1,15 +1,22 @@
 """Acceptance gate: one test per published criterion, each printing a
-pass/fail line with its measured numbers (run with -s to see them)."""
+pass/fail line with its measured numbers (run with -s to see them), and one
+pinning the tolerances and solver constants the criteria are met with."""
 
 import os
 import time
 
 import numpy as np
 
+from suplab import exponent_space, measure_tools, reports, solve
 from suplab.cli import run as cli_run
 from suplab.discretize import BoundarySpec, MeshSpec
 from suplab.energy import DensitySpec
-from suplab.exponent_space import ExponentSequence, Grid, GridFunction
+from suplab.exponent_space import (
+    POWER_IDENTITY_RTOL,
+    ExponentSequence,
+    Grid,
+    GridFunction,
+)
 from suplab.gamma_lab import (
     StudyConfig,
     run_integral_dichotomy_study,
@@ -61,10 +68,11 @@ def test_criterion_01_norm_modular_relations():
 
 
 def test_criterion_02_power_identity():
-    table = power_identity_suite(np.random.default_rng(2025), instances=200, rtol=1e-8)
+    table = power_identity_suite(np.random.default_rng(2025), instances=200)
     failures = table.rows[0][2]
     report(2, failures == 0,
-           f"power rescaling identity at 1e-8 on 200 instances: {failures} failures")
+           f"power rescaling identity at {POWER_IDENTITY_RTOL:g} on 200 instances: "
+           f"{failures} failures")
 
 
 def test_criterion_03_embedding_bound():
@@ -207,3 +215,16 @@ def test_criterion_10_determinism(tmp_path):
         == (tmp_path / "vb" / "verify.csv").read_bytes()
     )
     report(10, identical, "repeated runs with a fixed seed emit byte-identical CSVs")
+
+
+def test_gates_keep_their_values():
+    # a gate is never loosened: each is the value the criteria were first
+    # met with, and the solver's schedule, tolerance and budget likewise
+    assert exponent_space.RELATION_TOL == 1e-9
+    assert exponent_space.POWER_IDENTITY_RTOL == 1e-8
+    assert measure_tools.JENSEN_TOL == 1e-10
+    assert reports.TAIL_RTOL == 1e-12
+    assert reports.MIN_TAIL == 2
+    assert solve._EPSILONS == (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    assert solve._TOL == 1e-10
+    assert solve._MAX_ITER == 20000

@@ -8,7 +8,6 @@ import pytest
 
 from suplab import cli
 from suplab.cli import ConfigError, main, parse_config, run
-from suplab.solve import SolverSettings
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -67,8 +66,7 @@ REMOVED_KEYS = [
 FLOAT_KEYS = [
     ("density", "b"), ("density", "alpha"), ("density", "gamma"),
     ("mesh", "extent"), ("mesh", "g0"), ("mesh", "g1"), ("mesh", "c0"), ("mesh", "cx"),
-    ("mesh", "cy"), ("solver", "epsilons"), ("solver", "tol"), ("study", "threshold"),
-    ("study", "probe_scale"),
+    ("mesh", "cy"), ("study", "threshold"), ("study", "probe_scale"),
 ]
 
 
@@ -95,20 +93,19 @@ class TestParseConfig:
         assert cfg.mesh.cells == (64,)
         assert cfg.sequence().beta == 1.0
         assert cfg.n_schedule == (4, 8)
-        assert cfg.solver.epsilons[0] == pytest.approx(0.1)
-        assert cfg.solver == SolverSettings()
         assert cfg.threshold == pytest.approx(0.02)
 
-    def test_solver_keys_reach_the_settings(self):
-        cfg = parse_config(MINIMAL + "\n[solver]\nepsilons = 1e-1 1e-3\ntol = 1e-8\nmax_iter = 50\n")
-        assert cfg.solver == SolverSettings(epsilons=(1e-1, 1e-3), tol=1e-8, max_iter=50)
-
     @pytest.mark.parametrize("key", [
+        "epsilons", "tol", "max_iter",
         "step_init", "step_shrink", "sufficient_decrease", "max_backtracks", "inner_steps",
     ])
-    def test_removed_solver_key_is_unknown(self, key):
-        with pytest.raises(ConfigError, match=rf"\[solver\] {key}: unknown key"):
-            parse_config(MINIMAL + f"\n[solver]\n{key} = 1\n")
+    def test_removed_solver_key_is_unknown(self, tmp_path, capsys, key):
+        # the solver has no settings, so the whole section is unknown
+        cfg = tmp_path / "solver.ini"
+        cfg.write_text(MINIMAL + f"\n[solver]\n{key} = 1\n")
+        code = main(["gamma-study", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "[solver]: unknown section" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key", REMOVED_KEYS,
                              ids=[key for _, key in REMOVED_KEYS])
@@ -156,6 +153,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(doc + "\n[mesh]\ncells = 16\n")
         assert str(err.value) == f"[density] {key}: not used by family {family}"
+
+    @pytest.mark.parametrize("boundary, key, value", [
+        ("endpoints", "c0", "0.5"), ("endpoints", "cx", "2.0"), ("endpoints", "cy", "1.0"),
+        ("affine", "g0", "0.0"), ("affine", "g1", "1.0"),
+        # a 1-D affine trace has no y slope
+        ("affine", "cy", "1.0"),
+    ])
+    def test_key_the_trace_does_not_read_is_refused(self, boundary, key, value):
+        doc = with_key(with_key(MINIMAL, "mesh", key, value), "mesh", "boundary", boundary)
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert str(err.value) == f"[mesh] {key}: not used by trace {boundary}"
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("norm_gamma", "probe_scale", "2.0"), ("constant_exponent", "probe_scale", "2.0"),
+        ("integral_dichotomy", "threshold", "0.1"),
+    ])
+    def test_key_the_kind_does_not_read_is_refused(self, kind, key, value):
+        doc = with_key(with_key(MINIMAL, "study", key, value), "study", "kind", kind)
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert str(err.value) == f"[study] {key}: not used by kind {kind}"
 
     def test_unknown_family_is_named(self):
         with pytest.raises(ConfigError, match=r"\[density\] family: unknown family 'cubic'"):
@@ -270,6 +289,20 @@ class TestRun:
         )
         code = main(["dichotomy", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("name, subcommand, old, new", [
+        # the probe sits on the dichotomy boundary
+        ("dichotomy_high.ini", "dichotomy", "probe_scale = 2.0", "probe_scale = 1.0"),
+        # closed-form oracles need the weighted-norm density family
+        ("norms.ini", "norms", "family = weighted_norm\na = one", "family = shifted_norm"),
+    ], ids=["probe_on_boundary", "oracle_needs_weighted_norm"])
+    def test_runner_refusal_leaves_no_output_directory(self, tmp_path, name, subcommand,
+                                                       old, new):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(config_text(name).replace(old, new))
+        code = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_gamma_study_small(self, tmp_path):
         cfg = tmp_path / "small.ini"

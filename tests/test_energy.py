@@ -23,7 +23,8 @@ from suplab.exponent_space import (
     luxemburg_norm,
 )
 from suplab.measure_tools import jensen_check
-from suplab.solve import SolverSettings, minimize_power
+from suplab import solve
+from suplab.solve import minimize_power
 
 from _oracles import constant_p_norm
 
@@ -144,20 +145,21 @@ class TestDensityField:
         samples = [eval_density(f, i, u.values[i], xi[i]) for i in range(grid.n_cells)]
         assert np.array_equal(density_field(f, u, du).values, samples)
 
-    def test_per_cell_anisotropic_descent(self):
+    def test_per_cell_anisotropic_descent(self, monkeypatch):
         # in 1-D, one anisotropy weight per cell is the weighted norm
         f = per_cell_anisotropic()
         grid = f.grid
         mesh = MeshSpec(1, (1.0,), (grid.n_cells,), BoundarySpec.endpoints(0.0, 1.0))
         p = ExponentField.constant(grid, 4.0)
-        settings = SolverSettings(epsilons=(1e-2, 1e-3), max_iter=200)
-        res = minimize_power("norm", f, p, mesh, settings)
+        monkeypatch.setattr(solve, "_EPSILONS", (1e-2, 1e-3))
+        monkeypatch.setattr(solve, "_MAX_ITER", 200)
+        res = minimize_power("norm", f, p, mesh)
         du = gradient(res.field).values
         samples = [eval_density(f, i, 0.0, du[i]) for i in range(grid.n_cells)]
         assert res.objective == pytest.approx(
             luxemburg_norm(GridFunction(grid, samples), p), rel=1e-12)
         weighted = DensitySpec.weighted_norm(grid, f.coefficients["a"][:, 0])
-        ref = minimize_power("norm", weighted, p, mesh, settings)
+        ref = minimize_power("norm", weighted, p, mesh)
         assert res.objective == pytest.approx(ref.objective, rel=1e-9)
 
 

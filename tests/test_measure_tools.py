@@ -159,9 +159,9 @@ class TestJensenSuite:
     def test_remainder_batch_runs(self, monkeypatch):
         sizes = []
 
-        def recording(f, cell, u_val, atoms, tol=1e-10):
+        def recording(f, cell, u_val, atoms):
             sizes.append(len(cell))
-            return jensen_check(f, cell, u_val, atoms, tol)
+            return jensen_check(f, cell, u_val, atoms)
 
         monkeypatch.setattr(verification, "jensen_check", recording)
         grid = Grid.uniform_1d(0.0, 1.0, 4)

@@ -16,13 +16,11 @@ from suplab.exponent_space import (
     ExponentField,
     GridFunction,
     PreconditionError,
-    StructuralError,
     _logsumexp,
     luxemburg_root,
 )
 from suplab.gamma_lab import StudyConfig, run_norm_gamma_study
 from suplab.solve import (
-    SolverSettings,
     _Descent,
     minimize_power,
     oracle_minimizer_1d,
@@ -207,7 +205,7 @@ class TestNormMinimization:
 
 
 class TestIntegralMinimization:
-    def test_quadratic_matches_linear_solve(self):
+    def test_quadratic_matches_linear_solve(self, monkeypatch):
         # q = 2, a = 1: the energy is quadratic, so the descent minimizer
         # must agree with the direct solve of the normal equations
         nx = ny = 12
@@ -226,8 +224,10 @@ class TestIntegralMinimization:
 
         f = DensitySpec.weighted_norm(grid, 1.0)
         p = ExponentField.constant(grid, 2.0)
-        settings = SolverSettings(epsilons=(1e-3,), tol=1e-16, max_iter=60000)
-        res = minimize_power("integral", f, p, mesh, settings=settings, init=start)
+        monkeypatch.setattr(solve, "_EPSILONS", (1e-3,))
+        monkeypatch.setattr(solve, "_TOL", 1e-16)
+        monkeypatch.setattr(solve, "_MAX_ITER", 60000)
+        res = minimize_power("integral", f, p, mesh, init=start)
         ref = quadratic_energy_solve_2d(nx, ny, 1.0 / nx, 1.0 / ny, bdry)
         assert np.max(np.abs(res.field.node_values - ref)) < 1e-6
 
@@ -241,22 +241,15 @@ class TestIntegralMinimization:
             finite = [v for v in stage if np.isfinite(v)]
             assert all(b <= a * (1 + 1e-12) for a, b in zip(finite, finite[1:]))
 
-    def test_epsilon_floor_robustness(self):
+    def test_epsilon_floor_robustness(self, monkeypatch):
         mesh = mesh_1d(64)
         grid = mesh.grid()
         f = inverse_weight(grid)
         p = ExponentField.constant(grid, 16.0)
-        base = SolverSettings()
-        halved = SolverSettings(epsilons=base.epsilons + (5e-7,))
-        r1 = minimize_power("norm", f, p, mesh, settings=base)
-        r2 = minimize_power("norm", f, p, mesh, settings=halved)
+        r1 = minimize_power("norm", f, p, mesh)
+        monkeypatch.setattr(solve, "_EPSILONS", solve._EPSILONS + (5e-7,))
+        r2 = minimize_power("norm", f, p, mesh)
         assert abs(r1.objective - r2.objective) / r1.objective < 1e-3
-
-
-class TestSolverSettings:
-    def test_schedule_must_decrease(self):
-        with pytest.raises(StructuralError):
-            SolverSettings(epsilons=(1e-3, 1e-2))
 
 
 def sequential_descent(backtracks):
@@ -307,7 +300,7 @@ def sequential_descent(backtracks):
             trace.append(phi)
             iters += 1
             self.t0 = t * 4.0
-            if drop < self.settings.tol or phi < stop_floor:
+            if drop < solve._TOL or phi < stop_floor:
                 break
         self.u, self.logf, self.dlog = u, parts[2], parts[3]
         return trace, iters, stagnated, gnorm
@@ -379,20 +372,20 @@ def case_stagnation():
 class TestBatchedLineSearch:
     """The batched trials and the cached density state change no iterate."""
 
-    SETTINGS = SolverSettings(epsilons=(1e-1, 1e-2, 1e-3), max_iter=500)
-
     @pytest.mark.parametrize("case", [
         case_variable_exponent, case_anisotropic_2d, case_shifted,
         case_zero_weight_cell, case_integral, case_stagnation,
     ])
     def test_matches_sequential_backtracking(self, monkeypatch, case):
+        monkeypatch.setattr(solve, "_EPSILONS", (1e-1, 1e-2, 1e-3))
+        monkeypatch.setattr(solve, "_MAX_ITER", 500)
         functional, f, p, mesh, init = case()
-        batched = minimize_power(functional, f, p, mesh, settings=self.SETTINGS, init=init)
+        batched = minimize_power(functional, f, p, mesh, init=init)
         backtracks = []
         run, norm = sequential_descent(backtracks)
         monkeypatch.setattr(_Descent, "run", run)
         monkeypatch.setattr(_Descent, "norm", norm)
-        reference = minimize_power(functional, f, p, mesh, settings=self.SETTINGS, init=init)
+        reference = minimize_power(functional, f, p, mesh, init=init)
         assert np.array_equal(batched.field.node_values, reference.field.node_values)
         assert batched.traces == reference.traces
         assert batched.iterations == reference.iterations
@@ -426,10 +419,10 @@ class TestWorkCount:
 
         monkeypatch.setattr(solve, "_density", density)
         monkeypatch.setattr(gamma_lab, "minimize_power", minimize)
+        monkeypatch.setattr(solve, "_EPSILONS", (1e-1, 1e-2, 1e-3))
         mesh = mesh_1d(32)
         cfg = StudyConfig(kind="norm_gamma", density=inverse_weight(mesh.grid()), mesh=mesh,
-                          profile="sine", n_schedule=(4, 8),
-                          solver=SolverSettings(epsilons=(1e-1, 1e-2, 1e-3)))
+                          profile="sine", n_schedule=(4, 8))
         run_norm_gamma_study(cfg)
         iterations = sum(r.iterations for r in results)
         stages = sum(len(r.traces) for r in results)
