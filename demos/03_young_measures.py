@@ -26,11 +26,8 @@ w = rep.checks[0].witness
 print(f"Jensen for f = 2|xi|: f(mean) = {w['lhs']} <= worst atom {w['rhs']}  -> {rep.passed}")
 
 # the annulus density f = ||xi| - 1| is not level convex and Jensen fails
-rep = jensen_check(
-    lambda xi: abs(float(np.linalg.norm(xi)) - 1.0),
-    0, 0.0,
-    (np.array([[1.5], [-1.5]]), np.array([0.5, 0.5])),
-)
+annulus = DensitySpec.custom(one_cell, "unit_sphere_distance", level_convex=False)
+rep = jensen_check(annulus, 0, 0.0, (np.array([[1.5], [-1.5]]), np.array([0.5, 0.5])))
 w = rep.checks[0].witness
 print(f"annulus probe: f(mean) = {w['lhs']} > worst atom {w['rhs']}  -> passed = {rep.passed}")
 print()

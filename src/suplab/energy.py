@@ -21,7 +21,9 @@ Each probe draws all its samples first, one Generator call per array, and
 then evaluates them with one :func:`eval_density` call per density value.
 The benchmark's tracer coverage test pins that call count
 (``perfbench/test_perfbench.py``), so the evaluations stay per value until
-ROADMAP item 1 re-expresses the pin.
+ROADMAP item 1 re-expresses the pin.  Like every checker, a probe records
+its check with :meth:`~suplab.reports.RelationReport.add_rows`: it counts
+the violations and keeps one witness.
 """
 
 from __future__ import annotations
@@ -291,9 +293,8 @@ def eval_calFn(f: DensitySpec, u: GridFunction | None, Du: GridFunction,
 
 
 # the probes draw xi ~ N(0, _PROBE_SCALE^2 I) with one component per grid
-# dimension and keep at most _MAX_WITNESSES witnesses
+# dimension
 _PROBE_SCALE = 2.0
-_MAX_WITNESSES = 10
 
 
 def level_convexity_probe(f: DensitySpec, trials=10000, seed=0) -> RelationReport:
@@ -303,8 +304,9 @@ def level_convexity_probe(f: DensitySpec, trials=10000, seed=0) -> RelationRepor
     f(theta xi1 + (1-theta) xi2) <= max(f(xi1), f(xi2)), with one
     :func:`eval_density` call per density value, three per trial (per value
     until ROADMAP item 1 re-expresses the tracer's call-count pin).
-    Violations are returned with witnesses, the first ones in trial order;
-    they are evidence the density is not level convex, not an error.
+    Violations are counted in ``meta["violations"]`` and the report keeps
+    one witness, the first violation in trial order; they are evidence the
+    density is not level convex, not an error.
     """
     rng = np.random.default_rng(seed)
     shape = (trials, f.grid.dimension)
@@ -321,23 +323,15 @@ def level_convexity_probe(f: DensitySpec, trials=10000, seed=0) -> RelationRepor
         c, v = cells[i], u[i]
         lhs[i] = eval_density(f, c, v, mid[i])
         rhs[i] = max(eval_density(f, c, v, xi1[i]), eval_density(f, c, v, xi2[i]))
-    bad = np.flatnonzero(lhs > rhs + 1e-10 * (1.0 + np.abs(rhs)))
-    witnesses = [
-        {"cell": int(cells[i]), "u": float(u[i]), "xi1": xi1[i].tolist(),
-         "xi2": xi2[i].tolist(), "theta": float(theta[i]), "lhs": float(lhs[i]),
-         "rhs": float(rhs[i])}
-        for i in bad[:_MAX_WITNESSES]
-    ]
-    violations = len(bad)
+    bad = lhs > rhs + 1e-10 * (1.0 + np.abs(rhs))
     rep = RelationReport(f"level convexity of {f.family}")
-    rep.add(
-        "level_convexity",
-        violations == 0,
-        np.min(rhs - lhs, initial=np.inf),
-        note=f"{violations}/{trials} violations",
-        witness=witnesses[0] if witnesses else None,
+    rep.add_rows(
+        "level_convexity", ~bad, rhs - lhs,
+        note=lambda w: f"{bad.sum()}/{trials} violations",
+        witness=lambda w: {"cell": int(cells[w]), "u": float(u[w]), "xi1": xi1[w].tolist(),
+                           "xi2": xi2[w].tolist(), "theta": float(theta[w]),
+                           "lhs": float(lhs[w]), "rhs": float(rhs[w])},
     )
-    rep.meta = {"witnesses": witnesses, "violations": violations, "trials": trials}
     return rep
 
 
@@ -347,8 +341,8 @@ def growth_check(f: DensitySpec, trials=10000, seed=0) -> RelationReport:
     Draws (cell, u, xi) for every trial as arrays, computes the bounds as
     one array expression and evaluates the density with one
     :func:`eval_density` call per trial (per value until ROADMAP item 1
-    re-expresses the tracer's call-count pin); the witnesses are the first
-    violations in trial order.
+    re-expresses the tracer's call-count pin); the one witness is the first
+    violation in trial order.
     """
     rng = np.random.default_rng(seed)
     cells = rng.integers(f.grid.n_cells, size=trials)
@@ -358,21 +352,13 @@ def growth_check(f: DensitySpec, trials=10000, seed=0) -> RelationReport:
     val = np.empty(trials)
     for i in range(trials):
         val[i] = eval_density(f, cells[i], u[i], xi[i])
-    bad = np.flatnonzero(val < bound - 1e-12 * (1.0 + bound))
-    witnesses = [
-        {"cell": int(cells[i]), "cell_center": f.grid.cells[cells[i]].tolist(),
-         "u": float(u[i]), "xi": xi[i].tolist(), "value": float(val[i]),
-         "bound": float(bound[i])}
-        for i in bad[:_MAX_WITNESSES]
-    ]
-    violations = len(bad)
+    bad = val < bound - 1e-12 * (1.0 + bound)
     rep = RelationReport(f"growth bound of {f.family}")
-    rep.add(
-        "growth_lower_bound",
-        violations == 0,
-        np.min(val - bound, initial=np.inf),
-        note=f"{violations}/{trials} violations (alpha={f.alpha}, gamma={f.gamma})",
-        witness=witnesses[0] if witnesses else None,
+    rep.add_rows(
+        "growth_lower_bound", ~bad, val - bound,
+        note=lambda w: f"{bad.sum()}/{trials} violations (alpha={f.alpha}, gamma={f.gamma})",
+        witness=lambda w: {"cell": int(cells[w]), "cell_center": f.grid.cells[cells[w]].tolist(),
+                           "u": float(u[w]), "xi": xi[w].tolist(), "value": float(val[w]),
+                           "bound": float(bound[w])},
     )
-    rep.meta = {"witnesses": witnesses, "violations": violations, "trials": trials}
     return rep

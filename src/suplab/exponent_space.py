@@ -221,10 +221,6 @@ class GridFunction:
     def constant(cls, grid: Grid, value: float) -> "GridFunction":
         return cls(grid, np.full(grid.n_cells, float(value)))
 
-    @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.points), dtype=float))
-
     def magnitude(self) -> "GridFunction":
         """Cell-wise Euclidean magnitude, as a scalar grid function."""
         if self.components == 1:
@@ -357,7 +353,12 @@ def luxemburg_root(base_logs, exponents):
     base = np.asarray(base_logs, dtype=float)
     exps = np.asarray(exponents, dtype=float)
     if base.ndim == 1:
-        return float(luxemburg_root(base[None], exps[None])[0])
+        return float(_stack_roots(base[None], exps[None])[0])
+    return _stack_roots(base, exps)
+
+
+def _stack_roots(base, exps):
+    """The roots of :func:`luxemburg_root` for a stack of rows (B, n)."""
     live = base > -np.inf
     # a row without live cells gets p_hi = -inf < p_lo = +inf, so it is
     # neither closed-form nor Newton and keeps root 0

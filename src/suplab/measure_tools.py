@@ -4,8 +4,10 @@ A :class:`DiscreteYoungMeasure` attaches a finite probability measure over
 gradient values to every grid cell.  Two facts drive the lower-bound side of
 the power-law approximation arguments, and both become exactly computable
 here: the Jensen bound for level convex integrands (the mean never beats the
-worst atom) and the q -> infinity collapse of mixed power sums onto the
-largest atom value.
+worst atom), checked for a :class:`~suplab.energy.DensitySpec` on a batch of
+trials, and the q -> infinity collapse of mixed power sums onto the largest
+atom value.  One weight rule holds for measures and Jensen trials alike:
+weights are >= 0 and sum to 1, and a zero weight is padding.
 """
 
 from __future__ import annotations
@@ -34,9 +36,28 @@ DEFAULT_Q_SCHEDULE = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 JENSEN_TOL = 1e-10
 
 
+def _check_weights(wts, noun, first=0):
+    """Raise StructuralError unless each row of ``wts`` is a probability vector.
+
+    A row's weights must be >= 0 and sum to 1 within 1e-12 (a NaN fails
+    both); a zero weight marks a padded atom.  Row r is named in the error
+    as ``noun first + r``.
+    """
+    ok = (wts >= 0).all(axis=-1) & (np.abs(wts.sum(axis=-1) - 1.0) <= 1e-12)
+    if not ok.all():
+        r = int(np.argmax(~ok))
+        raise StructuralError(f"{noun} {first + r}: atom weights {wts[r].tolist()} are not "
+                              "probabilities (>= 0, summing to 1)")
+
+
 @dataclass(frozen=True)
 class DiscreteYoungMeasure:
-    """Per-cell atoms (points, weights); weights are probabilities summing to one."""
+    """Per-cell atoms (points, weights); weights are probabilities summing to one.
+
+    Weights must be >= 0 and sum to 1 within 1e-12, the rule jensen_check
+    applies to its trials; an atom of weight zero carries no mass and is
+    dropped.
+    """
 
     grid: Grid
     atoms: tuple
@@ -59,23 +80,12 @@ class DiscreteYoungMeasure:
                 dim = pts.shape[1]
             elif pts.shape[1] != dim:
                 raise StructuralError("atom dimension varies across cells")
-            if not np.all(wts > 0):
-                raise StructuralError(f"cell {i}: atom weights must be positive")
-            if abs(wts.sum() - 1.0) > 1e-12:
-                raise StructuralError(
-                    f"cell {i}: atom weights sum to {wts.sum()!r}, not 1"
-                )
+            _check_weights(wts[None], "cell", i)
+            pts, wts = pts[wts > 0], wts[wts > 0]
             pts.setflags(write=False)
             wts.setflags(write=False)
             cleaned.append((pts, wts))
         object.__setattr__(self, "atoms", tuple(cleaned))
-
-    @classmethod
-    def from_field(cls, Du: GridFunction) -> "DiscreteYoungMeasure":
-        """The deterministic measure: one unit atom at Du(x) per cell."""
-        xi = Du.values if Du.components > 1 else Du.values[:, None]
-        atoms = [(xi[i][None, :], np.array([1.0])) for i in range(Du.grid.n_cells)]
-        return cls(Du.grid, tuple(atoms))
 
 
 def barycenter(mu: DiscreteYoungMeasure) -> GridFunction:
@@ -84,20 +94,21 @@ def barycenter(mu: DiscreteYoungMeasure) -> GridFunction:
     return GridFunction(mu.grid, vals)
 
 
-def jensen_check(f, cell, u_val, atoms) -> RelationReport:
+def jensen_check(f: DensitySpec, cell, u_val, atoms) -> RelationReport:
     """Check f(x, u, mean) <= max over atoms of f(x, u, atom), for one trial or a batch.
 
     Over a finite support the measure-essential supremum is the plain max.
-    ``f`` is a DensitySpec or, for sign-indefinite probes, a bare callable
-    xi -> value.  One trial is ``cell``, ``u_val`` and atoms (points (m, k),
-    weights (m,)); a batch of T trials passes arrays (T,) for ``cell`` and
-    ``u_val`` and atoms (points (T, m, k), weights (T, m)), where a zero
-    weight marks a padded atom that never sets the max.  A DensitySpec is
-    evaluated by one family-table call for the means and one for the atoms.
-    Violations are recorded, not raised: they are evidence the integrand is
-    not level convex.  ``meta["violations"]`` counts the failing trials; the
-    slack is the smallest margin, and the witness the first failing trial,
-    or the trial of smallest margin if none fails.
+    One trial is ``cell``, ``u_val`` and atoms (points (m, k), weights
+    (m,)); a batch of T trials passes arrays (T,) for ``cell`` and ``u_val``
+    and atoms (points (T, m, k), weights (T, m)).  Each trial's weights
+    must be probabilities, by the rule of :class:`DiscreteYoungMeasure`,
+    else StructuralError is raised; a zero weight marks a padded atom that
+    never sets the max.  The density is evaluated by one family-table call
+    for the means and one for the atoms.  Violations are recorded, not
+    raised: they are evidence the integrand is not level convex.
+    ``meta["violations"]`` counts the failing trials; the slack is the
+    smallest margin, and the witness the first failing trial, or the trial
+    of smallest margin if none fails.
     """
     points, weights = atoms
     pts = np.asarray(points, dtype=float)
@@ -108,34 +119,28 @@ def jensen_check(f, cell, u_val, atoms) -> RelationReport:
         if pts.shape[0] != wts.size:
             pts = pts.T
         pts, wts = pts[None], wts[None]
+    _check_weights(wts, "trial")
     cells = np.atleast_1d(np.asarray(cell, dtype=int))
     u_vals = np.broadcast_to(np.asarray(u_val, dtype=float), cells.shape)
     mean = np.matmul(wts[:, None, :], pts)[:, 0]
     live = wts > 0
 
     def values(trial, xi):
-        if isinstance(f, DensitySpec):
-            c = {k: v[cells[trial]] for k, v in f.coefficients.items()}
-            return _density(f, c, u_vals[trial], xi, 0.0)[0]
-        return np.array([float(f(x)) for x in xi])
+        c = {k: v[cells[trial]] for k, v in f.coefficients.items()}
+        return _density(f, c, u_vals[trial], xi, 0.0)[0]
 
     lhs = values(np.arange(cells.size), mean)
     atom_vals = np.full(live.shape, -np.inf)
     atom_vals[live] = values(np.nonzero(live)[0], pts[live])
     rhs = atom_vals.max(axis=1)
-    margin = rhs - lhs
     bad = lhs > rhs + JENSEN_TOL * (1.0 + np.abs(rhs))
-    w = int(np.argmax(bad)) if bad.any() else int(np.argmin(margin))
     rep = RelationReport("Jensen bound over atoms")
-    rep.add(
-        "mean_below_worst_atom",
-        not bad.any(),
-        margin.min(),
-        note=f"f(mean) = {lhs[w]:.6g}, max atom value = {rhs[w]:.6g}",
-        witness={"cell": int(cells[w]), "mean": mean[w].tolist(),
-                 "lhs": float(lhs[w]), "rhs": float(rhs[w])},
+    rep.add_rows(
+        "mean_below_worst_atom", ~bad, rhs - lhs,
+        note=lambda w: f"f(mean) = {lhs[w]:.6g}, max atom value = {rhs[w]:.6g}",
+        witness=lambda w: {"cell": int(cells[w]), "mean": mean[w].tolist(),
+                           "lhs": float(lhs[w]), "rhs": float(rhs[w])},
     )
-    rep.meta = {"violations": int(bad.sum()), "trials": cells.size}
     return rep
 
 

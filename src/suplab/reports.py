@@ -2,8 +2,10 @@
 
 Every inequality checker in the library returns a :class:`RelationReport`
 instead of raising, so that randomized property runs can count failures and
-keep witnesses.  Convergence experiments return a :class:`Table` whose rows
-are plain tuples, ready for CSV emission.
+keep witnesses; each check is recorded over a batch of instances by
+:meth:`RelationReport.add_rows`, which keeps one witness per check.
+Convergence experiments return a :class:`Table` whose rows are plain
+tuples, ready for CSV emission.
 """
 
 from __future__ import annotations
@@ -32,24 +34,28 @@ class RelationReport:
     checks: list[RelationCheck] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def add(self, name, passed, slack, note="", witness=None):
-        self.checks.append(RelationCheck(name, bool(passed), float(slack), note, witness))
+    def add_rows(self, name, passed, slack, note=None, witness=None):
+        """Add one check evaluated on a batch of B instances at once.
 
-    def add_rows(self, name, passed, slack, note=None):
-        """Add one check evaluated on a chunk of B instances at once.
-
-        ``passed`` and ``slack`` hold one entry per instance; an instance the
-        check does not apply to passes with slack +inf.  The check passes when
-        every instance does; its slack is the smallest, and ``note(w)`` is
-        the note of the witness instance w: the first failing one, or the
-        one of smallest slack if none fails.  ``meta["violations"]`` counts
-        the failing instances of each check and ``meta["failing"]`` marks
-        the instances failing any check.
+        Every checker records its checks this way.  ``passed`` and ``slack``
+        hold one entry per instance; an instance the check does not apply
+        to passes with slack +inf.  The check passes when every instance
+        does; its slack is the smallest, and ``note(w)`` and ``witness(w)``
+        are the note and the witness dict of the witness instance w: the
+        first failing one, or the one of smallest slack if none fails.  An
+        empty batch passes with slack +inf and no note or witness.
+        ``meta["violations"]`` counts the failing instances of each check
+        and ``meta["failing"]`` marks the instances failing any check.
         """
         bad = ~np.asarray(passed, dtype=bool)
         slack = np.asarray(slack, dtype=float)
-        w = int(np.argmax(bad)) if bad.any() else int(np.argmin(slack))
-        self.add(name, not bad.any(), slack.min(), note(w) if note else "")
+        w = None
+        if bad.size:
+            w = int(np.argmax(bad)) if bad.any() else int(np.argmin(slack))
+        self.checks.append(RelationCheck(
+            name, not bad.any(), float(slack.min(initial=np.inf)),
+            note(w) if note and w is not None else "",
+            witness(w) if witness and w is not None else None))
         self.meta.setdefault("violations", {})[name] = int(bad.sum())
         self.meta["failing"] = self.meta.get("failing", False) | bad
 
@@ -65,12 +71,6 @@ class RelationReport:
 
     def __len__(self):
         return len(self.checks)
-
-    def summary(self) -> str:
-        bad = self.failures()
-        head = f"{self.subject}: {len(self.checks) - len(bad)}/{len(self.checks)} checks passed"
-        lines = [head] + [f"  FAIL {c.name} (slack={c.slack:.3e}) {c.note}" for c in bad]
-        return "\n".join(lines)
 
 
 @dataclass

@@ -85,7 +85,7 @@ def test_criterion_03_embedding_bound():
 
 def test_criterion_04_norm_limit():
     grid = Grid.uniform_1d(0.0, 1.0, 32)
-    u = GridFunction.from_callable(grid, lambda x: x)
+    u = GridFunction(grid, grid.points)
     schedule = [4, 8, 16, 32, 64, 128, 200]
     ok = True
     details = []

@@ -66,7 +66,7 @@ class TestGridAndFields:
         plane = Grid.uniform_2d((0.0, 1.0), (0.0, 2.0), (2, 3))
         assert plane.points.shape == (6, 2)
         np.testing.assert_array_equal(plane.points, plane.cells)
-        field = GridFunction.from_callable(plane, lambda p: p[:, 0] + 10.0 * p[:, 1])
+        field = GridFunction(plane, plane.points[:, 0] + 10.0 * plane.points[:, 1])
         np.testing.assert_array_equal(field.values, plane.cells @ [1.0, 10.0])
 
     def test_weights_must_be_positive(self):
@@ -238,6 +238,24 @@ class TestLuxemburgNorm:
             assert roots[i] == pytest.approx(brentq_luxemburg(vals, pv, grid.weights), rel=1e-12)
         assert isinstance(singles[0], float)
 
+    @pytest.mark.parametrize("exps", [[2.0, 40.0], [3.0, 3.0]], ids=["newton", "closed_form"])
+    def test_one_row_is_one_call(self, monkeypatch, exps):
+        # a one-row root runs the stack code directly, so a wrapper on the
+        # module's luxemburg_root (such as the benchmark's call counter)
+        # sees each call once
+        calls = []
+        true_root = exponent_space.luxemburg_root
+
+        def counting(base, exponents):
+            calls.append(np.shape(base))
+            return true_root(base, exponents)
+
+        monkeypatch.setattr(exponent_space, "luxemburg_root", counting)
+        exps = np.array(exps)
+        root = exponent_space.luxemburg_root(np.log([0.5, 0.5]) + exps * np.log([3.0, 0.1]), exps)
+        assert calls == [(2,)]
+        assert isinstance(root, float)
+
     def test_row_without_live_cells_has_root_zero(self):
         base = np.array([[-np.inf, -np.inf], [np.log(0.5), np.log(0.5)]])
         roots = luxemburg_root(base, np.array([[2.0, 3.0], [2.0, 3.0]]))
@@ -329,7 +347,7 @@ class TestNormModularRelations:
         for _ in range(200):
             _, u, p = random_instance(rng)
             rep = verify_norm_modular_relations(u, p)
-            assert rep.passed, rep.summary()
+            assert rep.passed, rep.failures()
 
 
 class TestHolder:
@@ -371,7 +389,7 @@ class TestHolder:
             f = GridFunction(grid, rng.normal(size=64) * 10.0 ** rng.uniform(-1, 1))
             g = GridFunction(grid, rng.normal(size=64))
             rep = holder_check(f, g, p, q, s)
-            assert rep.passed, rep.summary()
+            assert rep.passed, rep.failures()
 
     @pytest.mark.parametrize("scale", [1.0, 1e-4])
     def test_underestimated_norms_fail_at_any_magnitude(self, monkeypatch, scale):
@@ -404,7 +422,7 @@ class TestHolder:
             f = GridFunction(grid, rng.normal(size=cells))
             g = GridFunction(grid, rng.normal(size=cells))
             rep = holder_check(f, g, p, q, s)
-            assert rep.passed, rep.summary()
+            assert rep.passed, rep.failures()
 
 
 class TestPowerIdentity:
@@ -486,7 +504,7 @@ class TestEmbeddingBound:
             grid, u, p = random_instance(rng)
             q = p.p_minus if k % 2 == 0 else float(rng.uniform(1.0, p.p_minus))
             rep = embedding_bound_check(u, p, q=q)
-            assert rep.passed, rep.summary()
+            assert rep.passed, rep.failures()
 
 
 class TestNormLimit:
@@ -503,7 +521,7 @@ class TestNormLimit:
     def test_identity_profile_against_oracles(self):
         grid = Grid.uniform_1d(0.0, 1.0, 32)
         seq = ExponentSequence(grid, np.ones(32))
-        u = GridFunction.from_callable(grid, lambda x: x)
+        u = GridFunction(grid, grid.points)
         ns = [4, 8, 16, 32, 64, 128, 200]
         table = norm_limit_study(u, seq, ns)
         for (n, norm, _), nval in zip(table.rows, ns):
@@ -515,7 +533,7 @@ class TestNormLimit:
         grid = Grid.uniform_1d(0.0, 1.0, 32)
         x = grid.cells[:, 0]
         seq = ExponentSequence(grid, 2.0 + np.sin(2 * np.pi * x))
-        u = GridFunction.from_callable(grid, lambda t: t)
+        u = GridFunction(grid, grid.points)
         table = norm_limit_study(u, seq, [4, 8, 16, 32, 64, 128, 200])
         assert table.verdicts["error_eventually_decreasing"]
         assert table.meta["final_error"] < 0.02
@@ -524,7 +542,7 @@ class TestNormLimit:
         # for u(x) = x on (0,1), the q-norm is (1/(q+1))^(1/q); at q = 100
         # that is about 0.95499
         grid = Grid.uniform_1d(0.0, 1.0, 4000)
-        u = GridFunction.from_callable(grid, lambda x: x)
+        u = GridFunction(grid, grid.points)
         p = ExponentField.constant(grid, 100.0)
         assert luxemburg_norm(u, p) == pytest.approx((1.0 / 101.0) ** 0.01, rel=1e-5)
 
@@ -547,7 +565,7 @@ class TestSobolev:
     def test_linear_profile_quadrature(self):
         grid = Grid.uniform_1d(0.0, 1.0, 1000)
         p = ExponentField.constant(grid, 2.0)
-        u = GridFunction.from_callable(grid, lambda x: x)
+        u = GridFunction(grid, grid.points)
         du = GridFunction.constant(grid, 1.0)
         assert sobolev_modular(u, du, p) == pytest.approx(4.0 / 3.0, abs=1e-6)
         assert sobolev_norm(u, du, p) == pytest.approx(np.sqrt(sobolev_modular(u, du, p)), rel=1e-8)

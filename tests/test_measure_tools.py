@@ -19,6 +19,11 @@ def one_cell_grid():
     return Grid(1, np.array([[0.5]]), np.array([1.0]))
 
 
+def annulus(grid):
+    """f = ||xi| - 1|: its sublevel sets are annuli, so it is not level convex."""
+    return DensitySpec.custom(grid, "unit_sphere_distance", level_convex=False)
+
+
 class TestMeasureInvariants:
     def test_weights_must_sum_to_one(self):
         grid = one_cell_grid()
@@ -30,6 +35,14 @@ class TestMeasureInvariants:
         with pytest.raises(StructuralError):
             DiscreteYoungMeasure(grid, ((np.array([[1.0], [2.0]]), np.array([1.5, -0.5])),))
 
+    def test_zero_weight_atom_is_dropped(self):
+        grid = one_cell_grid()
+        mu = DiscreteYoungMeasure(
+            grid, ((np.array([[1.0], [3.0], [100.0]]), np.array([0.5, 0.5, 0.0])),)
+        )
+        pts, wts = mu.atoms[0]
+        assert pts.ravel().tolist() == [1.0, 3.0] and wts.tolist() == [0.5, 0.5]
+
     def test_needs_one_list_per_cell(self):
         grid = Grid.uniform_1d(0.0, 1.0, 2)
         with pytest.raises(StructuralError):
@@ -40,7 +53,7 @@ class TestBarycenter:
     def test_single_atom_recovers_field(self):
         grid = Grid.uniform_1d(0.0, 1.0, 5)
         du = GridFunction(grid, np.linspace(-1.0, 1.0, 5))
-        mu = DiscreteYoungMeasure.from_field(du)
+        mu = DiscreteYoungMeasure(grid, tuple((np.array([[v]]), np.array([1.0])) for v in du.values))
         assert np.allclose(barycenter(mu).values.ravel(), du.values)
 
     def test_symmetric_pair_cancels(self):
@@ -74,16 +87,35 @@ class TestJensen:
         assert w["lhs"] == pytest.approx(5.0)
         assert w["rhs"] == pytest.approx(6.0)
 
-    def test_negated_norm_probe_violates(self):
+    def test_annulus_probe_violates(self):
         rep = jensen_check(
-            lambda xi: -float(np.linalg.norm(xi)),
+            annulus(one_cell_grid()),
             0,
             0.0,
-            (np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])),
+            (np.array([[1.5], [-1.5]]), np.array([0.5, 0.5])),
         )
         assert not rep.passed
         w = rep.checks[0].witness
-        assert w["lhs"] == pytest.approx(0.0) and w["rhs"] == pytest.approx(-1.0)
+        assert w["lhs"] == pytest.approx(1.0) and w["rhs"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("weights", [[0.9, 0.9], [1.5, -0.5], [0.5, np.nan]],
+                             ids=["sum_above_one", "negative", "nan"])
+    def test_weights_that_are_not_probabilities_are_refused(self, weights):
+        # with weights 0.9, 0.9 the "mean" 1.98 would be a false witness of
+        # non-convexity; with 1.5, -0.5 the negative atom would pass as padding
+        f = DensitySpec.weighted_norm(one_cell_grid(), 1.0)
+        atoms = (np.array([[1.0], [1.2]]), np.array(weights))
+        with pytest.raises(StructuralError, match="not probabilities"):
+            jensen_check(f, 0, 0.0, atoms)
+        with pytest.raises(StructuralError, match="not probabilities"):
+            DiscreteYoungMeasure(one_cell_grid(), (atoms,))
+
+    def test_one_bad_trial_of_a_batch_is_named(self):
+        f = DensitySpec.weighted_norm(one_cell_grid(), 1.0)
+        pts = np.ones((3, 2, 1))
+        wts = np.array([[0.5, 0.5], [1.0, 0.0], [0.6, 0.6]])
+        with pytest.raises(StructuralError, match="trial 2"):
+            jensen_check(f, np.zeros(3, dtype=int), 0.0, (pts, wts))
 
     def test_randomized_level_convex_families(self):
         rng = np.random.default_rng(9)
@@ -126,13 +158,14 @@ class TestJensenBatch:
             "weighted_norm": (DensitySpec.weighted_norm(grid, lambda x: 1.0 + x), 1),
             "shifted_norm": (DensitySpec.shifted_norm(grid, np.array([0.3, -0.2])), 2),
             "anisotropic": (DensitySpec.anisotropic(grid, np.array([1.0, 3.0])), 2),
-            "probe": (DensitySpec.custom(grid, "unit_sphere_distance", level_convex=False), 1),
+            "probe": (annulus(grid), 1),
         }[name]
         cells, u_vals, atoms, singles = padded_batch(np.random.default_rng(31), 400, k)
         rep = jensen_check(f, cells, u_vals, atoms)
         single = [jensen_check(f, int(c), float(u), a) for c, u, a in zip(cells, u_vals, singles)]
         expected = sum(not r.passed for r in single)
-        assert rep.meta == {"violations": expected, "trials": 400}
+        assert rep.meta["violations"] == {"mean_below_worst_atom": expected}
+        assert rep.meta["failing"].tolist() == [not r.passed for r in single]
         assert rep.passed == (expected == 0)
         assert rep.checks[0].slack == pytest.approx(min(r.checks[0].slack for r in single))
         if name == "probe":
@@ -149,10 +182,10 @@ class TestJensenBatch:
         wts = np.array([[0.5, 0.5, 0.0]])
         rep = jensen_check(DensitySpec.weighted_norm(grid, 1.0), np.array([0]), 0.0, (pts, wts))
         assert rep.passed and rep.checks[0].witness["rhs"] == pytest.approx(1.0)
-        # a padded atom at the mean would hide this violation
-        pts = np.array([[[1.0], [-1.0], [0.0]]])
-        rep = jensen_check(lambda xi: -float(np.linalg.norm(xi)), np.array([0]), 0.0, (pts, wts))
-        assert not rep.passed and rep.checks[0].witness["rhs"] == pytest.approx(-1.0)
+        # a padded atom at the mean, f(0) = 1, would hide the violation 1 > 0.5
+        pts = np.array([[[1.5], [-1.5], [0.0]]])
+        rep = jensen_check(annulus(grid), np.array([0]), 0.0, (pts, wts))
+        assert not rep.passed and rep.checks[0].witness["rhs"] == pytest.approx(0.5)
 
 
 class TestJensenSuite:
@@ -165,8 +198,7 @@ class TestJensenSuite:
 
         monkeypatch.setattr(verification, "jensen_check", recording)
         grid = Grid.uniform_1d(0.0, 1.0, 4)
-        probe = DensitySpec.custom(grid, "unit_sphere_distance", level_convex=False)
-        assert verification._jensen_trials(np.random.default_rng(3), probe, 300) > 0
+        assert verification._jensen_trials(np.random.default_rng(3), annulus(grid), 300) > 0
         assert sizes == [verification.JENSEN_BATCH, 300 - verification.JENSEN_BATCH]
 
     def test_anisotropic_row_catches_a_broken_formula(self, monkeypatch):
@@ -199,8 +231,7 @@ class TestYoungQLimit:
         grid = Grid.uniform_1d(0.0, 1.0, 4)
         f = DensitySpec.weighted_norm(grid, 1.0)
         u = GridFunction.constant(grid, 0.0)
-        du = GridFunction.constant(grid, 2.0)
-        mu = DiscreteYoungMeasure.from_field(du)
+        mu = DiscreteYoungMeasure(grid, ((np.array([[2.0]]), np.array([1.0])),) * 4)
         table = young_q_limit(f, u, mu, q_values=(2, 8, 64))
         for _, val, err in table.rows:
             assert val == pytest.approx(2.0, rel=1e-12)

@@ -1,9 +1,10 @@
 """The chunked property suites against a one-instance-at-a-time reference.
 
 Each reference loop draws the same instances, with the same generator calls
-in the same order, through the public random_* helpers, and runs the public
-single-instance checker on each.  A root scaled away from the true one makes
-the relation checks fail, so the counts compared are not all zero.
+in the same order, through the suites' raw draws (wrapped here in validated
+grids, functions and exponent fields), and runs the public single-instance
+checker on each.  A root scaled away from the true one makes the relation
+checks fail, so the counts compared are not all zero.
 """
 
 import numpy as np
@@ -12,13 +13,27 @@ import pytest
 from suplab import exponent_space, verification
 from suplab.exponent_space import (
     ExponentField,
+    Grid,
     GridFunction,
     embedding_bound_check,
     holder_check,
     power_identity_check,
     verify_norm_modular_relations,
 )
-from suplab.verification import random_exponent_field, random_grid, random_grid_function
+from suplab.verification import _exponents_draw, _grid_draw, _values_draw
+
+
+def random_grid(rng, max_cells=256):
+    cells, length = _grid_draw(rng, max_cells=max_cells)
+    return Grid.uniform_1d(0.0, length, cells)
+
+
+def random_grid_function(rng, grid):
+    return GridFunction(grid, _values_draw(rng, grid.n_cells))
+
+
+def random_exponent_field(rng, grid, p_floor=1.05):
+    return ExponentField(grid, _exponents_draw(rng, grid.n_cells, p_floor=p_floor))
 
 
 def reference_norm_modular(rng, instances):
