@@ -25,7 +25,7 @@ for label, profile in (
     table = norm_limit_study(u, seq, schedule)
     print(f"{label}   (beta = {seq.beta:.4f}, sup |u| = {table.meta['sup']:.6f})")
     print(f"  {'n':>4s}  {'norm':>12s}  {'error':>10s}")
-    for n, norm, err in table.rows:
+    for n, _, _, norm, _, err in table.rows:
         print(f"  {n:4d}  {norm:12.8f}  {err:10.2e}")
     print(f"  error eventually decreasing: {table.verdicts['error_eventually_decreasing']}")
     print()

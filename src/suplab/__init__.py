@@ -27,7 +27,6 @@ from .exponent_space import (
     log_modular,
     luxemburg_norm,
     modular,
-    norm_limit_study,
     power_identity_check,
     sobolev_modular,
     sobolev_norm,
@@ -35,6 +34,7 @@ from .exponent_space import (
 )
 from .gamma_lab import (
     StudyConfig,
+    norm_limit_study,
     run_integral_dichotomy_study,
     run_minimizer_convergence,
     run_norm_gamma_study,
@@ -42,12 +42,7 @@ from .gamma_lab import (
 )
 from .measure_tools import DiscreteYoungMeasure, barycenter, jensen_check, young_q_limit
 from .reports import RelationCheck, RelationReport, Table, eventually_decreasing
-from .solve import (
-    SolveResult,
-    minimize_power,
-    oracle_minimizer_1d,
-    power_oracle_1d,
-    supremal_oracle_1d,
-)
+from .oracles import oracle_minimizer_1d, supremal_oracle_1d
+from .solve import SolveResult, minimize_power
 
 __version__ = "0.1.0"

@@ -38,6 +38,10 @@ class BoundarySpec:
     kind: str
     params: tuple
 
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.params)):
+            raise StructuralError(f"{self.kind} trace values must be finite, got {self.params}")
+
     @classmethod
     def endpoints(cls, g0: float, g1: float) -> "BoundarySpec":
         return cls("endpoints", (float(g0), float(g1)))
@@ -74,6 +78,8 @@ class MeshSpec:
         cells = tuple(int(c) for c in np.atleast_1d(self.cells))
         if len(extents) != self.dimension or len(cells) != self.dimension:
             raise StructuralError("extents and cells must match the dimension")
+        if not np.all(np.isfinite(extents)):
+            raise StructuralError(f"extents must be finite, got {extents}")
         if any(e <= 0 for e in extents):
             raise StructuralError("extents must be positive")
         if any(c < 2 for c in cells):

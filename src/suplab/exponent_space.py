@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reports import RelationReport, Table, eventually_decreasing
+from .reports import RelationReport
 
 __all__ = [
     "OVERFLOW_LOG",
@@ -48,7 +48,6 @@ __all__ = [
     "power_identity_check",
     "embedding_constant",
     "embedding_bound_check",
-    "norm_limit_study",
     "sobolev_modular",
     "sobolev_norm",
 ]
@@ -146,6 +145,9 @@ class Grid:
             )
         if weights.size < 1:
             raise StructuralError("grid needs at least one cell")
+        for label, arr in (("cell weights", weights), ("cell centers", cells)):
+            if not np.all(np.isfinite(arr)):
+                raise StructuralError(f"{label} must be finite, got {arr[~np.isfinite(arr)][0]}")
         if not np.all(weights > 0):
             raise StructuralError("all cell weights must be positive")
         object.__setattr__(self, "cells", _lock(cells))
@@ -658,30 +660,6 @@ def embedding_bound_check(u: GridFunction, p: ExponentField, q: float,
         beta = p.p_plus / p.p_minus
     vals, logw, pv = _one_row(u, p)
     return _embedding_rows(vals, logw, pv, np.array([float(q)]), np.array([float(beta)]))
-
-
-def norm_limit_study(u: GridFunction, seq: ExponentSequence, n_values) -> Table:
-    """Tabulate ||u||_{p_n} against the cell-wise supremum of |u|.
-
-    On a grid every cell has positive mass, so the essential supremum is the
-    plain maximum; the error column must be eventually decreasing in the
-    produced range.
-    """
-    _require_scalar(u)
-    _require_same_grid(u, seq)
-    sup = float(np.max(np.abs(u.values)))
-    rows = []
-    for n in n_values:
-        p = seq.field(n)
-        lam = luxemburg_norm(u, p)
-        rows.append((int(n), lam, abs(lam - sup)))
-    errs = [r[2] for r in rows]
-    return Table(
-        columns=("n", "norm", "sup_error"),
-        rows=rows,
-        verdicts={"error_eventually_decreasing": eventually_decreasing(errs)},
-        meta={"sup": sup, "final_error": errs[-1] if errs else 0.0},
-    )
 
 
 def sobolev_modular(u: GridFunction, Du: GridFunction, p: ExponentField) -> float:

@@ -3,7 +3,7 @@
 Each study sweeps an exponent schedule p_n(x) = n * profile(x), whose
 minima grow with n (pn1) under the ratio bound beta = max(profile) /
 min(profile) (pn2), and tabulates how a quantity of interest approaches its
-closed-form limit:
+closed-form limit (from :mod:`suplab.oracles`):
 
 * ``norm_gamma``          minima of the norm-form energy against the
                           supremal oracle (the convergence-of-minima story);
@@ -15,7 +15,8 @@ closed-form limit:
                           whether the probe's supremal value sits below or
                           above one;
 * ``norm_limit``          plain variable-exponent norms of a fixed field
-                          against its supremum.
+                          against its supremum; :func:`norm_limit_study`
+                          builds that table for any scalar grid function.
 
 Every runner returns a :class:`~suplab.reports.Table` with the columns
 ``n, p_minus, p_plus``, then the study's quantity, its limit and its error,
@@ -38,16 +39,14 @@ from .exponent_space import (
     GridFunction,
     PreconditionError,
     StructuralError,
+    _require_same_grid,
+    _require_scalar,
     embedding_constant,
-    norm_limit_study,
+    luxemburg_norm,
 )
+from .oracles import limit_minimizer, study_oracle
 from .reports import Table, eventually_decreasing
-from .solve import (
-    FUNCTIONAL_NORM,
-    minimize_power,
-    oracle_minimizer_1d,
-    supremal_oracle_1d,
-)
+from .solve import FUNCTIONAL_NORM, minimize_power
 
 __all__ = [
     "STUDY_KINDS",
@@ -59,6 +58,7 @@ __all__ = [
     "run_norm_gamma_study",
     "run_integral_dichotomy_study",
     "run_minimizer_convergence",
+    "norm_limit_study",
     "run_norm_limit",
 ]
 
@@ -75,9 +75,8 @@ DICHOTOMY_MARGIN = 0.1
 DIVERGENCE_THRESHOLD = 1e8
 CONVERGENCE_THRESHOLD = 1e-8
 
-# named profiles of the x coordinate; "one" and "constant" are both the flat profile
+# named profiles of the x coordinate; "constant" is the flat profile
 _PROFILES = {
-    "one": np.ones_like,
     "constant": np.ones_like,
     "sine": lambda x: 2.0 + np.sin(2.0 * np.pi * x),
     "inverse_one_plus_x": lambda x: 1.0 / (1.0 + x),
@@ -87,7 +86,7 @@ _PROFILES = {
 def named_profile(name: str, grid) -> np.ndarray:
     """Cell values of a named profile of the x coordinate.
 
-    Names: ``one`` and ``constant`` (both 1), ``sine`` (2 + sin 2 pi x),
+    Names: ``constant`` (1), ``sine`` (2 + sin 2 pi x),
     ``inverse_one_plus_x``, ``constant:<v>`` (v everywhere) and
     ``piecewise:<v1>,<v2>`` (v1 left of the midpoint of the cell centers, v2
     from it on).  Serves both density coefficients and exponent profiles.
@@ -140,43 +139,6 @@ class StudyConfig:
     def sequence(self) -> ExponentSequence:
         grid = self.mesh.grid()
         return ExponentSequence(grid, named_profile(self.profile, grid))
-
-
-def _weight_field(cfg: StudyConfig) -> GridFunction:
-    if cfg.density.family != "weighted_norm":
-        raise PreconditionError(
-            "closed-form oracles need the weighted-norm density family"
-        )
-    return GridFunction(cfg.mesh.grid(), cfg.density.coefficients["a"])
-
-
-def study_oracle(cfg: StudyConfig) -> float:
-    """Closed-form limiting minimum for the configured problem.
-
-    1-D: the weighted Lipschitz-extension value |g1 - g0| / integral(1/a).
-    2-D: affine data with constant weight, where the affine extension is
-    optimal and the value is the weight times the slope magnitude.
-    """
-    if cfg.mesh.dimension == 1:
-        a = _weight_field(cfg)
-        g0, g1 = cfg.mesh.boundary.params
-        return supremal_oracle_1d(a, g0, g1)
-    if cfg.mesh.boundary.kind != "affine":
-        raise PreconditionError("2-D studies need affine boundary data")
-    a = _weight_field(cfg)
-    if np.ptp(a.values) > 1e-12 * max(1.0, float(np.max(np.abs(a.values)))):
-        raise PreconditionError("2-D oracle needs a constant weight")
-    slopes = np.asarray(cfg.mesh.boundary.params[1:], dtype=float)
-    return float(a.values[0]) * float(np.linalg.norm(slopes))
-
-
-def limit_minimizer(cfg: StudyConfig) -> DiscreteField:
-    """The limiting optimal field: equalizing profile in 1-D, affine extension in 2-D."""
-    if cfg.mesh.dimension == 1:
-        a = _weight_field(cfg)
-        g0, g1 = cfg.mesh.boundary.params
-        return DiscreteField(cfg.mesh, oracle_minimizer_1d(a, g0, g1))
-    return interpolate_boundary(cfg.mesh)
 
 
 def _solve_sweep(cfg: StudyConfig):
@@ -323,22 +285,32 @@ def run_minimizer_convergence(cfg: StudyConfig) -> Table:
                  rows, verdicts, meta)
 
 
+def norm_limit_study(u: GridFunction, seq: ExponentSequence, n_values) -> Table:
+    """Tabulate ||u||_{p_n} against the cell-wise supremum of |u|.
+
+    On a grid every cell has positive mass, so the essential supremum is the
+    plain maximum; the error column must be eventually decreasing in the
+    produced range.
+    """
+    _require_scalar(u)
+    _require_same_grid(u, seq)
+    sup = float(np.max(np.abs(u.values)))
+    rows = []
+    for n in n_values:
+        p = seq.field(n)
+        lam = luxemburg_norm(u, p)
+        rows.append((int(n), p.p_minus, p.p_plus, lam, sup, abs(lam - sup)))
+    errs = [r[5] for r in rows]
+    return Table(("n", "p_minus", "p_plus", "norm", "sup", "error"), rows,
+                 {"error_eventually_decreasing": eventually_decreasing(errs)},
+                 {"sup": sup, "final_error": errs[-1] if errs else 0.0})
+
+
 def run_norm_limit(cfg: StudyConfig) -> Table:
-    """Variable-exponent norms of the probe's cell values |u| against their supremum."""
+    """The norm-limit table of the probe's cell values |u|, with a threshold verdict."""
     if cfg.kind != "norm_limit":
         raise PreconditionError(f"study kind is {cfg.kind!r}, expected 'norm_limit'")
-    u = probe_field(cfg)
-    seq = cfg.sequence()
-    table = norm_limit_study(u.cell_values(), seq, cfg.n_schedule)
-    sup = table.meta["sup"]
-    rows = []
-    for n, (nn, norm, err) in zip(cfg.n_schedule, table.rows):
-        p = seq.field(n)
-        rows.append((n, p.p_minus, p.p_plus, norm, sup, err))
-    errs = [r[5] for r in rows]
-    verdicts = {
-        "error_eventually_decreasing": table.verdicts["error_eventually_decreasing"],
-        "final_error_below_threshold": errs[-1] <= cfg.threshold * max(sup, 1e-300),
-    }
-    return Table(("n", "p_minus", "p_plus", "norm", "sup", "error"), rows, verdicts,
-                 {"sup": sup, "final_error": errs[-1]})
+    table = norm_limit_study(probe_field(cfg).cell_values(), cfg.sequence(), cfg.n_schedule)
+    sup, final = table.meta["sup"], table.meta["final_error"]
+    table.verdicts["final_error_below_threshold"] = final <= cfg.threshold * max(sup, 1e-300)
+    return table

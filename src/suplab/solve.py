@@ -22,12 +22,8 @@ the hundreds never overflow:
   integral.
 
 Smoothed densities come from the family table in :mod:`suplab.energy`, the
-cell-gradient stencil and its adjoint from :mod:`suplab.discretize`.
-
-Closed-form oracles for 1-D weighted problems live here as well: the
-minimum of the sup of a(x) |u'| under endpoint data is |g1 - g0| / integral
-of 1/a, attained by slopes proportional to 1/a, and the minimum of the
-weighted p-norm of a |u'| for a constant p is its Hoelder counterpart.
+cell-gradient stencil and its adjoint from :mod:`suplab.discretize`; the
+closed forms the minima are checked against live in :mod:`suplab.oracles`.
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ from .discretize import (
 from .energy import DensitySpec, _density, eval_calFn, eval_Fn
 from .exponent_space import (
     ExponentField,
-    GridFunction,
     PreconditionError,
     StructuralError,
     _linear,
@@ -61,9 +56,6 @@ __all__ = [
     "FUNCTIONAL_INTEGRAL",
     "SolveResult",
     "minimize_power",
-    "supremal_oracle_1d",
-    "power_oracle_1d",
-    "oracle_minimizer_1d",
 ]
 
 FUNCTIONAL_NORM = "norm"
@@ -286,41 +278,3 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
         functional=functional,
     )
 
-
-def supremal_oracle_1d(a: GridFunction, g0: float, g1: float) -> float:
-    """Exact minimum of sup a(x) |u'| under u(x0) = g0, u(x1) = g1.
-
-    Any competitor satisfies |u'| <= L / a and the total rise pins
-    L >= |g1 - g0| / integral(1/a); slopes proportional to 1/a attain it.
-    """
-    if a.grid.dimension != 1:
-        raise PreconditionError("the closed-form oracle is one-dimensional")
-    if np.any(a.values <= 0):
-        raise PreconditionError("weight must be strictly positive")
-    inv_mass = float(np.sum(a.grid.weights / a.values))
-    return abs(g1 - g0) / inv_mass
-
-
-def power_oracle_1d(a: GridFunction, p: float, g0: float, g1: float) -> float:
-    """Exact minimum of the weighted p-norm (sum_i w_i (a_i |u'_i|)^p)^(1/p), constant p > 1.
-
-    Hoelder on the total rise, |g1 - g0| = |sum_i w_i (a_i u'_i) / a_i|
-    <= ||a u'||_p ||1/a||_p', gives m_p = |g1 - g0| / (sum_i w_i a_i^{-p'})^{1/p'}
-    with p' = p/(p-1), attained by slopes proportional to a^{-p'}.  As p
-    grows, m_p tends to :func:`supremal_oracle_1d`.
-    """
-    if a.grid.dimension != 1:
-        raise PreconditionError("the closed-form oracle is one-dimensional")
-    if np.any(a.values <= 0):
-        raise PreconditionError("weight must be strictly positive")
-    if not p > 1.0:
-        raise PreconditionError(f"the power oracle needs p > 1, got {p}")
-    dual = p / (p - 1.0)
-    return abs(g1 - g0) / float(np.sum(a.grid.weights * a.values ** -dual)) ** (1.0 / dual)
-
-
-def oracle_minimizer_1d(a: GridFunction, g0: float, g1: float) -> np.ndarray:
-    """Node values of the equalizing profile: a |u'| constant at the oracle level."""
-    lstar = supremal_oracle_1d(a, g0, g1)
-    steps = np.sign(g1 - g0) * lstar * a.grid.weights / a.values
-    return np.concatenate([[g0], g0 + np.cumsum(steps)])

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own code paths: constant
 exponent norms come from the direct power-sum formula, variable-exponent
-norms from a Brent root solve, minimizers from Lagrange closed forms, and
-the quadratic energy from a dense linear solve.
+norms from a Brent root solve, minimizers from Lagrange closed forms, the
+constant-exponent minimum from Hoelder's inequality, and the quadratic
+energy from a dense linear solve.  Nothing here imports suplab.
 """
 
 import numpy as np
@@ -60,6 +61,19 @@ def el_slopes_constant_q(a_cells, weights, q, total_rise):
     s = a ** (-q / (q - 1.0))
     s *= total_rise / np.sum(w * s)
     return s
+
+
+def power_minimum_constant_q(a_cells, weights, q, total_rise):
+    """Minimum of (sum w (a s)^q)^(1/q) subject to sum w s = rise, for q > 1.
+
+    Hoelder on the rise, sum w (a s) / a <= ||a s||_q ||1/a||_q', gives
+    |rise| / (sum w a^(-q'))^(1/q') with q' = q/(q-1), attained by the
+    slopes of el_slopes_constant_q.  As q grows it tends to |rise| / sum w/a.
+    """
+    a = np.asarray(a_cells, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    dual = q / (q - 1.0)
+    return abs(total_rise) / float(np.sum(w * a ** -dual)) ** (1.0 / dual)
 
 
 def el_nodes_inverse_weight(q, x_nodes):

@@ -15,7 +15,7 @@ README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 MINIMAL = """
 [density]
 family = weighted_norm
-a = one
+a = constant
 
 [mesh]
 cells = 64
@@ -124,7 +124,7 @@ class TestParseConfig:
 
     def test_negative_weight_is_named(self):
         with pytest.raises(ConfigError, match=r"\[density\]: weighted_norm weight 'a'"):
-            parse_config(MINIMAL.replace("a = one", "a = constant:-1"))
+            parse_config(MINIMAL.replace("a = constant", "a = constant:-1"))
 
     @pytest.mark.parametrize("word, error", [
         ("TRUE", "H1"), ("on", "H1"), ("1", "H1"), ("off", None), ("No", None), ("0", None),
@@ -181,7 +181,7 @@ class TestParseConfig:
             parse_config(MINIMAL.replace("weighted_norm", "cubic"))
 
     def test_alpha_above_infimum_cites_growth(self):
-        bad = MINIMAL.replace("a = one", "a = inverse_one_plus_x\nalpha = 0.9")
+        bad = MINIMAL.replace("a = constant", "a = inverse_one_plus_x\nalpha = 0.9")
         with pytest.raises(ConfigError, match="H2"):
             parse_config(bad)
 
@@ -214,7 +214,7 @@ cells = 16
         assert parse_config(doc).density.alpha == pytest.approx(1.0 / np.sqrt(2.0))
 
     def test_piecewise_coefficient(self):
-        doc = MINIMAL.replace("a = one", "a = piecewise:1.0,2.0")
+        doc = MINIMAL.replace("a = constant", "a = piecewise:1.0,2.0")
         cfg = parse_config(doc)
         a = cfg.density.coefficients["a"]
         assert np.all(a[:32] == 1.0) and np.all(a[32:] == 2.0)
@@ -294,7 +294,7 @@ class TestRun:
         # the probe sits on the dichotomy boundary
         ("dichotomy_high.ini", "dichotomy", "probe_scale = 2.0", "probe_scale = 1.0"),
         # closed-form oracles need the weighted-norm density family
-        ("norms.ini", "norms", "family = weighted_norm\na = one", "family = shifted_norm"),
+        ("norms.ini", "norms", "family = weighted_norm\na = constant", "family = shifted_norm"),
     ], ids=["probe_on_boundary", "oracle_needs_weighted_norm"])
     def test_runner_refusal_leaves_no_output_directory(self, tmp_path, name, subcommand,
                                                        old, new):
@@ -346,10 +346,10 @@ class TestRun:
             assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest(), name
 
     @pytest.mark.parametrize("old, new, label", [
-        ("a = one", "a = constant:abc", "[density] a"),
-        ("a = one", "a = piecewise:1,x", "[density] a"),
-        ("a = one", "a = piecewise:1", "[density] a"),
-        ("a = one", "a = bogus", "[density] a"),
+        ("a = constant", "a = constant:abc", "[density] a"),
+        ("a = constant", "a = piecewise:1,x", "[density] a"),
+        ("a = constant", "a = piecewise:1", "[density] a"),
+        ("a = constant", "a = bogus", "[density] a"),
         ("profile = constant", "profile = bogus", "[exponents] profile"),
         ("profile = constant", "profile = piecewise:2,y", "[exponents] profile"),
         ("profile = constant", "profile = constant:-1", "[exponents]:"),

@@ -1,5 +1,7 @@
-"""The package runs on numpy alone: scipy is a test-only dependency."""
+"""The package runs on numpy alone, scipy is a test-only dependency, and the
+test references in tests/_oracles.py do not import the package."""
 
+import ast
 import pathlib
 import re
 import subprocess
@@ -35,3 +37,13 @@ def test_runtime_dependencies_are_numpy_alone():
         project = tomllib.load(fh)["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in project["dependencies"]]
     assert names == ["numpy"]
+
+
+def test_test_references_do_not_import_the_package():
+    # a bug in a shared root is caught only by a reference that does not use it
+    tree = ast.parse((ROOT / "tests" / "_oracles.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "numpy" in imported, imported
+    assert not any(m.partition(".")[0] == "suplab" for m in imported), imported

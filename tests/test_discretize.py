@@ -31,6 +31,23 @@ class TestMeshSpec:
         with pytest.raises(StructuralError):
             MeshSpec(1, (0.0,), (4,), BoundarySpec.endpoints(0, 1))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_finite_extent(self, bad):
+        with pytest.raises(StructuralError, match=f"extents must be finite, got \\({bad},\\)"):
+            MeshSpec(1, (bad,), (8,), BoundarySpec.endpoints(0, 1))
+        with pytest.raises(StructuralError, match=f"extents must be finite, got \\(1.0, {bad}\\)"):
+            MeshSpec(2, (1.0, bad), (4, 4), BoundarySpec.affine(0.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("make", [
+        lambda bad: BoundarySpec.endpoints(0.0, bad),
+        lambda bad: BoundarySpec.affine(bad, 1.0),
+        lambda bad: BoundarySpec.affine(0.0, bad, 1.0),
+    ], ids=["endpoints", "affine_c0", "affine_slope"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_finite_trace(self, make, bad):
+        with pytest.raises(StructuralError, match=f"trace values must be finite, got .*{bad}"):
+            make(bad)
+
     def test_endpoint_trace_rejected_in_2d(self):
         with pytest.raises(StructuralError):
             MeshSpec(2, (1.0, 1.0), (4, 4), BoundarySpec.endpoints(0, 1))

@@ -20,12 +20,12 @@ from suplab.exponent_space import (
     luxemburg_norm,
     luxemburg_root,
     modular,
-    norm_limit_study,
     power_identity_check,
     sobolev_modular,
     sobolev_norm,
     verify_norm_modular_relations,
 )
+from suplab.gamma_lab import norm_limit_study
 
 from _oracles import brentq_luxemburg, constant_p_norm
 
@@ -72,6 +72,15 @@ class TestGridAndFields:
     def test_weights_must_be_positive(self):
         with pytest.raises(StructuralError):
             Grid(1, np.array([[0.5]]), np.array([0.0]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_weights_and_centers_must_be_finite(self, bad):
+        with pytest.raises(StructuralError, match=f"cell weights must be finite, got {bad}"):
+            Grid(1, np.array([[0.5]]), np.array([bad]))
+        with pytest.raises(StructuralError, match=f"cell centers must be finite, got {bad}"):
+            Grid(1, np.array([[bad]]), np.array([1.0]))
+        with pytest.raises(StructuralError, match="cell weights must be finite, got inf"):
+            Grid.uniform_1d(0.0, np.inf, 8)
 
     def test_exponent_field_rejects_sub_unit_values(self):
         grid = Grid.uniform_1d(0.0, 1.0, 4)
@@ -513,7 +522,7 @@ class TestNormLimit:
         seq = ExponentSequence(grid, np.ones(16))
         u = GridFunction.constant(grid, 2.5)
         table = norm_limit_study(u, seq, [2, 4, 8, 16])
-        for _, norm, err in table.rows:
+        for _, _, _, norm, _, err in table.rows:
             assert norm == pytest.approx(2.5, rel=1e-10)
             assert err < 1e-9
         assert table.passed
@@ -524,7 +533,7 @@ class TestNormLimit:
         u = GridFunction(grid, grid.points)
         ns = [4, 8, 16, 32, 64, 128, 200]
         table = norm_limit_study(u, seq, ns)
-        for (n, norm, _), nval in zip(table.rows, ns):
+        for (n, _, _, norm, _, _), nval in zip(table.rows, ns):
             direct = constant_p_norm(u.values, grid.weights, float(nval))
             assert norm == pytest.approx(direct, rel=1e-10)
         assert table.verdicts["error_eventually_decreasing"]

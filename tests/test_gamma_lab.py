@@ -8,14 +8,13 @@ from suplab.exponent_space import Grid, PreconditionError, StructuralError
 from suplab.gamma_lab import (
     DIVERGENCE_THRESHOLD,
     StudyConfig,
-    limit_minimizer,
     named_profile,
     run_integral_dichotomy_study,
     run_minimizer_convergence,
     run_norm_gamma_study,
     run_norm_limit,
-    study_oracle,
 )
+from suplab.oracles import limit_minimizer, study_oracle
 from suplab.reports import Table
 from suplab.solve import FUNCTIONAL_NORM, SolveResult
 
@@ -61,7 +60,7 @@ class TestConfigValidation:
 class TestNamedProfile:
     def test_flat_spellings_agree(self):
         grid = Grid.uniform_1d(0.0, 1.0, 8)
-        for name in ("one", "constant", "constant:1"):
+        for name in ("constant", "constant:1"):
             np.testing.assert_array_equal(named_profile(name, grid), np.ones(8))
         np.testing.assert_array_equal(named_profile("constant:2.5", grid), np.full(8, 2.5))
 
@@ -78,7 +77,7 @@ class TestNamedProfile:
         np.testing.assert_array_equal(vals, 1.0 / (1.0 + grid.cells[:, 0]))
 
     @pytest.mark.parametrize("name", [
-        "bogus", "Constant", "constant:", "constant:abc", "constant:1,2", "constant:inf",
+        "bogus", "one", "Constant", "constant:", "constant:abc", "constant:1,2", "constant:inf",
         "piecewise:1", "piecewise:1,x", "piecewise:1,2,3",
     ])
     def test_bad_names_are_structural_errors(self, name):
@@ -99,6 +98,15 @@ class TestOracles:
         cfg = StudyConfig(kind="norm_gamma", density=dens, mesh=mesh,
                           profile="constant", n_schedule=(4, 8))
         assert study_oracle(cfg) == pytest.approx(10.0, rel=1e-12)
+
+    def test_2d_oracle_needs_constant_weight(self):
+        mesh = MeshSpec(2, (1.0, 1.0), (4, 4), BoundarySpec.affine(0.0, 3.0, 4.0))
+        dens = DensitySpec.weighted_norm(mesh.grid(),
+                                         named_profile("inverse_one_plus_x", mesh.grid()))
+        cfg = StudyConfig(kind="norm_gamma", density=dens, mesh=mesh,
+                          profile="constant", n_schedule=(4, 8))
+        with pytest.raises(PreconditionError, match="constant weight"):
+            run_norm_gamma_study(cfg)
 
     def test_1d_affine_trace_is_its_end_values(self):
         # stored as endpoints(c0, c0 + L cx): trace, oracle, initial field
@@ -286,9 +294,9 @@ class TestMinimizerStudy:
             name: run_minimizer_convergence(benchmark_config(
                 kind="constant_exponent", cells=16, profile=name, schedule=(4, 8),
                 threshold=0.5)).rows
-            for name in ("constant", "one", "constant:1")
+            for name in ("constant", "constant:1")
         }
-        assert rows["one"] == rows["constant"] == rows["constant:1"]
+        assert rows["constant"] == rows["constant:1"]
 
     def test_needs_flat_profile(self):
         with pytest.raises(PreconditionError):

@@ -20,15 +20,10 @@ from suplab.exponent_space import (
     luxemburg_root,
 )
 from suplab.gamma_lab import StudyConfig, run_norm_gamma_study
-from suplab.solve import (
-    _Descent,
-    minimize_power,
-    oracle_minimizer_1d,
-    power_oracle_1d,
-    supremal_oracle_1d,
-)
+from suplab.oracles import oracle_minimizer_1d, supremal_oracle_1d
+from suplab.solve import _Descent, minimize_power
 
-from _oracles import el_slopes_constant_q, quadratic_energy_solve_2d
+from _oracles import el_slopes_constant_q, power_minimum_constant_q, quadratic_energy_solve_2d
 
 
 def mesh_1d(cells, g0=0.0, g1=1.0):
@@ -62,6 +57,11 @@ class TestSupremalOracle:
         with pytest.raises(PreconditionError):
             supremal_oracle_1d(a, 0.0, 1.0)
 
+    def test_plane_weight_refused(self):
+        grid = MeshSpec(2, (1.0, 1.0), (4, 4), BoundarySpec.affine(0.0, 1.0, 0.0)).grid()
+        with pytest.raises(PreconditionError, match="one-dimensional"):
+            supremal_oracle_1d(GridFunction.constant(grid, 1.0), 0.0, 1.0)
+
     def test_minimizer_hits_boundary_data(self):
         grid = mesh_1d(50).grid()
         a = GridFunction(grid, 1.0 / (1.0 + grid.points))
@@ -83,13 +83,15 @@ class TestPowerOracle:
             slopes *= 1.0 / np.sum(grid.weights * slopes)
             field = DiscreteField(mesh_1d(200), np.concatenate([[0.0], np.cumsum(grid.weights * slopes)]))
             value = eval_Fn(inverse_weight(grid), None, gradient(field), ExponentField.constant(grid, p))
-            assert value == pytest.approx(power_oracle_1d(a, p, 0.0, 1.0), rel=1e-12)
+            m_p = power_minimum_constant_q(a.values, grid.weights, p, 1.0)
+            assert value == pytest.approx(m_p, rel=1e-12)
 
     def test_tends_to_supremal_oracle(self):
         grid = mesh_1d(200).grid()
         a = GridFunction(grid, 1.0 / (1.0 + grid.points))
         lstar = supremal_oracle_1d(a, 0.0, 1.0)
-        gaps = [lstar - power_oracle_1d(a, p, 0.0, 1.0) for p in (2.0, 8.0, 64.0, 1024.0)]
+        gaps = [lstar - power_minimum_constant_q(a.values, grid.weights, p, 1.0)
+                for p in (2.0, 8.0, 64.0, 1024.0)]
         assert all(g > 0 for g in gaps)
         assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-3 * lstar
@@ -99,14 +101,9 @@ class TestPowerOracle:
         mesh = mesh_1d(32)
         grid = mesh.grid()
         a = GridFunction(grid, 1.0 / (1.0 + grid.points))
-        m_p = power_oracle_1d(a, p, 0.0, 1.0)
+        m_p = power_minimum_constant_q(a.values, grid.weights, p, 1.0)
         res = minimize_power("norm", inverse_weight(grid), ExponentField.constant(grid, p), mesh)
         assert -1e-12 <= (res.objective - m_p) / m_p <= 1e-6
-
-    def test_needs_p_above_one(self):
-        grid = mesh_1d(8).grid()
-        with pytest.raises(PreconditionError):
-            power_oracle_1d(GridFunction.constant(grid, 1.0), 1.0, 0.0, 1.0)
 
 
 class TestNormMinimization:
