@@ -12,6 +12,7 @@ trials.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -86,10 +87,17 @@ class MeshSpec:
             raise StructuralError("need at least two cells per axis")
         if self.boundary.kind == "endpoints" and self.dimension != 1:
             raise StructuralError("endpoint traces only make sense in 1-D")
-        if self.boundary.kind == "affine" and self.dimension == 1:
-            # a 1-D trace is its two end values
-            g0, g1 = self.boundary.value(np.array([[0.0], [extents[0]]]))
-            object.__setattr__(self, "boundary", BoundarySpec.endpoints(g0, g1))
+        if self.boundary.kind == "affine":
+            # an affine trace takes its extremes at the corners of the box
+            corners = np.array(list(itertools.product(*((0.0, e) for e in extents))))
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = self.boundary.value(corners)
+            if not np.all(np.isfinite(values)):
+                raise StructuralError(f"affine trace {self.boundary.params} overflows: it "
+                                      f"reaches {values.tolist()} at the corners")
+            if self.dimension == 1:
+                # a 1-D trace is its two end values
+                object.__setattr__(self, "boundary", BoundarySpec.endpoints(*values))
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "cells", cells)
 

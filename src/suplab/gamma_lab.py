@@ -212,7 +212,7 @@ def run_norm_gamma_study(cfg: StudyConfig) -> Table:
                  rows, verdicts, meta)
 
 
-def probe_field(cfg: StudyConfig) -> DiscreteField:
+def _probe_field(cfg: StudyConfig) -> DiscreteField:
     """The dichotomy probe: the limiting minimizer scaled by probe_scale."""
     return limit_minimizer(cfg).scaled(cfg.probe_scale)
 
@@ -227,7 +227,7 @@ def run_integral_dichotomy_study(cfg: StudyConfig) -> Table:
     """
     if cfg.kind != "integral_dichotomy":
         raise PreconditionError(f"study kind is {cfg.kind!r}, expected 'integral_dichotomy'")
-    u = probe_field(cfg)
+    u = _probe_field(cfg)
     du = gradient(u)
     ucells = u.cell_values()
     sup = eval_supremal(cfg.density, ucells, du)
@@ -310,7 +310,7 @@ def run_norm_limit(cfg: StudyConfig) -> Table:
     """The norm-limit table of the probe's cell values |u|, with a threshold verdict."""
     if cfg.kind != "norm_limit":
         raise PreconditionError(f"study kind is {cfg.kind!r}, expected 'norm_limit'")
-    table = norm_limit_study(probe_field(cfg).cell_values(), cfg.sequence(), cfg.n_schedule)
+    table = norm_limit_study(_probe_field(cfg).cell_values(), cfg.sequence(), cfg.n_schedule)
     sup, final = table.meta["sup"], table.meta["final_error"]
     table.verdicts["final_error_below_threshold"] = final <= cfg.threshold * max(sup, 1e-300)
     return table

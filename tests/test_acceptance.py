@@ -126,7 +126,7 @@ def test_criterion_06_young_q_limit():
     grid = Grid(1, np.array([[0.5]]), np.array([1.0]))
     f = DensitySpec.weighted_norm(grid, 1.0)
     u = GridFunction.constant(grid, 0.0)
-    mu = DiscreteYoungMeasure(grid, ((np.array([[1.0], [3.0]]), np.array([0.5, 0.5])),))
+    mu = DiscreteYoungMeasure(grid, np.array([[[1.0], [3.0]]]), np.array([[0.5, 0.5]]))
     start = time.perf_counter()
     table = young_q_limit(f, u, mu)
     elapsed = time.perf_counter() - start

@@ -379,6 +379,34 @@ class TestRun:
         assert f"[study] {key}:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text, argv, code, message", [
+        ("[density\nfamily = weighted_norm\n", (), 2, "malformed config"),
+        (MINIMAL.replace("cells = 64", "cells = 64\nboundary = bogus"), (), 2,
+         "[mesh] boundary: unknown trace kind 'bogus'"),
+        (MINIMAL.replace("cells = 64", "cells = 1"), (), 2,
+         "[mesh]: need at least two cells per axis"),
+        (MINIMAL.replace("family = weighted_norm\na = constant", "family = custom"), (), 2,
+         "[density] rule: the custom family needs one of"),
+        (MINIMAL + "\n[study]\nkind = bogus\n", (), 2, "[study] kind: unknown study kind"),
+        (MINIMAL.replace("cells = 64", "cells = 8\nextent = 10\nboundary = affine\ncx = 1e308"),
+         (), 2, "[mesh]: affine trace (0.0, 1e+308) overflows"),
+        (MINIMAL.replace("cells = 64", "dimension = 2\ncells = 4\nextent = 10\ncx = 1e308"),
+         (), 2, "[mesh]: affine trace (0.0, 1e+308, 0.0) overflows"),
+        (MINIMAL, ("--seed", "-1"), 2, "seed must fit in an unsigned 64-bit integer"),
+        (config_text("norms.ini").replace("threshold = 0.02", "threshold = 0.0"), (), 1,
+         "verdict: FAIL"),
+    ], ids=["malformed_ini", "unknown_trace", "one_cell", "custom_without_rule",
+            "unknown_kind", "overflowing_trace_1d", "overflowing_trace_2d", "negative_seed",
+            "failing_verdict"])
+    def test_refusal_or_failure_exit(self, tmp_path, capsys, text, argv, code, message):
+        cfg = tmp_path / "doc.ini"
+        cfg.write_text(text)
+        subcommand = "norms" if "kind = norm_limit" in text else "gamma-study"
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", str(cfg), "--out", str(out), *argv]) == code
+        assert message in capsys.readouterr().err
+        assert out.exists() == (code == 1)
+
     def test_csv_mode_follows_umask(self, tmp_path):
         old = os.umask(0o022)
         try:

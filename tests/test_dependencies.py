@@ -1,5 +1,6 @@
-"""The package runs on numpy alone, scipy is a test-only dependency, and the
-test references in tests/_oracles.py do not import the package."""
+"""The package runs on numpy alone, scipy is a test-only dependency, the
+test references in tests/_oracles.py do not import the package, and every
+module uses its imports and lists its public definitions in __all__."""
 
 import ast
 import pathlib
@@ -47,3 +48,45 @@ def test_test_references_do_not_import_the_package():
     imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert "numpy" in imported, imported
     assert not any(m.partition(".")[0] == "suplab" for m in imported), imported
+
+
+def test_modules_use_their_imports_and_list_their_public_definitions():
+    # a move between modules can leave an import unused behind it, or a
+    # public function outside the __all__ of its new home
+    from suplab import cli
+
+    # cli looks its runners up by name, so a runner import is used
+    looked_up = {runner for _, _, runner in cli._SUBCOMMANDS.values() if runner}
+    problems = []
+    for path in sorted((ROOT / "src" / "suplab").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.stem == "cli":
+            used |= looked_up
+        problems += [f"{path.stem}: imports {name} unused" for name in sorted(imported - used)]
+
+        defined, public, listed = set(), set(), None
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+                if not node.name.startswith("_"):
+                    public.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+                defined |= names
+                if "__all__" in names:
+                    listed = ast.literal_eval(node.value)
+        if listed is not None:
+            problems += [f"{path.stem}: {name} is public but not in __all__"
+                         for name in sorted(public - set(listed))]
+            problems += [f"{path.stem}: __all__ lists {name}, not defined here"
+                         for name in listed if name not in defined]
+    assert problems == []

@@ -48,6 +48,16 @@ class TestMeshSpec:
         with pytest.raises(StructuralError, match=f"trace values must be finite, got .*{bad}"):
             make(bad)
 
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_overflowing_affine_trace_is_named(self, dimension):
+        # the trace reaches 10 * 1e308 at the far corners; the refusal comes
+        # without a NumPy warning, an error under this suite
+        slopes = (1e308, 0.0)[:dimension]
+        trace = BoundarySpec.affine(0.0, *slopes)
+        with pytest.raises(StructuralError, match=r"affine trace \(0\.0, 1e\+308.*\) overflows: "
+                                                  r"it reaches \[0\.0, .*inf\]"):
+            MeshSpec(dimension, (10.0,) * dimension, (8,) * dimension, trace)
+
     def test_endpoint_trace_rejected_in_2d(self):
         with pytest.raises(StructuralError):
             MeshSpec(2, (1.0, 1.0), (4, 4), BoundarySpec.endpoints(0, 1))

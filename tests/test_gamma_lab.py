@@ -188,11 +188,12 @@ class TestNormGammaStudy:
         with pytest.raises(PreconditionError):
             run_norm_gamma_study(unit_weight_config(kind="norm_limit"))
 
-    @pytest.mark.parametrize("minimum, ok", [(0.4, False), (0.5, True)])
+    @pytest.mark.parametrize("minimum, ok", [(0.4, False), (0.5, True), (1.5, False)])
     def test_floor_uses_the_profile_ratio(self, monkeypatch, minimum, ok):
         # a flat profile has beta = 1, so at p = 4 the floor is
         # alpha |g1 - g0| = 0.5; a declared beta = 3 would lower it to
-        # 0.5 / (1 + 2/4) = 1/3 and accept 0.4
+        # 0.5 / (1 + 2/4) = 1/3 and accept 0.4.  The ceiling is the affine
+        # start's value, 1.0, so 1.5 fails it
         mesh = MeshSpec(1, (1.0,), (32,), BoundarySpec.endpoints(0.0, 1.0))
         dens = DensitySpec.weighted_norm(mesh.grid(), 1.0, alpha=0.5)
         cfg = StudyConfig(kind="norm_gamma", density=dens, mesh=mesh,

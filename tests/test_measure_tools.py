@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from suplab import energy, verification
+from suplab import energy, measure_tools, verification
 from suplab.energy import DensitySpec
-from suplab.exponent_space import Grid, GridFunction, StructuralError
+from suplab.exponent_space import Grid, GridFunction, StructuralError, luxemburg_root
 from suplab.measure_tools import (
     DEFAULT_Q_SCHEDULE,
     DiscreteYoungMeasure,
@@ -24,50 +24,79 @@ def annulus(grid):
     return DensitySpec.custom(grid, "unit_sphere_distance", level_convex=False)
 
 
+def three_cell_measure():
+    """Three cells, two atoms each; cell 1's atom at 100 is padding."""
+    grid = Grid.uniform_1d(0.0, 1.0, 3)
+    pts = np.array([[[0.5], [-2.0]], [[1.0], [100.0]], [[3.0], [-1.0]]])
+    wts = np.array([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]])
+    return DiscreteYoungMeasure(grid, pts, wts)
+
+
 class TestMeasureInvariants:
     def test_weights_must_sum_to_one(self):
-        grid = one_cell_grid()
-        with pytest.raises(StructuralError):
-            DiscreteYoungMeasure(grid, ((np.array([[1.0]]), np.array([0.5, 0.4])),))
+        with pytest.raises(StructuralError, match="cell 0: .* not probabilities"):
+            DiscreteYoungMeasure(one_cell_grid(), np.array([[[1.0], [2.0]]]),
+                                 np.array([[0.5, 0.4]]))
 
     def test_weights_must_be_positive(self):
-        grid = one_cell_grid()
-        with pytest.raises(StructuralError):
-            DiscreteYoungMeasure(grid, ((np.array([[1.0], [2.0]]), np.array([1.5, -0.5])),))
+        with pytest.raises(StructuralError, match="cell 0: .* not probabilities"):
+            DiscreteYoungMeasure(one_cell_grid(), np.array([[[1.0], [2.0]]]),
+                                 np.array([[1.5, -0.5]]))
 
-    def test_zero_weight_atom_is_dropped(self):
-        grid = one_cell_grid()
-        mu = DiscreteYoungMeasure(
-            grid, ((np.array([[1.0], [3.0], [100.0]]), np.array([0.5, 0.5, 0.0])),)
-        )
-        pts, wts = mu.atoms[0]
-        assert pts.ravel().tolist() == [1.0, 3.0] and wts.tolist() == [0.5, 0.5]
+    def test_bad_cell_is_named(self):
+        mu = three_cell_measure()
+        wts = mu.weights.copy()
+        wts[2] = [0.5, 0.6]
+        with pytest.raises(StructuralError, match="cell 2"):
+            DiscreteYoungMeasure(mu.grid, mu.points, wts)
 
-    def test_needs_one_list_per_cell(self):
+    def test_holds_one_read_only_array_pair(self):
+        mu = three_cell_measure()
+        assert mu.points.shape == (3, 2, 1) and mu.weights.shape == (3, 2)
+        assert not mu.points.flags.writeable and not mu.weights.flags.writeable
+        assert not hasattr(mu, "atoms")
+
+    def test_padded_atom_changes_neither_barycenter_nor_q_limit(self):
+        grid = one_cell_grid()
+        f = DensitySpec.weighted_norm(grid, 1.0)
+        u = GridFunction.constant(grid, 0.0)
+        bare = DiscreteYoungMeasure(grid, np.array([[[1.0], [3.0]]]), np.array([[0.5, 0.5]]))
+        padded = DiscreteYoungMeasure(grid, np.array([[[1.0], [3.0], [100.0]]]),
+                                      np.array([[0.5, 0.5, 0.0]]))
+        assert padded.points.shape == (1, 3, 1)
+        assert barycenter(padded).values.tolist() == barycenter(bare).values.tolist()
+        assert young_q_limit(f, u, padded).rows == young_q_limit(f, u, bare).rows
+
+    def test_needs_atoms_on_every_cell(self):
         grid = Grid.uniform_1d(0.0, 1.0, 2)
-        with pytest.raises(StructuralError):
-            DiscreteYoungMeasure(grid, ((np.array([[1.0]]), np.array([1.0])),))
+        with pytest.raises(StructuralError, match="atoms for 1 cells on 2 cells"):
+            DiscreteYoungMeasure(grid, np.array([[[1.0]]]), np.array([[1.0]]))
+
+    @pytest.mark.parametrize("points, weights", [
+        (np.array([[1.0], [3.0]]), np.array([0.5, 0.5])),          # no cell axis
+        (np.array([[[1.0], [3.0]]]), np.array([[1.0]])),            # one weight, two points
+        (np.array([[[1.0, 3.0]]]), np.array([[0.5, 0.5]])),         # points transposed
+    ], ids=["no_cell_axis", "count_mismatch", "transposed"])
+    def test_malformed_arrays_are_refused(self, points, weights):
+        with pytest.raises(StructuralError, match=r"need points \(T, m, k\)"):
+            DiscreteYoungMeasure(one_cell_grid(), points, weights)
 
 
 class TestBarycenter:
     def test_single_atom_recovers_field(self):
         grid = Grid.uniform_1d(0.0, 1.0, 5)
         du = GridFunction(grid, np.linspace(-1.0, 1.0, 5))
-        mu = DiscreteYoungMeasure(grid, tuple((np.array([[v]]), np.array([1.0])) for v in du.values))
+        mu = DiscreteYoungMeasure(grid, du.values[:, None, None], np.ones((5, 1)))
         assert np.allclose(barycenter(mu).values.ravel(), du.values)
 
     def test_symmetric_pair_cancels(self):
         grid = one_cell_grid()
-        mu = DiscreteYoungMeasure(
-            grid, ((np.array([[2.0], [-2.0]]), np.array([0.5, 0.5])),)
-        )
+        mu = DiscreteYoungMeasure(grid, np.array([[[2.0], [-2.0]]]), np.array([[0.5, 0.5]]))
         assert barycenter(mu).values.ravel()[0] == pytest.approx(0.0)
 
     def test_weighted_pair(self):
         grid = one_cell_grid()
-        mu = DiscreteYoungMeasure(
-            grid, ((np.array([[1.0], [3.0]]), np.array([0.25, 0.75])),)
-        )
+        mu = DiscreteYoungMeasure(grid, np.array([[[1.0], [3.0]]]), np.array([[0.25, 0.75]]))
         assert barycenter(mu).values.ravel()[0] == pytest.approx(2.5)
 
 
@@ -108,7 +137,13 @@ class TestJensen:
         with pytest.raises(StructuralError, match="not probabilities"):
             jensen_check(f, 0, 0.0, atoms)
         with pytest.raises(StructuralError, match="not probabilities"):
-            DiscreteYoungMeasure(one_cell_grid(), (atoms,))
+            DiscreteYoungMeasure(one_cell_grid(), atoms[0][None], atoms[1][None])
+
+    def test_single_trial_is_not_transposed(self):
+        # points (k, m) for weights (m,) is refused, not guessed into (m, k)
+        f = DensitySpec.weighted_norm(one_cell_grid(), 1.0)
+        with pytest.raises(StructuralError, match=r"need points \(T, m, k\)"):
+            jensen_check(f, 0, 0.0, (np.array([[1.0, 3.0]]), np.array([0.25, 0.75])))
 
     def test_one_bad_trial_of_a_batch_is_named(self):
         f = DensitySpec.weighted_norm(one_cell_grid(), 1.0)
@@ -188,6 +223,28 @@ class TestJensenBatch:
         assert not rep.passed and rep.checks[0].witness["rhs"] == pytest.approx(0.5)
 
 
+class TestJensenOnMeasures:
+    @pytest.mark.parametrize("name", ["weighted_norm", "probe"])
+    def test_measure_arrays_match_per_cell_trials(self, name):
+        rng = np.random.default_rng(17)
+        grid = Grid.uniform_1d(0.0, 1.0, 8)
+        f = annulus(grid) if name == "probe" else DensitySpec.weighted_norm(grid, lambda x: 1.0 + x)
+        _, _, (pts, wts), _ = padded_batch(rng, 8, 1)
+        assert (wts == 0).any()
+        mu = DiscreteYoungMeasure(grid, pts, wts)
+        u = GridFunction(grid, rng.normal(size=8))
+        rep = jensen_check(f, np.arange(8), u.values, (mu.points, mu.weights))
+        single = [jensen_check(f, i, u.values[i], (mu.points[i], mu.weights[i]))
+                  for i in range(8)]
+        assert rep.meta["failing"].tolist() == [not r.passed for r in single]
+        assert rep.checks[0].slack == min(r.checks[0].slack for r in single)
+        if name == "probe":
+            assert not rep.passed
+        assert rep.checks[0].witness == next(
+            (r for r in single if not r.passed),
+            min(single, key=lambda r: r.checks[0].slack)).checks[0].witness
+
+
 class TestJensenSuite:
     def test_remainder_batch_runs(self, monkeypatch):
         sizes = []
@@ -218,9 +275,7 @@ class TestYoungQLimit:
         grid = one_cell_grid()
         f = DensitySpec.weighted_norm(grid, 1.0)
         u = GridFunction.constant(grid, 0.0)
-        mu = DiscreteYoungMeasure(
-            grid, ((np.array([[1.0], [3.0]]), np.array([0.5, 0.5])),)
-        )
+        mu = DiscreteYoungMeasure(grid, np.array([[[1.0], [3.0]]]), np.array([[0.5, 0.5]]))
         table = young_q_limit(f, u, mu, q_values=(2, 50, 200))
         assert table.meta["limit"] == pytest.approx(3.0)
         q200 = dict((int(r[0]), r[1]) for r in table.rows)[200]
@@ -231,7 +286,7 @@ class TestYoungQLimit:
         grid = Grid.uniform_1d(0.0, 1.0, 4)
         f = DensitySpec.weighted_norm(grid, 1.0)
         u = GridFunction.constant(grid, 0.0)
-        mu = DiscreteYoungMeasure(grid, ((np.array([[2.0]]), np.array([1.0])),) * 4)
+        mu = DiscreteYoungMeasure(grid, np.full((4, 1, 1), 2.0), np.ones((4, 1)))
         table = young_q_limit(f, u, mu, q_values=(2, 8, 64))
         for _, val, err in table.rows:
             assert val == pytest.approx(2.0, rel=1e-12)
@@ -241,13 +296,7 @@ class TestYoungQLimit:
         grid = Grid(1, np.array([[0.2], [0.7]]), np.array([0.3, 0.7]))
         f = DensitySpec.weighted_norm(grid, 1.0)
         u = GridFunction.constant(grid, 0.0)
-        mu = DiscreteYoungMeasure(
-            grid,
-            (
-                (np.array([[2.0]]), np.array([1.0])),
-                (np.array([[5.0]]), np.array([1.0])),
-            ),
-        )
+        mu = DiscreteYoungMeasure(grid, np.array([[[2.0]], [[5.0]]]), np.ones((2, 1)))
         table = young_q_limit(f, u, mu, q_values=DEFAULT_Q_SCHEDULE)
         assert table.meta["limit"] == pytest.approx(5.0)
         final = table.rows[-1][1]
@@ -265,13 +314,55 @@ class TestYoungQLimit:
             norm_grid = Grid(1, grid.cells, grid.weights / grid.total_measure)
             f = DensitySpec.weighted_norm(norm_grid, 1.0)
             u = GridFunction.constant(norm_grid, 0.0)
-            atoms = []
-            for _ in range(cells):
+            pts = np.zeros((cells, 3, 1))
+            wts = np.zeros((cells, 3))
+            for i in range(cells):
                 m = int(rng.integers(1, 4))
-                pts = rng.normal(size=(m, 1)) * 3.0
-                wts = rng.dirichlet(np.ones(m))
-                atoms.append((pts, wts / wts.sum()))
-            mu = DiscreteYoungMeasure(norm_grid, tuple(atoms))
+                pts[i, :m] = rng.normal(size=(m, 1)) * 3.0
+                wts[i, :m] = rng.dirichlet(np.ones(m))
+                wts[i] /= wts[i].sum()
+            mu = DiscreteYoungMeasure(norm_grid, pts, wts)
             table = young_q_limit(f, u, mu, q_values=(2, 4, 8, 16, 32))
             vals = [r[1] for r in table.rows]
             assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(vals, vals[1:]))
+
+    # the q-limit rows, pinned bit for bit (as hex floats) on two measures
+    @pytest.mark.parametrize("measure, values", [
+        ("criterion_06", ["0x1.1e3779b97f4a8p+1", "0x1.43e5715273d1ap+1", "0x1.6022e1fea83afp+1",
+                          "0x1.6fb83ba8abdb5p+1", "0x1.77c58c492b3f0p+1", "0x1.7bdd12136eca3p+1",
+                          "0x1.7ded1a0ab9575p+1", "0x1.7ef63105f9ae3p+1", "0x1.7f7b017b2ad4ap+1",
+                          "0x1.7fbd7afaa173ep+1"]),
+        ("three_cells_padded", ["0x1.64232637005f3p+1", "0x1.c9b5a783387bbp+1",
+                                "0x1.196e22478ddc6p+2", "0x1.3ab555f1a20b0p+2",
+                                "0x1.4cd51024d7fdcp+2", "0x1.564830986f7f5p+2",
+                                "0x1.5b1b638e2eb34p+2", "0x1.5d8b80af7f3f3p+2",
+                                "0x1.5ec533941288dp+2", "0x1.5f62768958c6dp+2"]),
+    ])
+    def test_rows_are_pinned(self, measure, values):
+        if measure == "criterion_06":
+            grid = one_cell_grid()
+            f = DensitySpec.weighted_norm(grid, 1.0)
+            mu = DiscreteYoungMeasure(grid, np.array([[[1.0], [3.0]]]), np.array([[0.5, 0.5]]))
+        else:
+            mu = three_cell_measure()
+            f = DensitySpec.weighted_norm(mu.grid, lambda x: 1.0 + x)
+        table = young_q_limit(f, GridFunction.constant(mu.grid, 0.0), mu)
+        limit = table.meta["limit"]
+        expected = [(q, float.fromhex(v), abs(float.fromhex(v) - limit))
+                    for q, v in zip(DEFAULT_Q_SCHEDULE, values)]
+        assert table.rows == expected
+        assert limit == (3.0 if measure == "criterion_06" else 5.5)
+
+    def test_one_stacked_root_per_call(self, monkeypatch):
+        calls = []
+
+        def recording(base_logs, exponents):
+            calls.append(np.shape(base_logs))
+            return luxemburg_root(base_logs, exponents)
+
+        monkeypatch.setattr(measure_tools, "luxemburg_root", recording)
+        mu = three_cell_measure()
+        f = DensitySpec.weighted_norm(mu.grid, 1.0)
+        young_q_limit(f, GridFunction.constant(mu.grid, 0.0), mu)
+        # five live atoms: the padded one is never evaluated
+        assert calls == [(len(DEFAULT_Q_SCHEDULE), 5)]

@@ -1,7 +1,8 @@
 """Every checker records its checks through RelationReport.add_rows.
 
 So each report's ``meta["violations"]`` maps exactly its check names to
-failure counts, and ``meta["failing"]`` marks each of its instances.
+failure counts, and ``meta["failing"]`` marks each of its instances.  The
+tail verdict ``eventually_decreasing`` is checked on both outcomes.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from suplab.exponent_space import (
     verify_norm_modular_relations,
 )
 from suplab.measure_tools import jensen_check
-from suplab.reports import RelationReport
+from suplab.reports import TAIL_RTOL, RelationReport, eventually_decreasing
 
 GRID = Grid.uniform_1d(0.0, 1.0, 8)
 U = GridFunction(GRID, np.linspace(-1.0, 2.0, 8))
@@ -72,3 +73,14 @@ def test_empty_probe_passes_without_witness(probe):
     assert check.passed and check.slack == np.inf and check.witness is None
     assert rep.meta["violations"] == {check.name: 0}
     assert rep.meta["failing"].shape == (0,)
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([1.0, 2.0], False),
+    ([3.0, 2.0, 1.0, 2.0], False),
+    ([3.0, 2.0, 1.0], True),
+    ([2.0, 1.0, 1.0 + TAIL_RTOL], True),
+    ([5.0], True),
+], ids=["rising", "rising_at_the_end", "decreasing", "rise_within_tolerance", "too_short"])
+def test_eventually_decreasing(values, expected):
+    assert eventually_decreasing(values) is expected
