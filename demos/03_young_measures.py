@@ -4,8 +4,8 @@
 A measure is one zero-padded array pair, points (cells, m, k) and weights
 (cells, m): a batch of Jensen trials, one per cell.  Two facts are shown.
 First the Jensen bound: for a level convex density, the value at the mean
-gradient never beats the worst atom, and a density with annular sublevel
-sets breaks the bound.  Second the q-limit: mixed q-power means over cells
+gradient never beats the worst atom, and the ``unit_sphere_distance``
+family, whose sublevel sets are annuli, breaks the bound.  Second the q-limit: mixed q-power means over cells
 and atoms collapse onto the single largest atom value as q grows.
 """
 
@@ -26,8 +26,9 @@ rep = jensen_check(f, np.arange(1), np.zeros(1), (mu.points, mu.weights))
 w = rep.checks[0].witness
 print(f"Jensen for f = 2|xi|: f(mean) = {w['lhs']} <= worst atom {w['rhs']}  -> {rep.passed}")
 
-# the annulus density f = ||xi| - 1| is not level convex and Jensen fails
-annulus = DensitySpec.custom(one_cell, "unit_sphere_distance", level_convex=False)
+# the unit_sphere_distance row f = ||xi| - 1| has annular sublevel sets: its
+# row claims no level convexity, and Jensen fails
+annulus = DensitySpec(one_cell, "unit_sphere_distance")
 rep = jensen_check(annulus, 0, 0.0, (np.array([[1.5], [-1.5]]), np.array([0.5, 0.5])))
 w = rep.checks[0].witness
 print(f"annulus probe: f(mean) = {w['lhs']} > worst atom {w['rhs']}  -> passed = {rep.passed}")

@@ -11,7 +11,6 @@ from .energy import (
     eval_supremal,
     growth_check,
     level_convexity_probe,
-    register_custom_rule,
 )
 from .exponent_space import (
     ExponentField,

@@ -2,13 +2,15 @@
 
 Configs are flat INI documents with four sections: [density], [mesh],
 [exponents], [study] (the solver has no settings); one table (``_SCHEMA``)
-names each section's keys and the parser of each value.  [density] a and
+names each section's keys and the parser of each value.  [density] family
+names a row of the family table (``suplab.energy._FAMILIES``), which says
+the one coefficient it reads besides alpha and gamma.  [density] a and
 [exponents] profile are named profiles
 (:func:`suplab.gamma_lab.named_profile`).  Every contract the studies rely
 on is checked at parse time and violations are reported by key path,
-citing the hypothesis label (H1 level convexity, H2 growth).  The exponent
-growth (pn1) and ratio bound (pn2) hold by construction: p_n = n * profile
-has beta = max(profile) / min(profile).
+citing the hypothesis label (H1 level convexity, for a row that claims it;
+H2 growth).  The exponent growth (pn1) and ratio bound (pn2) hold by
+construction: p_n = n * profile has beta = max(profile) / min(profile).
 
     suplab <subcommand> --config <path> --out <dir> [--seed <u64>]
 
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import BoundarySpec, MeshSpec
-from .energy import DensitySpec, custom_rule_names, growth_check, level_convexity_probe
+from .energy import _FAMILIES, DensitySpec, growth_check, level_convexity_probe
 from .exponent_space import PreconditionError, StructuralError
 # the runners are bound here for _SUBCOMMANDS' per-call lookup
 from .gamma_lab import (
@@ -101,32 +103,15 @@ def _ints(raw):
     return tuple(int(v) for v in raw.split())
 
 
-def _bool(raw):
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {raw!r}") from None
-
-
 # section -> key -> parser of the key's raw string; any other key is unknown
 _SCHEMA = {
-    "density": {"family": str, "a": str, "b": _float, "rule": str, "alpha": _float,
-                "gamma": _float, "level_convex": _bool},
+    "density": {"family": str, "a": str, "b": _float, "alpha": _float, "gamma": _float},
     "mesh": {"dimension": int, "extent": _floats, "cells": _ints, "boundary": str,
              "g0": _float, "g1": _float, "c0": _float, "cx": _float, "cy": _float},
     "exponents": {"profile": str, "n_schedule": _ints},
     "study": {"kind": str, "threshold": _float, "probe_scale": _float},
 }
 
-
-# [density] family -> the keys it reads besides ``family``; the built-in
-# families are level convex by construction and take no rule
-_FAMILY_KEYS = {
-    "weighted_norm": {"a", "alpha", "gamma"},
-    "shifted_norm": {"b", "alpha", "gamma"},
-    "anisotropic": {"a", "alpha", "gamma"},
-    "custom": {"a", "rule", "alpha", "gamma", "level_convex"},
-}
 
 # [mesh] boundary -> its trace keys with their defaults, in the order of the
 # BoundarySpec constructor of that name; a trace in d dimensions reads the
@@ -150,9 +135,9 @@ def parse_config(text: str) -> StudyConfig:
     ``[mesh]`` trace or ``[study]`` kind does not read are errors naming
     the offender; hypothesis violations are errors citing the label.  A
     key the document leaves out takes its default from
-    :class:`DensitySpec`'s constructors or :class:`StudyConfig`; only the
-    ``[mesh]`` keys, ``[density] family`` and ``[study] kind`` have their
-    defaults here.
+    :class:`DensitySpec` (the family's row) or :class:`StudyConfig`; only
+    the ``[mesh]`` keys, ``[density] family`` and ``[study] kind`` have
+    their defaults here.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -195,32 +180,26 @@ def parse_config(text: str) -> StudyConfig:
         raise ConfigError(f"[mesh]: {exc}") from exc
     grid = mesh.grid()
 
-    # density: the family's constructor supplies every key left out
+    # density: the family's row names the coefficient it reads, and
+    # DensitySpec supplies every key left out
     d = sections["density"]
     family = d.pop("family", "weighted_norm")
-    if family not in _FAMILY_KEYS:
+    if family not in _FAMILIES:
         raise ConfigError(f"[density] family: unknown family {family!r}")
-    for key in d:
-        if key not in _FAMILY_KEYS[family]:
-            raise ConfigError(f"[density] {key}: not used by family {family}")
+    key = _FAMILIES[family].coefficient
+    for k in d:
+        if k not in (key, "alpha", "gamma"):
+            raise ConfigError(f"[density] {k}: not used by family {family}")
     if "a" in d:
         d["a"] = _profile("density", "a", d["a"], grid)
+    coeffs = {key: d.pop(key)} if key in d else {}
     try:
-        if family == "custom":
-            rule = d.pop("rule", None)
-            if rule not in custom_rule_names():
-                raise ConfigError(
-                    f"[density] rule: the custom family needs one of "
-                    f"{', '.join(custom_rule_names())}, got {rule!r}"
-                )
-            coeffs = {"a": d.pop("a")} if "a" in d else None
-            density = DensitySpec.custom(grid, rule, coeffs, **d)
-        else:
-            density = getattr(DensitySpec, family)(grid, **d)
+        density = DensitySpec(grid, family, coeffs, **d)
     except StructuralError as exc:
         raise ConfigError(f"[density]: {exc}") from exc
 
-    # contract checks at parse time: growth (H2) and declared convexity (H1)
+    # contract checks at parse time: growth (H2) and, for a row that
+    # claims it, level convexity (H1)
     gr = growth_check(density, trials=2000, seed=0)
     if not gr.passed:
         w = gr.checks[0].witness
@@ -235,7 +214,7 @@ def parse_config(text: str) -> StudyConfig:
         if not lc.passed:
             w = lc.checks[0].witness
             raise ConfigError(
-                f"[density] level_convex: level convexity (H1) fails; witness "
+                f"[density] family: level convexity (H1) fails; witness "
                 f"xi1={w['xi1']}, xi2={w['xi2']}, theta={w['theta']:.4g}"
             )
 
@@ -250,15 +229,13 @@ def parse_config(text: str) -> StudyConfig:
     for key in study:
         if key not in STUDY_KINDS[kind]:
             raise ConfigError(f"[study] {key}: not used by kind {kind}")
-    # a negative threshold fails every verdict; a zero probe passes vacuously
-    if study.get("threshold", 0.0) < 0:
-        raise ConfigError(f"[study] threshold: must be >= 0, got {study['threshold']!r}")
-    if study.get("probe_scale", 1.0) <= 0:
-        raise ConfigError(f"[study] probe_scale: must be > 0, got {study['probe_scale']!r}")
     try:
         return StudyConfig(kind=kind, density=density, mesh=mesh, **exponents, **study)
     except (StructuralError, PreconditionError) as exc:
-        # the kind is known, so every check left is on the exponent sequence
+        # the kind is known, so a check left is on a [study] value, whose
+        # message starts with its key, or on the exponent sequence
+        if str(exc).partition(":")[0] in study:
+            raise ConfigError(f"[study] {exc}") from exc
         raise ConfigError(f"[exponents]: {exc}") from exc
 
 

@@ -100,6 +100,15 @@ class MeshSpec:
                 object.__setattr__(self, "boundary", BoundarySpec.endpoints(*values))
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "cells", cells)
+        # finite trace values can still overflow in the interpolant's cell
+        # averages or in the stencil's sums and divide
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = interpolate_boundary(self).node_values
+            finite = np.isfinite(_cell_average(self, u)).all() and np.isfinite(
+                _cell_gradient(self, u)).all()
+        if not finite:
+            raise StructuralError(f"{self.boundary.kind} trace {self.boundary.params} overflows: "
+                                  "its interpolant has a non-finite cell value or gradient")
 
     # cached: the solver's inner loop reads these on every stencil call
     @cached_property
@@ -145,16 +154,17 @@ class DiscreteField:
 
     def cell_values(self) -> GridFunction:
         """Corner averages on the cell centers."""
-        u = self.node_values
-        if self.mesh.dimension == 1:
-            vals = 0.5 * (u[1:] + u[:-1])
-        else:
-            vals = 0.25 * (u[1:, 1:] + u[1:, :-1] + u[:-1, 1:] + u[:-1, :-1])
-            vals = vals.ravel()
-        return GridFunction(self.mesh.grid(), vals)
+        return GridFunction(self.mesh.grid(), _cell_average(self.mesh, self.node_values))
 
     def scaled(self, c: float) -> "DiscreteField":
         return DiscreteField(self.mesh, c * self.node_values)
+
+
+def _cell_average(mesh: MeshSpec, u: np.ndarray) -> np.ndarray:
+    """Corner averages, shape (cells,), of raw node values on the mesh."""
+    if mesh.dimension == 1:
+        return 0.5 * (u[1:] + u[:-1])
+    return (0.25 * (u[1:, 1:] + u[1:, :-1] + u[:-1, 1:] + u[:-1, :-1])).ravel()
 
 
 def _cell_gradient(mesh: MeshSpec, u: np.ndarray) -> np.ndarray:

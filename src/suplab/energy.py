@@ -1,24 +1,29 @@
 """Energy densities f(x, u, xi) and the three power-law functionals built on them.
 
-Built-in families are level convex by construction:
+Every density is one row of the family table (``_FAMILIES``), which holds
+all that suplab knows of it: the formula, the coefficient it reads (a
+weight ``a``, a shift ``b`` or none) and whether that coefficient has a
+component axis, whether the density is level convex, whether a smoothing
+eps > 0 gives d(log f)/d(xi), and the default growth constant alpha:
 
-* ``weighted_norm``     f = a(x) |xi|
-* ``shifted_norm``      f = |xi - b(x)|
-* ``anisotropic``       f = max_j a_j(x) |xi_j|
+* ``weighted_norm``         f = a(x) |xi|
+* ``shifted_norm``          f = |xi - b(x)|
+* ``anisotropic``           f = max_j a_j(x) |xi_j|
+* ``capped_norm``           f = min(|xi|, 1) + 1e-6 |xi|
+* ``unit_sphere_distance``  f = ||xi| - 1|, whose sublevel sets are annuli,
+                            so it is not level convex
 
-Each family's formula is one table entry, giving f and d(log f)/d(xi) at a
-smoothing eps >= 0 (eps = 0 is exact) on the last axis of xi; the scalar
-:func:`eval_density`, the cell-wise :func:`density_field` and the solver all
-call it.  A coefficient array is per-cell iff its leading axis has one entry
-per grid cell; anything else is shared by every cell.
+The formula gives f and d(log f)/d(xi) at a smoothing eps >= 0 (eps = 0 is
+exact) on the last axis of xi; the scalar :func:`eval_density`, the
+cell-wise :func:`density_field` and the solver all call it.  A coefficient
+array is per-cell iff its leading axis has one entry per grid cell;
+anything else is shared by every cell.
 
-Custom densities are a named closed-form rule from the registry plus
-tabulated coefficient fields, so probe reports can cite parameters instead
-of opaque callables.  The two hypotheses a density must satisfy for the
-approximation theory, level convexity in xi and the coercivity bound
-f >= alpha |xi|^gamma, are verified statistically by the probes below.
-Each probe draws all its samples first, one Generator call per array, and
-then evaluates them with one :func:`eval_density` call per density value.
+The two hypotheses of the approximation theory, level convexity in xi and
+the coercivity bound f >= alpha |xi|^gamma, are verified statistically by
+the probes below.  Each probe draws all its samples first, one Generator
+call per array, and then evaluates them with one :func:`eval_density` call
+per density value.
 The benchmark's tracer coverage test pins that call count
 (``perfbench/test_perfbench.py``), so the evaluations stay per value until
 ROADMAP item 1 re-expresses the pin.  Like every checker, a probe records
@@ -29,6 +34,7 @@ the violations and keeps one witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,10 +53,7 @@ from .exponent_space import (
 from .reports import RelationReport
 
 __all__ = [
-    "DensityContractError",
     "DensitySpec",
-    "register_custom_rule",
-    "custom_rule_names",
     "eval_density",
     "density_field",
     "eval_supremal",
@@ -61,68 +64,23 @@ __all__ = [
 ]
 
 
-class DensityContractError(ValueError):
-    """A custom rule returned a negative or non-finite value, or not one value per sample."""
-
-
-_CUSTOM_RULES: dict = {}
-
-
-def register_custom_rule(name: str, fn) -> None:
-    """Register a closed-form rule fn(coeffs, u_val, xi) -> values for custom densities.
-
-    Rules are evaluated on the last axis of ``xi``: one call gets a batch of
-    samples ``xi[..., k]`` with the coefficient arrays and ``u_val`` on the
-    matching leading axes (0-d for a single sample) and returns one value
-    per sample, an array of shape ``xi.shape[:-1]``.  The values must be
-    finite and nonnegative; the first sample that is not raises
-    :class:`DensityContractError` naming its ``xi``.
-    """
-    _CUSTOM_RULES[name] = fn
-
-
-def custom_rule_names():
-    return tuple(sorted(_CUSTOM_RULES))
-
-
-def _rule_unit_sphere_distance(coeffs, u_val, xi):
-    # distance of |xi| from 1; sublevel sets are annuli, so NOT level convex
-    return np.abs(np.linalg.norm(xi, axis=-1) - 1.0)
-
-
-def _rule_capped_norm(coeffs, u_val, xi):
-    # min(|xi|, cap) + slope |xi|: a monotone transform of the norm, level convex
-    r = np.linalg.norm(xi, axis=-1)
-    return np.minimum(r, coeffs.get("cap", 1.0)) + coeffs.get("slope", 1e-6) * r
-
-
-def _rule_weighted_norm_power(coeffs, u_val, xi):
-    # (a(x) |xi|)^power: level convex for any power > 0, growth exponent = power
-    return (coeffs["a"] * np.linalg.norm(xi, axis=-1)) ** coeffs["power"]
-
-
-register_custom_rule("unit_sphere_distance", _rule_unit_sphere_distance)
-register_custom_rule("capped_norm", _rule_capped_norm)
-register_custom_rule("weighted_norm_power", _rule_weighted_norm_power)
-
-
-# Family formulas: (spec, coefficients, u, xi, eps) -> (f, d(log f)/d(xi)) on
-# the last axis of xi, for one sample (k,) with one cell's coefficients or a
+# Family formulas: (coefficients, xi, eps) -> (f, d(log f)/d(xi)) on the
+# last axis of xi, for one sample (k,) with one cell's coefficients or a
 # field (cells, k) with all of them.  eps > 0 smooths the kink as
 # sqrt(|.|^2 + eps^2); at eps = 0, the exact density, no derivative is made.
 
-def _weighted_norm(f, c, u, xi, eps):
+def _weighted_norm(c, xi, eps):
     s2 = np.vecdot(xi, xi) + eps * eps
     return c["a"] * np.sqrt(s2), (xi / s2[..., None] if eps > 0 else None)
 
 
-def _shifted_norm(f, c, u, xi, eps):
+def _shifted_norm(c, xi, eps):
     d = xi - c["b"]
     s2 = np.vecdot(d, d) + eps * eps
     return np.sqrt(s2), (d / s2[..., None] if eps > 0 else None)
 
 
-def _anisotropic(f, c, u, xi, eps):
+def _anisotropic(c, xi, eps):
     sm = np.hypot(xi, eps)
     vals = c["a"] * sm
     val = vals.max(-1)
@@ -133,126 +91,120 @@ def _anisotropic(f, c, u, xi, eps):
     return val, np.where(top, xi / (sm * sm), 0.0)
 
 
-def _custom(f, c, u, xi, eps):
-    if eps > 0:
-        raise PreconditionError(f"custom rule {f.rule!r} has no smoothed gradient; "
-                                "descent needs a built-in family")
-    # coefficients as arrays (0-d for one sample), so that a single sample
-    # takes the same array arithmetic as a batch
-    c = {k: np.asarray(v) for k, v in c.items()}
-    vals = np.asarray(_CUSTOM_RULES[f.rule](c, u, xi), dtype=float)
-    if vals.shape != xi.shape[:-1]:
-        raise DensityContractError(f"custom rule {f.rule!r} returned shape {vals.shape} "
-                                   f"for xi of shape {xi.shape}")
-    bad = ~np.isfinite(vals) | (vals < 0)
-    if bad.any():
-        i = np.unravel_index(np.argmax(bad), bad.shape)
-        raise DensityContractError(f"custom rule {f.rule!r} returned {vals[i]} at xi = {xi[i].tolist()}")
-    return vals, None
+def _capped_norm(c, xi, eps):
+    # a monotone transform of the norm, so level convex
+    r = np.linalg.norm(xi, axis=-1)
+    return np.minimum(r, 1.0) + 1e-6 * r, None
 
 
-# family -> (formula, required coefficient, whether it has a component axis,
-# matched against the last axis of xi; one value per cell stands for all)
+def _unit_sphere_distance(c, xi, eps):
+    return np.abs(np.linalg.norm(xi, axis=-1) - 1.0), None
+
+
+class _Family(NamedTuple):
+    formula: Callable
+    coefficient: str | None
+    per_component: bool     # matched against the last axis of xi; one value per cell stands for all
+    level_convex: bool
+    smoothed: bool          # eps > 0 gives d(log f)/d(xi)
+    alpha: Callable         # (dimension, coefficient array or None) -> default alpha
+
+
 _FAMILIES = {
-    "weighted_norm": (_weighted_norm, "a", False),
-    "shifted_norm": (_shifted_norm, "b", True),
-    "anisotropic": (_anisotropic, "a", True),
-    "custom": (_custom, None, False),
+    "weighted_norm": _Family(_weighted_norm, "a", False, True, True,
+                             lambda dim, a: float(np.min(a))),
+    "shifted_norm": _Family(_shifted_norm, "b", True, True, True, lambda dim, b: 1e-6),
+    # max_j a_j |xi_j| >= min(a) |xi| / sqrt(k) for xi with k components
+    "anisotropic": _Family(_anisotropic, "a", True, True, True,
+                           lambda dim, a: float(np.min(a)) / np.sqrt(max(dim, a.shape[1]))),
+    "capped_norm": _Family(_capped_norm, None, False, True, False, lambda dim, c: 1e-6),
+    "unit_sphere_distance": _Family(_unit_sphere_distance, None, False, False, False,
+                                    lambda dim, c: 1e-6),
 }
+
+# coefficient -> (what it is, its default, whether it must be >= 0): a zero
+# weight leaves its cell free, a negative one is no density; a shift is any point
+_COEFFICIENTS = {"a": ("weight", 1.0, True), "b": ("shift", 0.0, False)}
 
 
 def _density(f, c, u, xi, eps):
     """Density values and d(log f)/d(xi) of f's family; see the table above."""
-    formula, key, per_component = _FAMILIES[f.family]
+    formula, key, per_component, _, smoothed, _ = _FAMILIES[f.family]
+    if eps > 0 and not smoothed:
+        raise PreconditionError(f"{f.family} has no smoothed gradient; descent needs "
+                                "a family whose row has one")
     if per_component and c[key].shape[-1] not in (1, xi.shape[-1]):
         raise StructuralError(f"{key!r} has {c[key].shape[-1]} components, xi has {xi.shape[-1]}")
-    return formula(f, c, u, xi, eps)
-
-
-def _per_cell(n_cells, val):
-    """Read-only coefficient with a leading cell axis.
-
-    An array is per-cell iff its leading axis has ``n_cells`` entries;
-    anything else is shared by every cell.
-    """
-    arr = np.array(val, dtype=float)
-    if arr.ndim == 0 or arr.shape[0] != n_cells:
-        arr = np.array(np.broadcast_to(arr, (n_cells,) + arr.shape))
-    arr.setflags(write=False)
-    return arr
+    return formula(c, xi, eps)
 
 
 @dataclass(frozen=True)
 class DensitySpec:
-    """Parametric density with declared growth constants and convexity flag.
+    """One row of the family table with its coefficient and growth constants.
 
-    Coefficients are resolved to per-cell arrays once, here (``_per_cell``).
+    The coefficient, a number, an array or a callable of the cell centers
+    (``grid.points``), is resolved to a read-only per-cell array once, here;
+    a coefficient left out takes its default (weight 1, shift 0).
+    ``alpha=None`` takes the row's default.
     """
 
     grid: Grid
     family: str
     coefficients: dict = field(default_factory=dict)
-    alpha: float = 1.0
+    alpha: float | None = None
     gamma: float = 1.0
-    level_convex: bool = True
-    rule: str | None = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        row = _FAMILIES.get(self.family)
+        if row is None:
             raise StructuralError(f"unknown density family {self.family!r}")
-        coeffs = {k: _per_cell(self.grid.n_cells, v) for k, v in self.coefficients.items()}
-        _, key, per_component = _FAMILIES[self.family]
-        if key is not None:
-            if key not in coeffs:
-                raise StructuralError(f"{self.family} needs an {key!r} coefficient field")
-            arr = coeffs[key]
-            # a weight scales |xi|: a zero weight is a free cell, a negative
-            # or non-finite one no density at all
-            if key == "a" and not np.all(np.isfinite(arr) & (arr >= 0)):
-                raise StructuralError(f"{self.family} weight 'a' must be finite and nonnegative")
-            if per_component and arr.ndim == 1:
+        for key in self.coefficients:
+            if key != row.coefficient:
+                raise StructuralError(f"{self.family} reads no coefficient {key!r}")
+        coeffs = {}
+        if row.coefficient is not None:
+            key = row.coefficient
+            noun, default, nonnegative = _COEFFICIENTS[key]
+            val = self.coefficients.get(key, default)
+            arr = np.array(val(self.grid.points) if callable(val) else val, dtype=float)
+            # an array is per-cell iff its leading axis has one entry per cell
+            if arr.ndim == 0 or arr.shape[0] != self.grid.n_cells:
+                arr = np.array(np.broadcast_to(arr, (self.grid.n_cells,) + arr.shape))
+            if not np.all(np.isfinite(arr) & ((arr >= 0) | (not nonnegative))):
+                raise StructuralError(f"{self.family} {noun} {key!r} must be finite"
+                                      + (" and nonnegative" if nonnegative else ""))
+            if row.per_component and arr.ndim == 1:
                 arr = arr[:, None]
-            if arr.ndim != 1 + per_component:
+            if arr.ndim != 1 + row.per_component:
                 raise StructuralError(f"{self.family} {key!r} has shape {arr.shape[1:]} per cell")
+            arr.setflags(write=False)
             coeffs[key] = arr
+        object.__setattr__(self, "coefficients", coeffs)
+        if self.alpha is None:
+            object.__setattr__(self, "alpha", row.alpha(self.grid.dimension,
+                                                        coeffs.get(row.coefficient)))
         if not (self.alpha > 0 and self.gamma > 0):
             raise StructuralError("growth constants alpha, gamma must be positive")
-        object.__setattr__(self, "coefficients", coeffs)
-        if self.family == "custom":
-            if self.rule is None or self.rule not in _CUSTOM_RULES:
-                raise StructuralError(
-                    f"custom density needs a registered rule, got {self.rule!r}"
-                )
+
+    @property
+    def level_convex(self) -> bool:
+        return _FAMILIES[self.family].level_convex
 
     @classmethod
     def weighted_norm(cls, grid: Grid, a=1.0, alpha=None, gamma=1.0) -> "DensitySpec":
-        if callable(a):
-            a = a(grid.points)
-        if alpha is None:
-            alpha = float(np.min(a))
-        return cls(grid, "weighted_norm", {"a": a}, alpha=alpha, gamma=gamma)
+        return cls(grid, "weighted_norm", {"a": a}, alpha, gamma)
 
     @classmethod
-    def shifted_norm(cls, grid: Grid, b=0.0, alpha=1e-6, gamma=1.0) -> "DensitySpec":
-        return cls(grid, "shifted_norm", {"b": b}, alpha=alpha, gamma=gamma)
+    def shifted_norm(cls, grid: Grid, b=0.0, alpha=None, gamma=1.0) -> "DensitySpec":
+        return cls(grid, "shifted_norm", {"b": b}, alpha, gamma)
 
     @classmethod
     def anisotropic(cls, grid: Grid, a=1.0, alpha=None, gamma=1.0) -> "DensitySpec":
-        if alpha is None:
-            # max_j a_j |xi_j| >= min(a) |xi| / sqrt(k) for xi with k components
-            k = max(grid.dimension, _per_cell(grid.n_cells, a)[0].size)
-            alpha = float(np.min(a)) / np.sqrt(k)
-        return cls(grid, "anisotropic", {"a": a}, alpha=alpha, gamma=gamma)
-
-    @classmethod
-    def custom(cls, grid: Grid, rule: str, coefficients=None, alpha=1e-6,
-               gamma=1.0, level_convex=True) -> "DensitySpec":
-        return cls(grid, "custom", dict(coefficients or {}), alpha=alpha,
-                   gamma=gamma, level_convex=level_convex, rule=rule)
+        return cls(grid, "anisotropic", {"a": a}, alpha, gamma)
 
 
 def eval_density(f: DensitySpec, cell: int, u_val, xi) -> float:
-    """Evaluate the density at one cell; custom rules must stay nonnegative."""
+    """Evaluate the density at one cell."""
     c = {k: v[cell] for k, v in f.coefficients.items()}
     val, _ = _density(f, c, u_val, np.atleast_1d(np.asarray(xi, dtype=float)), 0.0)
     return float(val)

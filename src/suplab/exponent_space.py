@@ -136,8 +136,6 @@ class Grid:
         if self.dimension not in (1, 2):
             raise StructuralError(f"grid dimension must be 1 or 2, got {self.dimension}")
         cells = np.atleast_2d(np.asarray(self.cells, dtype=float))
-        if cells.shape[0] == 1 and cells.shape[1] > 1 and self.dimension == 1:
-            cells = cells.T
         weights = np.asarray(self.weights, dtype=float).ravel()
         if cells.shape != (weights.size, self.dimension):
             raise StructuralError(

@@ -128,6 +128,12 @@ class StudyConfig:
     def __post_init__(self):
         if self.kind not in STUDY_KINDS:
             raise StructuralError(f"unknown study kind {self.kind!r}")
+        # a negative threshold fails every verdict; a zero probe passes
+        # vacuously.  The message starts with the field's name.
+        if self.threshold < 0:
+            raise StructuralError(f"threshold: must be >= 0, got {self.threshold!r}")
+        if self.probe_scale <= 0:
+            raise StructuralError(f"probe_scale: must be > 0, got {self.probe_scale!r}")
         sched = tuple(int(n) for n in self.n_schedule)
         if len(sched) == 0 or any(b <= a for a, b in zip(sched, sched[1:])):
             raise StructuralError("the n schedule must be strictly increasing")

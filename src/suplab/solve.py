@@ -115,9 +115,8 @@ class _Descent:
         self.spec = spec
         self.eps = eps
         self.t0 = _STEP_INIT
-        # smoothed built-in densities vanish only where a coefficient does
-        self.positive = (spec.family == "shifted_norm"
-                         or np.min(spec.coefficients.get("a", 1.0)) > 0.0)
+        # a smoothed density vanishes only where a weight does
+        self.positive = np.min(spec.coefficients.get("a", 1.0)) > 0.0
         self.u = u
         self.logf, self.dlog = self.log_density(u)
         # a column of trial steps, broadcast against the node array

@@ -242,7 +242,7 @@ def jensen_suite(rng, trials=10000, cells=16) -> Table:
         bad = _jensen_trials(rng, dens, trials, xi_dim)
         all_clean = all_clean and bad == 0
         rows.append((f"jensen_{name}", trials, bad, int(bad == 0)))
-    probe = DensitySpec.custom(grid, "unit_sphere_distance", level_convex=False)
+    probe = DensitySpec(grid, "unit_sphere_distance")
     probe_bad = _jensen_trials(rng, probe, trials)
     rows.append(("jensen_probe_violations_found", trials, probe_bad, int(probe_bad >= 1)))
     return Table(

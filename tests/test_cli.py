@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from suplab import cli
+from suplab import cli, energy
 from suplab.cli import ConfigError, main, parse_config, run
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -23,17 +23,6 @@ cells = 64
 [exponents]
 profile = constant
 n_schedule = 4 8
-"""
-
-
-UNIT_SPHERE = """
-[density]
-family = custom
-rule = unit_sphere_distance
-level_convex = {word}
-
-[mesh]
-cells = 16
 """
 
 # each shipped config and the subcommand that runs it
@@ -60,6 +49,7 @@ REMOVED_KEYS = [
     ("study", "delta"), ("study", "divergence_threshold"), ("study", "convergence_threshold"),
     ("exponents", "beta"), ("study", "instances"), ("study", "pair_instances"),
     ("study", "jensen_trials"), ("study", "probe_trials"),
+    ("density", "rule"), ("density", "level_convex"),
 ]
 
 # every float-valued key of the schema, a list or a single value: (section, key)
@@ -126,30 +116,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"\[density\]: weighted_norm weight 'a'"):
             parse_config(MINIMAL.replace("a = constant", "a = constant:-1"))
 
-    @pytest.mark.parametrize("word, error", [
-        ("TRUE", "H1"), ("on", "H1"), ("1", "H1"), ("off", None), ("No", None), ("0", None),
-        ("ture", "level_convex: cannot parse"), ("maybe", "level_convex: cannot parse"),
-        ("2", "level_convex: cannot parse"),
-    ])
-    def test_boolean_words(self, word, error):
-        # unit_sphere_distance is not level convex: declaring it so fails H1
-        doc = UNIT_SPHERE.format(word=word)
-        if error is None:
-            assert not parse_config(doc).density.level_convex
-        else:
-            with pytest.raises(ConfigError, match=error):
-                parse_config(doc)
-
     @pytest.mark.parametrize("family, key, value", [
-        ("shifted_norm", "rule", "capped_norm"), ("shifted_norm", "level_convex", "false"),
         ("shifted_norm", "a", "inverse_one_plus_x"), ("weighted_norm", "b", "0.5"),
-        ("weighted_norm", "level_convex", "true"), ("anisotropic", "rule", "capped_norm"),
-        ("anisotropic", "b", "1"), ("custom", "b", "0.5"),
+        ("anisotropic", "b", "1"), ("capped_norm", "a", "constant"),
+        ("unit_sphere_distance", "b", "0.5"),
     ])
     def test_key_the_family_does_not_read_is_refused(self, family, key, value):
         doc = f"[density]\nfamily = {family}\n{key} = {value}\n"
-        if family == "custom":
-            doc += "rule = capped_norm\n"
         with pytest.raises(ConfigError) as err:
             parse_config(doc + "\n[mesh]\ncells = 16\n")
         assert str(err.value) == f"[density] {key}: not used by family {family}"
@@ -194,18 +167,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="plotting"):
             parse_config(MINIMAL + "\n[plotting]\nstyle = dark\n")
 
-    def test_declared_convexity_checked(self):
-        bad = """
-[density]
-family = custom
-rule = unit_sphere_distance
-level_convex = true
-
-[mesh]
-cells = 16
-"""
-        with pytest.raises(ConfigError, match="H1"):
-            parse_config(bad)
+    def test_declared_convexity_checked(self, monkeypatch):
+        # the H1 probe runs for a row that claims level convexity, so a row
+        # that claims it falsely is caught at parse time
+        doc = "[density]\nfamily = unit_sphere_distance\n\n[mesh]\ncells = 16\n"
+        assert not parse_config(doc).density.level_convex
+        row = energy._FAMILIES["unit_sphere_distance"]._replace(level_convex=True)
+        monkeypatch.setitem(energy._FAMILIES, "unit_sphere_distance", row)
+        with pytest.raises(ConfigError, match=r"^\[density\] family: level convexity \(H1\) fails"):
+            parse_config(doc)
 
     def test_plane_anisotropy_default_alpha(self):
         # max(|xi_1|, |xi_2|) >= |xi| / sqrt(2); alpha = min(a) fails H2 in 2-D
@@ -386,17 +356,27 @@ class TestRun:
         (MINIMAL.replace("cells = 64", "cells = 1"), (), 2,
          "[mesh]: need at least two cells per axis"),
         (MINIMAL.replace("family = weighted_norm\na = constant", "family = custom"), (), 2,
-         "[density] rule: the custom family needs one of"),
+         "[density] family: unknown family 'custom'"),
         (MINIMAL + "\n[study]\nkind = bogus\n", (), 2, "[study] kind: unknown study kind"),
         (MINIMAL.replace("cells = 64", "cells = 8\nextent = 10\nboundary = affine\ncx = 1e308"),
          (), 2, "[mesh]: affine trace (0.0, 1e+308) overflows"),
         (MINIMAL.replace("cells = 64", "dimension = 2\ncells = 4\nextent = 10\ncx = 1e308"),
          (), 2, "[mesh]: affine trace (0.0, 1e+308, 0.0) overflows"),
+        # finite ends whose interpolant overflows: in the stencil's divide,
+        # in the cell average, in the 2-D stencil's sums
+        (MINIMAL.replace("cells = 64", "cells = 4\ng0 = -1e308\ng1 = 1e308"), (), 2,
+         "[mesh]: endpoints trace (-1e+308, 1e+308) overflows"),
+        (MINIMAL.replace("cells = 64", "cells = 1000\nextent = 1000\ng0 = -1e308\ng1 = 1e308"),
+         (), 2, "[mesh]: endpoints trace (-1e+308, 1e+308) overflows"),
+        (MINIMAL.replace("cells = 64", "dimension = 2\ncells = 4\nextent = 10\ncx = 1.7e307"),
+         (), 2, "[mesh]: affine trace (0.0, 1.7e+307, 0.0) overflows"),
         (MINIMAL, ("--seed", "-1"), 2, "seed must fit in an unsigned 64-bit integer"),
         (config_text("norms.ini").replace("threshold = 0.02", "threshold = 0.0"), (), 1,
          "verdict: FAIL"),
     ], ids=["malformed_ini", "unknown_trace", "one_cell", "custom_without_rule",
-            "unknown_kind", "overflowing_trace_1d", "overflowing_trace_2d", "negative_seed",
+            "unknown_kind", "overflowing_trace_1d", "overflowing_trace_2d",
+            "overflowing_stencil_1d", "overflowing_cell_average_1d", "overflowing_stencil_2d",
+            "negative_seed",
             "failing_verdict"])
     def test_refusal_or_failure_exit(self, tmp_path, capsys, text, argv, code, message):
         cfg = tmp_path / "doc.ini"
@@ -482,3 +462,7 @@ class TestReadme:
             key_column, named = table[section]
             assert set(keys) <= named, section
             assert key_column <= set(keys), section
+        # the family row lists exactly the rows of the family table
+        with open(README) as fh:
+            row = next(line for line in fh if line.startswith("| `[density]` | `family` |"))
+        assert set(re.findall(r"`(\w+)`", row.split("|")[3])) == set(energy._FAMILIES)

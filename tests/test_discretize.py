@@ -6,6 +6,7 @@ from suplab.discretize import (
     DiscreteField,
     MeshSpec,
     _cell_gradient,
+    _cell_gradient_adjoint,
     gradient,
     interpolate_boundary,
 )
@@ -58,6 +59,35 @@ class TestMeshSpec:
                                                   r"it reaches \[0\.0, .*inf\]"):
             MeshSpec(dimension, (10.0,) * dimension, (8,) * dimension, trace)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: MeshSpec(3, (1.0,) * 3, (4,) * 3, BoundarySpec.affine(0.0, 1.0, 0.0, 0.0)),
+         "mesh dimension must be 1 or 2"),
+        (lambda: MeshSpec(1, (1.0, 1.0), (4,), BoundarySpec.endpoints(0, 1)),
+         "extents and cells must match the dimension"),
+        (lambda: MeshSpec(2, (1.0, 1.0), (4,), BoundarySpec.affine(0.0, 1.0, 0.0)),
+         "extents and cells must match the dimension"),
+        (lambda: BoundarySpec.endpoints(0.0, 1.0).value(np.zeros((2, 1))),
+         "trace kind 'endpoints' has no pointwise values"),
+    ], ids=["dimension", "extents_length", "cells_length", "endpoints_value"])
+    def test_refusal(self, call, message):
+        with pytest.raises(StructuralError, match=message):
+            call()
+
+    @pytest.mark.parametrize("dimension, extent, cells, trace", [
+        # the stencil's divide: adjacent nodes 5e307 apart on h = 1/4
+        (1, 1.0, 4, BoundarySpec.endpoints(-1e308, 1e308)),
+        # the cell average: the last two nodes sum past the float range
+        (1, 1000.0, 1000, BoundarySpec.endpoints(-1e308, 1e308)),
+        # the 2-D stencil's sums of two edge differences
+        (2, 10.0, 4, BoundarySpec.affine(0.0, 1.7e307, 0.0)),
+    ], ids=["stencil_1d", "cell_average_1d", "stencil_2d"])
+    def test_overflowing_interpolant_is_named(self, dimension, extent, cells, trace):
+        # every trace value is finite; the refusal comes without a NumPy
+        # warning, an error under this suite
+        with pytest.raises(StructuralError, match=rf"{trace.kind} trace .* overflows: its "
+                                                  "interpolant has a non-finite cell value"):
+            MeshSpec(dimension, (extent,) * dimension, (cells,) * dimension, trace)
+
     def test_endpoint_trace_rejected_in_2d(self):
         with pytest.raises(StructuralError):
             MeshSpec(2, (1.0, 1.0), (4, 4), BoundarySpec.endpoints(0, 1))
@@ -72,6 +102,21 @@ class TestMeshSpec:
 
 
 class TestGradient:
+    @pytest.mark.parametrize("mesh", [
+        MeshSpec(1, (1.3,), (7,), BoundarySpec.endpoints(0.0, 1.0)),
+        MeshSpec(2, (1.0, 2.0), (3, 4), BoundarySpec.affine(0.0, 1.0, 0.0)),
+    ], ids=["1d", "2d"])
+    def test_adjoint_is_the_transpose_on_interior_nodes(self, mesh):
+        # <D u, c> = <u, D* c> for u vanishing on the boundary
+        rng = np.random.default_rng(5)
+        u = np.zeros(mesh.node_shape)
+        inner = (slice(1, -1),) * mesh.dimension
+        u[inner] = rng.normal(size=u[inner].shape)
+        c = rng.normal(size=(mesh.grid().n_cells, mesh.dimension))
+        lhs = np.sum(_cell_gradient(mesh, u) * c)
+        rhs = np.sum(u * _cell_gradient_adjoint(mesh, c))
+        assert lhs == pytest.approx(rhs, rel=1e-13)
+
     def test_affine_exact_1d(self):
         mesh = mesh_1d(37, g0=0.25, g1=2.0)
         u = interpolate_boundary(mesh)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from suplab.energy import (
-    DensityContractError,
+    _FAMILIES,
     DensitySpec,
+    _density,
     density_field,
     eval_calFn,
     eval_density,
@@ -11,7 +12,6 @@ from suplab.energy import (
     eval_supremal,
     growth_check,
     level_convexity_probe,
-    register_custom_rule,
 )
 from suplab.discretize import BoundarySpec, MeshSpec, gradient
 from suplab.exponent_space import (
@@ -19,10 +19,10 @@ from suplab.exponent_space import (
     ExponentSequence,
     Grid,
     GridFunction,
+    PreconditionError,
     StructuralError,
     luxemburg_norm,
 )
-from suplab.measure_tools import jensen_check
 from suplab import solve
 from suplab.solve import minimize_power
 
@@ -56,16 +56,32 @@ class TestEvalDensity:
         f = DensitySpec.shifted_norm(grid, np.array([1.0]))
         assert eval_density(f, 0, 0.0, np.array([3.0])) == pytest.approx(2.0)
 
-    def test_negative_custom_rule_is_contract_error(self):
-        register_custom_rule("bad_negative_probe", lambda c, u, xi: -1.0)
-        grid = line_grid(2)
-        f = DensitySpec.custom(grid, "bad_negative_probe")
-        with pytest.raises(DensityContractError):
-            eval_density(f, 0, 0.0, np.array([1.0]))
-
     def test_unknown_rule_rejected(self):
-        with pytest.raises(StructuralError):
-            DensitySpec.custom(line_grid(2), "no_such_rule")
+        with pytest.raises(StructuralError, match="unknown density family 'no_such_rule'"):
+            DensitySpec(line_grid(2), "no_such_rule")
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda g: DensitySpec(g, "capped_norm", {"a": 1.0}), "capped_norm reads no coefficient 'a'"),
+        (lambda g: DensitySpec(g, "weighted_norm", {"b": 1.0}), "weighted_norm reads no coefficient 'b'"),
+        (lambda g: DensitySpec.shifted_norm(g, np.inf), "shift 'b' must be finite$"),
+        (lambda g: DensitySpec.weighted_norm(g, np.ones((4, 2))), r"'a' has shape \(2,\) per cell"),
+        (lambda g: DensitySpec.anisotropic(g, np.ones((2, 2))), r"'a' has shape \(2, 2\) per cell"),
+        (lambda g: DensitySpec.weighted_norm(g, 0.0), "alpha, gamma must be positive"),
+        (lambda g: DensitySpec.weighted_norm(g, 1.0, alpha=-1.0), "alpha, gamma must be positive"),
+        (lambda g: DensitySpec.shifted_norm(g, 0.0, gamma=0.0), "alpha, gamma must be positive"),
+    ], ids=["coefficient_of_no_row", "coefficient_of_another_row",
+            "infinite_shift", "weight_with_components", "anisotropy_of_two_axes",
+            "zero_weight_default_alpha", "negative_alpha", "zero_gamma"])
+    def test_density_refusal(self, make, message):
+        with pytest.raises(StructuralError, match=message):
+            make(line_grid(4))
+
+    def test_left_out_coefficient_takes_its_default(self):
+        grid = line_grid(4)
+        for family, value in (("weighted_norm", 1.0), ("shifted_norm", 0.0), ("anisotropic", 1.0)):
+            f = DensitySpec(grid, family)
+            assert np.all(next(iter(f.coefficients.values())) == value)
+        assert DensitySpec(grid, "capped_norm").coefficients == {}
 
     @pytest.mark.parametrize("make", [
         lambda g: DensitySpec.weighted_norm(g, -1.0, alpha=1.0),
@@ -84,16 +100,16 @@ class TestEvalDensity:
 
 
 class TestCustomRuleBatches:
+    # the two rows without a coefficient, and the weighted norm
     @pytest.mark.parametrize("rule, coeffs", [
         ("unit_sphere_distance", {}),
-        ("capped_norm", {"cap": 0.5, "slope": 0.1}),
-        ("weighted_norm_power", {"a": lambda x: 1.0 + x, "power": 3.0}),
+        ("capped_norm", {}),
+        ("weighted_norm", {"a": lambda x: 1.0 + x}),
     ])
     @pytest.mark.parametrize("k", [1, 2])
     def test_batch_equals_per_sample(self, rule, coeffs, k):
         grid = line_grid(256)
-        coeffs = {key: v(grid.points) if callable(v) else v for key, v in coeffs.items()}
-        f = DensitySpec.custom(grid, rule, coeffs)
+        f = DensitySpec(grid, rule, coeffs)
         rng = np.random.default_rng(7)
         u = GridFunction(grid, rng.normal(size=256))
         Du = GridFunction(grid, 2.0 * rng.normal(size=(256, k)))
@@ -102,25 +118,52 @@ class TestCustomRuleBatches:
         single = [eval_density(f, i, u.values[i], xi[i]) for i in range(256)]
         assert np.array_equal(batch, single)
 
-    def test_negative_sample_of_a_batch_is_named(self):
-        # one sample of the 256-trial batch has norm below 0.5
-        register_custom_rule("norm_minus_half", lambda c, u, xi: np.linalg.norm(xi, axis=-1) - 0.5)
-        grid = line_grid(4)
-        f = DensitySpec.custom(grid, "norm_minus_half")
-        pts = 3.0 + np.abs(np.random.default_rng(1).normal(size=(256, 1, 1)))
-        pts[137] = 0.25
-        cells = np.zeros(256, dtype=int)
-        with pytest.raises(DensityContractError, match=r"-0\.25 at xi = \[0\.25\]"):
-            jensen_check(f, cells, 0.0, (pts, np.ones((256, 1))))
 
-    def test_rule_without_one_value_per_sample_is_contract_error(self):
-        register_custom_rule("one_value_per_call", lambda c, u, xi: 1.0)
-        grid = line_grid(4)
-        f = DensitySpec.custom(grid, "one_value_per_call")
-        assert eval_density(f, 0, 0.0, np.array([2.0])) == 1.0
-        Du = GridFunction(grid, np.ones(4))
-        with pytest.raises(DensityContractError, match="shape"):
-            density_field(f, None, Du)
+PLANE = Grid.uniform_2d((0.0, 1.0), (0.0, 2.0), (3, 4))
+
+
+class TestFamilyRows:
+    """Each row's claims hold for the density it builds with its defaults."""
+
+    @pytest.mark.parametrize("grid", [line_grid(16), PLANE], ids=["1d", "2d"])
+    @pytest.mark.parametrize("family", list(_FAMILIES))
+    def test_row_claims_hold(self, family, grid):
+        row = _FAMILIES[family]
+        f = DensitySpec(grid, family)
+        assert f.level_convex == row.level_convex
+        # the parse-time probes: H1 passes iff the row claims level convexity,
+        # and the default alpha passes H2
+        assert level_convexity_probe(f, trials=2000, seed=0).passed == row.level_convex
+        assert growth_check(f, trials=2000, seed=0).passed
+        # the descent runs on a row iff eps > 0 gives its gradient
+        mesh = MeshSpec(1, (1.0,), (8,), BoundarySpec.endpoints(0.0, 1.0))
+        args = ("norm", DensitySpec(mesh.grid(), family), ExponentField.constant(mesh.grid(), 4.0),
+                mesh)
+        if row.smoothed:
+            minimize_power(*args)
+        else:
+            with pytest.raises(PreconditionError, match="no smoothed gradient"):
+                minimize_power(*args)
+
+    @pytest.mark.parametrize("family, coeffs", [
+        ("weighted_norm", {"a": lambda x: 1.0 + x}),
+        ("shifted_norm", {"b": [0.3, -0.2]}),
+        ("anisotropic", {"a": [1.0, 3.0]}),
+    ])
+    def test_smoothed_log_gradient_is_a_gradient(self, family, coeffs):
+        # d(log f)/d(xi) at eps = 1e-2 against a central difference of log f
+        assert _FAMILIES[family].smoothed
+        f = DensitySpec(line_grid(32), family, coeffs)
+        xi = np.random.default_rng(3).normal(size=(32, 2))
+        eps, h = 1e-2, 1e-6
+        _, dlog = _density(f, f.coefficients, None, xi, eps)
+        for j in range(2):
+            step = np.zeros(2)
+            step[j] = h
+            up, _ = _density(f, f.coefficients, None, xi + step, eps)
+            down, _ = _density(f, f.coefficients, None, xi - step, eps)
+            central = (np.log(up) - np.log(down)) / (2.0 * h)
+            assert np.max(np.abs(dlog[:, j] - central)) < 1e-7 * np.max(np.abs(dlog))
 
 
 def per_cell_anisotropic(cells=8):
@@ -134,8 +177,10 @@ class TestDensityField:
         DensitySpec.shifted_norm(line_grid(8), np.array([0.4])),
         per_cell_anisotropic(),
         DensitySpec.anisotropic(Grid.uniform_2d((0.0, 1.0), (0.0, 1.0), (3, 3)), [1.0, 2.0]),
-        DensitySpec.custom(line_grid(8), "capped_norm", {"cap": 0.5}),
-    ], ids=["weighted", "shifted", "anisotropic_per_cell", "anisotropic_2d", "custom"])
+        DensitySpec(line_grid(8), "capped_norm"),
+        DensitySpec(Grid.uniform_2d((0.0, 1.0), (0.0, 1.0), (3, 3)), "unit_sphere_distance"),
+    ], ids=["weighted", "shifted", "anisotropic_per_cell", "anisotropic_2d", "capped_norm",
+            "unit_sphere_distance_2d"])
     def test_field_matches_samples(self, f):
         rng = np.random.default_rng(9)
         grid = f.grid
@@ -260,23 +305,6 @@ class TestPowerFunctionals:
         assert errs[-1] < 0.01 * sup
 
 
-class TestRescaling:
-    def test_supremal_power_compatibility(self):
-        # taking the density to a power commutes with the supremal energy
-        grid = line_grid(50)
-        x = grid.cells[:, 0]
-        a = 1.0 / (1.0 + x)
-        base = DensitySpec.weighted_norm(grid, a)
-        squared = DensitySpec.custom(
-            grid, "weighted_norm_power", {"a": a, "power": 2.0},
-            alpha=0.25, gamma=2.0,
-        )
-        du = GridFunction(grid, 1.0 + x * x)
-        lhs = eval_supremal(base, None, du) ** 2.0
-        rhs = eval_supremal(squared, None, du)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
 class TestProbes:
     def test_weighted_norm_is_level_convex(self):
         grid = line_grid(16)
@@ -287,13 +315,13 @@ class TestProbes:
 
     def test_capped_norm_is_level_convex(self):
         grid = line_grid(16)
-        f = DensitySpec.custom(grid, "capped_norm", {"cap": 1.0, "slope": 1e-6})
+        f = DensitySpec(grid, "capped_norm")
         rep = level_convexity_probe(f, trials=10000, seed=2)
         assert rep.passed
 
     def test_sphere_distance_is_not(self):
         grid = line_grid(16)
-        f = DensitySpec.custom(grid, "unit_sphere_distance", level_convex=False)
+        f = DensitySpec(grid, "unit_sphere_distance")
         rep = level_convexity_probe(f, trials=10000, seed=3)
         assert not rep.passed
         assert rep.meta["violations"]["level_convexity"] >= 1
@@ -303,7 +331,7 @@ class TestProbes:
     @pytest.mark.parametrize("grid", [line_grid(16), Grid.uniform_2d((0.0, 1.0), (0.0, 1.0), (4, 4))],
                              ids=["1d", "2d"])
     def test_level_convexity_witnesses_recompute(self, grid):
-        f = DensitySpec.custom(grid, "unit_sphere_distance", level_convex=False)
+        f = DensitySpec(grid, "unit_sphere_distance")
         rep = level_convexity_probe(f, trials=2000, seed=8)
         assert rep.meta["violations"]["level_convexity"] == rep.meta["failing"].sum() > 0
         w = rep.checks[0].witness
@@ -329,7 +357,7 @@ class TestProbes:
 
     def test_probes_repeat_with_the_seed(self):
         grid = line_grid(16)
-        annulus = DensitySpec.custom(grid, "unit_sphere_distance", level_convex=False)
+        annulus = DensitySpec(grid, "unit_sphere_distance")
         steep = DensitySpec.weighted_norm(grid, lambda x: 1.0 / (1.0 + x), alpha=0.9)
         def outcome(rep):
             return rep.meta["failing"].tolist(), rep.checks

@@ -55,7 +55,47 @@ def random_instance(rng, min_cells=16, max_cells=256, allow_zeros=True):
     return grid, u, p
 
 
+LINE2 = Grid.uniform_1d(0.0, 1.0, 2)
+
+
 class TestGridAndFields:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: Grid(3, np.array([[0.5, 0.5, 0.5]]), np.ones(1)), StructuralError,
+         "grid dimension must be 1 or 2, got 3"),
+        # flat centers are not taken for a column
+        (lambda: Grid(1, np.array([0.25, 0.75]), np.ones(2)), StructuralError,
+         r"cells shape \(1, 2\) incompatible with 2 weights"),
+        (lambda: Grid(1, np.zeros((0, 1)), np.zeros(0)), StructuralError,
+         "grid needs at least one cell"),
+        (lambda: Grid.uniform_1d(1.0, 0.0, 4), StructuralError, "need x1 > x0"),
+        (lambda: Grid.uniform_2d((0.0, 1.0), (0.0, 1.0), (2, 0)), StructuralError,
+         "degenerate 2-D grid"),
+        (lambda: GridFunction(LINE2, np.ones((2, 1, 1))), StructuralError,
+         "must be 1- or 2-dimensional"),
+        (lambda: GridFunction(LINE2, np.ones(3)), StructuralError, "3 values for 2 cells"),
+        (lambda: ExponentField(LINE2, np.full(3, 2.0)), StructuralError, "3 exponents for 2 cells"),
+        (lambda: ExponentField(LINE2, np.array([2.0, np.nan])), StructuralError,
+         "exponents must be finite"),
+        (lambda: ExponentSequence(LINE2, np.ones(3)), StructuralError,
+         "profile must be sampled on the grid cells"),
+        (lambda: ExponentSequence(LINE2, np.array([1.0, 0.0])), StructuralError,
+         "exponent profile must be positive"),
+        (lambda: luxemburg_norm(GridFunction(LINE2, np.ones((2, 2))),
+                                ExponentField.constant(LINE2, 2.0)), StructuralError,
+         "requires a scalar-valued grid function"),
+        (lambda: classical_norm(GridFunction.constant(LINE2, 1.0), 0.0), PreconditionError,
+         "classical norm needs q > 0"),
+        (lambda: embedding_bound_check(GridFunction.constant(LINE2, 1.0),
+                                       ExponentField(LINE2, np.array([2.0, 4.0])), 2.0, beta=1.5),
+         PreconditionError, "declared beta = 1.5 does not dominate"),
+    ], ids=["grid_dimension", "grid_flat_centers", "grid_no_cells", "uniform_1d", "uniform_2d",
+            "function_rank", "function_length", "exponent_length", "exponent_nan",
+            "sequence_length", "sequence_nonpositive", "scalar_only", "classical_q",
+            "embedding_beta"])
+    def test_refusal(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
     def test_total_measure_is_weight_sum(self):
         grid = Grid.uniform_1d(0.0, 2.0, 7)
         assert grid.total_measure == pytest.approx(2.0, rel=1e-12)

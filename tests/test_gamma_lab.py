@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,27 @@ class TestConfigValidation:
     def test_unknown_kind(self):
         with pytest.raises(StructuralError):
             unit_weight_config(kind="telescope")
+
+    @pytest.mark.parametrize("kind, change, message", [
+        # a zero probe gives all-zero rows and a passing verdict
+        ("integral_dichotomy", {"probe_scale": 0.0}, "probe_scale: must be > 0, got 0.0"),
+        ("norm_limit", {"probe_scale": -1.0}, "probe_scale: must be > 0, got -1.0"),
+        # a negative threshold fails every verdict
+        ("norm_gamma", {"threshold": -0.5}, "threshold: must be >= 0, got -0.5"),
+    ], ids=["zero_probe", "negative_probe", "negative_threshold"])
+    def test_out_of_range_value_is_refused(self, kind, change, message):
+        cfg = unit_weight_config(kind=kind)
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            dataclasses.replace(cfg, **change)
+
+    @pytest.mark.parametrize("runner, kind", [
+        (run_norm_gamma_study, "norm_gamma"), (run_integral_dichotomy_study, "integral_dichotomy"),
+        (run_minimizer_convergence, "constant_exponent"), (run_norm_limit, "norm_limit"),
+    ], ids=["norm_gamma", "integral_dichotomy", "constant_exponent", "norm_limit"])
+    def test_runner_refuses_another_kind(self, runner, kind):
+        other = "norm_limit" if kind == "norm_gamma" else "norm_gamma"
+        with pytest.raises(PreconditionError, match=f"expected '{kind}'"):
+            runner(unit_weight_config(kind=other))
 
     def test_exponents_checked_through_sequence(self):
         # 4 * 0.25 = 1 is not above 1; a later n cannot repair the first
@@ -126,6 +149,14 @@ class TestOracles:
         assert study_oracle(config(affine)) == study_oracle(config(ends))
         assert np.array_equal(limit_minimizer(config(affine)).node_values,
                               limit_minimizer(config(ends)).node_values)
+
+    def test_2d_limit_minimizer_is_the_affine_trace(self):
+        mesh = MeshSpec(2, (1.0, 2.0), (4, 3), BoundarySpec.affine(0.5, 3.0, -4.0))
+        cfg = StudyConfig(kind="norm_gamma", density=DensitySpec.weighted_norm(mesh.grid(), 2.0),
+                          mesh=mesh, profile="constant", n_schedule=(4,))
+        X, Y = np.meshgrid(*mesh.node_axes(), indexing="ij")
+        np.testing.assert_allclose(limit_minimizer(cfg).node_values, 0.5 + 3.0 * X - 4.0 * Y,
+                                   rtol=1e-14, atol=1e-14)
 
     def test_piecewise_limit_minimizer(self):
         # weight 1 on (0, 1/2) and 2 on (1/2, 1): value 1/(1/2 + 1/4) = 4/3,

@@ -21,7 +21,7 @@ def one_cell_grid():
 
 def annulus(grid):
     """f = ||xi| - 1|: its sublevel sets are annuli, so it is not level convex."""
-    return DensitySpec.custom(grid, "unit_sphere_distance", level_convex=False)
+    return DensitySpec(grid, "unit_sphere_distance")
 
 
 def three_cell_measure():
@@ -259,11 +259,12 @@ class TestJensenSuite:
         assert sizes == [verification.JENSEN_BATCH, 300 - verification.JENSEN_BATCH]
 
     def test_anisotropic_row_catches_a_broken_formula(self, monkeypatch):
-        def min_over_components(f, c, u, xi, eps):
+        def min_over_components(c, xi, eps):
             # sublevel sets are crosses, so this is not level convex
             return (c["a"] * np.abs(xi)).min(-1), None
 
-        monkeypatch.setitem(energy._FAMILIES, "anisotropic", (min_over_components, "a", True))
+        row = energy._FAMILIES["anisotropic"]._replace(formula=min_over_components)
+        monkeypatch.setitem(energy._FAMILIES, "anisotropic", row)
         table = verification.jensen_suite(np.random.default_rng(5), trials=500)
         rows = {r[0]: r for r in table.rows}
         assert rows["jensen_anisotropic"][2] > 0
@@ -352,6 +353,12 @@ class TestYoungQLimit:
                     for q, v in zip(DEFAULT_Q_SCHEDULE, values)]
         assert table.rows == expected
         assert limit == (3.0 if measure == "criterion_06" else 5.5)
+
+    def test_field_on_another_grid_is_refused(self):
+        mu = three_cell_measure()
+        f = DensitySpec.weighted_norm(mu.grid, 1.0)
+        with pytest.raises(StructuralError, match="field and measure live on different grids"):
+            young_q_limit(f, GridFunction.constant(Grid.uniform_1d(0.0, 1.0, 4), 0.0), mu)
 
     def test_one_stacked_root_per_call(self, monkeypatch):
         calls = []

@@ -25,7 +25,7 @@ GRID = Grid.uniform_1d(0.0, 1.0, 8)
 U = GridFunction(GRID, np.linspace(-1.0, 2.0, 8))
 P = ExponentField(GRID, np.linspace(2.5, 4.0, 8))
 ONE = ExponentField.constant(GRID, 1.0)
-ANNULUS = DensitySpec.custom(GRID, "unit_sphere_distance", level_convex=False)
+ANNULUS = DensitySpec(GRID, "unit_sphere_distance")
 STEEP = DensitySpec.weighted_norm(GRID, lambda x: 1.0 / (1.0 + x), alpha=0.9)
 ATOMS = (np.array([[[1.5], [-1.5]], [[1.0], [3.0]], [[0.5], [0.0]]]),
          np.array([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]]))

@@ -16,6 +16,7 @@ from suplab.exponent_space import (
     ExponentField,
     GridFunction,
     PreconditionError,
+    StructuralError,
     _logsumexp,
     luxemburg_root,
 )
@@ -187,11 +188,35 @@ class TestNormMinimization:
             assert res.objective >= floor - 1e-9
 
     def test_custom_family_rejected(self):
+        # the capped_norm row has no smoothed gradient
         mesh = mesh_1d(8)
-        f = DensitySpec.custom(mesh.grid(), "capped_norm")
+        f = DensitySpec(mesh.grid(), "capped_norm")
         p = ExponentField.constant(mesh.grid(), 4.0)
         with pytest.raises(PreconditionError):
             minimize_power("norm", f, p, mesh)
+
+    @pytest.mark.parametrize("case, message", [
+        ("exponent", "exponent field does not live on the mesh cells"),
+        ("density", "density does not live on the mesh cells"),
+        ("warm_start", "warm start lives on a different mesh"),
+    ], ids=["exponent", "density", "warm_start"])
+    def test_mesh_mismatch_rejected(self, case, message):
+        mesh = mesh_1d(8)
+        on = {part: mesh_1d(6) if part == case else mesh
+              for part in ("exponent", "density", "warm_start")}
+        f = DensitySpec.weighted_norm(on["density"].grid(), 1.0)
+        p = ExponentField.constant(on["exponent"].grid(), 4.0)
+        with pytest.raises(StructuralError, match=message):
+            minimize_power("norm", f, p, mesh, init=interpolate_boundary(on["warm_start"]))
+
+    def test_vanishing_density_ends_each_stage_at_once(self):
+        # a = 0 leaves every cell free: every stage's norm is 0 before any step
+        mesh = mesh_1d(8)
+        f = DensitySpec.weighted_norm(mesh.grid(), 0.0, alpha=1e-6)
+        res = minimize_power("norm", f, ExponentField.constant(mesh.grid(), 4.0), mesh)
+        assert (res.objective, res.iterations, res.residual) == (0.0, 0, 0.0)
+        assert res.traces == ((0.0,),) * len(solve._EPSILONS)
+        assert np.array_equal(res.field.node_values, interpolate_boundary(mesh).node_values)
 
     def test_unknown_functional_rejected(self):
         mesh = mesh_1d(8)
