@@ -25,6 +25,15 @@ profile = constant
 n_schedule = 4 8
 """
 
+UNIT_SPHERE = """
+[density]
+family = unit_sphere_distance
+level_convex = {word}
+
+[mesh]
+cells = 16
+"""
+
 # each shipped config and the subcommand that runs it
 SHIPPED = {
     "dichotomy_high.ini": "dichotomy",
@@ -49,8 +58,11 @@ REMOVED_KEYS = [
     ("study", "delta"), ("study", "divergence_threshold"), ("study", "convergence_threshold"),
     ("exponents", "beta"), ("study", "instances"), ("study", "pair_instances"),
     ("study", "jensen_trials"), ("study", "probe_trials"),
-    ("density", "rule"), ("density", "level_convex"),
 ]
+
+# density keys no row reads any more: the row names its formula and says
+# whether it is level convex
+UNREAD_DENSITY_KEYS = {"rule", "level_convex"}
 
 # every float-valued key of the schema, a list or a single value: (section, key)
 FLOAT_KEYS = [
@@ -116,16 +128,36 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"\[density\]: weighted_norm weight 'a'"):
             parse_config(MINIMAL.replace("a = constant", "a = constant:-1"))
 
+    @pytest.mark.parametrize("word, error", [
+        ("TRUE", "H1"), ("on", "H1"), ("1", "H1"), ("off", None), ("No", None), ("0", None),
+        ("ture", "level_convex: cannot parse"), ("maybe", "level_convex: cannot parse"),
+        ("2", "level_convex: cannot parse"),
+    ])
+    def test_boolean_words(self, word, error):
+        # `error` is what the word gave when level_convex was a declaration:
+        # an H1 refusal, acceptance, or a parse error. The row now says
+        # whether the density is level convex, so every word is refused by
+        # name before any probe or boolean parse runs.
+        with pytest.raises(ConfigError) as err:
+            parse_config(UNIT_SPHERE.format(word=word))
+        assert str(err.value) == "[density] level_convex: unknown key"
+        assert error is None or error not in str(err.value)
+
     @pytest.mark.parametrize("family, key, value", [
+        ("shifted_norm", "rule", "capped_norm"), ("shifted_norm", "level_convex", "false"),
         ("shifted_norm", "a", "inverse_one_plus_x"), ("weighted_norm", "b", "0.5"),
+        ("weighted_norm", "level_convex", "true"), ("anisotropic", "rule", "capped_norm"),
         ("anisotropic", "b", "1"), ("capped_norm", "a", "constant"),
         ("unit_sphere_distance", "b", "0.5"),
     ])
     def test_key_the_family_does_not_read_is_refused(self, family, key, value):
+        # a key another row reads is unused by this family; a key no row
+        # reads is unknown
         doc = f"[density]\nfamily = {family}\n{key} = {value}\n"
         with pytest.raises(ConfigError) as err:
             parse_config(doc + "\n[mesh]\ncells = 16\n")
-        assert str(err.value) == f"[density] {key}: not used by family {family}"
+        reason = "unknown key" if key in UNREAD_DENSITY_KEYS else f"not used by family {family}"
+        assert str(err.value) == f"[density] {key}: {reason}"
 
     @pytest.mark.parametrize("boundary, key, value", [
         ("endpoints", "c0", "0.5"), ("endpoints", "cx", "2.0"), ("endpoints", "cy", "1.0"),
