@@ -20,15 +20,12 @@ from .exponent_space import (
     GridMismatchError,
     PreconditionError,
     StructuralError,
-    classical_norm,
     embedding_bound_check,
     holder_check,
     log_modular,
     luxemburg_norm,
     modular,
     power_identity_check,
-    sobolev_modular,
-    sobolev_norm,
     verify_norm_modular_relations,
 )
 from .gamma_lab import (

@@ -1,18 +1,23 @@
-"""Uniform 1-D and 2-D meshes with node unknowns and cell energies.
+"""Uniform 1-D and 2-D simplex meshes with node unknowns and cell energies.
 
 Nodes carry the field values (boundary nodes pinned by Dirichlet data,
 interior nodes free), cells carry the quadrature weights and gradients, so
 the discrete energies are unconstrained functions of the interior nodes.
+The cells are P1 simplices, listed once in the table
+``MeshSpec._simplices``: the 1-D segments, and two right triangles per
+2-D square (2 nx ny cells of weight hx hy / 2, at their centroids).
 
-The cell-gradient stencil and its adjoint on raw node arrays live here only:
-:func:`gradient` wraps the stencil, and the descent solver calls both; the
-stencil also takes a batch of node arrays, for the solver's line-search
-trials.
+The cell-gradient stencil (one gather from the table), its adjoint (one
+scatter) and the cell average (the vertex mean) live here only:
+:func:`gradient` wraps the stencil, the descent solver calls it and its
+adjoint, and the stencil also takes a batch of node arrays, for the
+solver's line-search trials.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -100,8 +105,8 @@ class MeshSpec:
                 object.__setattr__(self, "boundary", BoundarySpec.endpoints(*values))
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "cells", cells)
-        # finite trace values can still overflow in the interpolant's cell
-        # averages or in the stencil's sums and divide
+        # finite trace values can still overflow in the interpolant's vertex
+        # means or in the stencil's differences and divide
         with np.errstate(over="ignore", invalid="ignore"):
             u = interpolate_boundary(self).node_values
             finite = np.isfinite(_cell_average(self, u)).all() and np.isfinite(
@@ -110,7 +115,7 @@ class MeshSpec:
             raise StructuralError(f"{self.boundary.kind} trace {self.boundary.params} overflows: "
                                   "its interpolant has a non-finite cell value or gradient")
 
-    # cached: the solver's inner loop reads these on every stencil call
+    # cached: the stencil and its adjoint read the node shape and the table per call
     @cached_property
     def spacings(self) -> tuple:
         return tuple(e / c for e, c in zip(self.extents, self.cells))
@@ -119,21 +124,39 @@ class MeshSpec:
     def node_shape(self) -> tuple:
         return tuple(c + 1 for c in self.cells)
 
+    @cached_property
+    def _simplices(self) -> tuple:
+        """The simplex table ``(vertices, legs, differences, boundary)``.
+
+        ``vertices`` (cells, dimension + 1) index the flattened nodes: the
+        right-angle vertex, then its neighbour along each axis, at the signed
+        ``legs`` (cells, dimension), +-h.  Row k of ``differences`` takes a
+        cell's vertex values to its difference along axis k.  ``boundary``
+        indexes the Dirichlet nodes.  1-D cells are the segments; each 2-D
+        square, in turn, splits along its rising diagonal into the triangles
+        with right angles at its corners (1, 0) and (0, 1).
+        """
+        dim, nodes = self.dimension, np.arange(math.prod(self.node_shape)).reshape(self.node_shape)
+        corners = np.array([[0]] if dim == 1 else [[1, 0], [0, 1]])
+        # a cell's vertices in its square: the corner, then it flipped along each axis
+        offsets = np.concatenate([corners[:, None], corners[:, None] ^ np.eye(dim, dtype=int)], 1)
+        vertices = np.stack([nodes[tuple(slice(k, k + n) for k, n in zip(o, self.cells))]
+                             for o in offsets.reshape(-1, dim)], axis=-1).reshape(-1, dim + 1)
+        legs = np.tile((1 - 2 * corners) * np.array(self.spacings), (math.prod(self.cells), 1))
+        edge = np.ones(self.node_shape, dtype=bool)
+        edge[(slice(1, -1),) * dim] = False
+        return vertices, legs, np.eye(dim + 1)[1:] - np.eye(dim + 1)[:1], np.flatnonzero(edge)
+
     def node_axes(self):
         return [np.linspace(0.0, e, c + 1) for e, c in zip(self.extents, self.cells)]
 
     def grid(self) -> Grid:
-        if self.dimension == 1:
-            return Grid.uniform_1d(0.0, self.extents[0], self.cells[0])
-        return Grid.uniform_2d(
-            (0.0, self.extents[0]), (0.0, self.extents[1]), self.cells
-        )
-
-    def boundary_node_values(self) -> np.ndarray:
-        """Trace values on all nodes of a 2-D mesh (interior entries are filler)."""
-        X, Y = np.meshgrid(*self.node_axes(), indexing="ij")
-        pts = np.column_stack([X.ravel(), Y.ravel()])
-        return self.boundary.value(pts).reshape(self.node_shape)
+        """Cells at the simplex centroids, weighted by the simplex volumes."""
+        vertices = self._simplices[0]
+        # the mean vertex multi-index, scaled: in 1-D exactly (i + 0.5) h
+        centres = np.stack(np.unravel_index(vertices, self.node_shape), axis=-1).mean(axis=1)
+        volume = math.prod(self.spacings) / math.factorial(self.dimension)
+        return Grid(self.dimension, centres * self.spacings, np.full(len(vertices), volume))
 
 
 @dataclass(frozen=True)
@@ -153,7 +176,7 @@ class DiscreteField:
         object.__setattr__(self, "node_values", vals)
 
     def cell_values(self) -> GridFunction:
-        """Corner averages on the cell centers."""
+        """Vertex means at the cell centroids."""
         return GridFunction(self.mesh.grid(), _cell_average(self.mesh, self.node_values))
 
     def scaled(self, c: float) -> "DiscreteField":
@@ -161,55 +184,31 @@ class DiscreteField:
 
 
 def _cell_average(mesh: MeshSpec, u: np.ndarray) -> np.ndarray:
-    """Corner averages, shape (cells,), of raw node values on the mesh."""
-    if mesh.dimension == 1:
-        return 0.5 * (u[1:] + u[:-1])
-    return (0.25 * (u[1:, 1:] + u[1:, :-1] + u[:-1, 1:] + u[:-1, :-1])).ravel()
+    """Vertex means, shape (cells,), of raw node values on the mesh."""
+    return u.ravel().take(mesh._simplices[0]).mean(axis=-1)
 
 
 def _cell_gradient(mesh: MeshSpec, u: np.ndarray) -> np.ndarray:
     """Cell gradients, shape (..., cells, dimension), of raw node values on the mesh.
 
     Axes of ``u`` before the node axes are batch axes, carried through.
-    1-D cells use the forward difference across the cell; 2-D cells average
-    the two edge differences per axis (the bilinear-cell gradient).
+    Component k is the difference from the right-angle vertex to its
+    neighbour along axis k over the signed leg: exact for the piecewise
+    linear interpolant, and in 1-D the forward difference ``(u[i+1] - u[i]) / h``.
     """
-    if mesh.dimension == 1:
-        (h,) = mesh.spacings
-        return ((u[..., 1:] - u[..., :-1]) / h)[..., None]
-    hx, hy = mesh.spacings
-    dx = (u[..., 1:, :-1] - u[..., :-1, :-1] + u[..., 1:, 1:] - u[..., :-1, 1:]) / (2.0 * hx)
-    dy = (u[..., :-1, 1:] - u[..., :-1, :-1] + u[..., 1:, 1:] - u[..., 1:, :-1]) / (2.0 * hy)
-    cells = u.shape[:-2] + (-1,)
-    return np.stack([dx.reshape(cells), dy.reshape(cells)], axis=-1)
+    vertices, legs = mesh._simplices[:2]
+    x = u.reshape(u.shape[:u.ndim - mesh.dimension] + (-1,)).take(vertices, axis=-1)
+    return (x[..., 1:] - x[..., :1]) / legs
 
 
 def _cell_gradient_adjoint(mesh: MeshSpec, coef: np.ndarray) -> np.ndarray:
-    """Node gradient of sum_cells coef . xi, the adjoint of the stencil;
-    the entries of the fixed Dirichlet boundary nodes are zero."""
-    g = np.zeros(mesh.node_shape)
-    if mesh.dimension == 1:
-        (h,) = mesh.spacings
-        c = coef[:, 0] / h
-        g[1:] += c
-        g[:-1] -= c
-        g[0] = g[-1] = 0.0
-        return g
-    hx, hy = mesh.spacings
-    nx, ny = mesh.cells
-    cx = coef[:, 0].reshape(nx, ny) / (2.0 * hx)
-    cy = coef[:, 1].reshape(nx, ny) / (2.0 * hy)
-    g[1:, :-1] += cx
-    g[1:, 1:] += cx
-    g[:-1, :-1] -= cx
-    g[:-1, 1:] -= cx
-    g[:-1, 1:] += cy
-    g[1:, 1:] += cy
-    g[:-1, :-1] -= cy
-    g[1:, :-1] -= cy
-    g[0, :] = g[-1, :] = 0.0
-    g[:, 0] = g[:, -1] = 0.0
-    return g
+    """Node gradient of sum_cells coef . xi, the adjoint of the stencil, zero on
+    the Dirichlet boundary; in 1-D node i sums c[i-1] - c[i], c = coef / h."""
+    vertices, legs, differences, boundary = mesh._simplices
+    w = (coef / legs) @ differences
+    g = np.bincount(vertices.ravel(), w.ravel(), minlength=math.prod(mesh.node_shape))
+    g[boundary] = 0.0
+    return g.reshape(mesh.node_shape)
 
 
 def gradient(field: DiscreteField) -> GridFunction:
@@ -225,7 +224,8 @@ def interpolate_boundary(mesh: MeshSpec) -> DiscreteField:
         t = axes[0] / mesh.extents[0]
         return DiscreteField(mesh, (1.0 - t) * g0 + t * g1)
 
-    tr = mesh.boundary_node_values()
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    tr = mesh.boundary.value(points).reshape(mesh.node_shape)
     s = (axes[0] / mesh.extents[0])[:, None]
     t = (axes[1] / mesh.extents[1])[None, :]
     u = (

@@ -42,14 +42,11 @@ __all__ = [
     "modular",
     "luxemburg_root",
     "luxemburg_norm",
-    "classical_norm",
     "verify_norm_modular_relations",
     "holder_check",
     "power_identity_check",
     "embedding_constant",
     "embedding_bound_check",
-    "sobolev_modular",
-    "sobolev_norm",
 ]
 
 # exp(OVERFLOW_LOG) is still representable; beyond it the linear-scale
@@ -220,12 +217,6 @@ class GridFunction:
     @classmethod
     def constant(cls, grid: Grid, value: float) -> "GridFunction":
         return cls(grid, np.full(grid.n_cells, float(value)))
-
-    def magnitude(self) -> "GridFunction":
-        """Cell-wise Euclidean magnitude, as a scalar grid function."""
-        if self.components == 1:
-            return GridFunction(self.grid, np.abs(self.values))
-        return GridFunction(self.grid, np.linalg.norm(self.values, axis=1))
 
     def scaled(self, c: float) -> "GridFunction":
         return GridFunction(self.grid, c * self.values)
@@ -401,15 +392,6 @@ def luxemburg_norm(u: GridFunction, p: ExponentField) -> float:
     _require_scalar(u)
     _require_same_grid(u, p)
     return luxemburg_root(u.grid.log_weights + p.values * _log0(np.abs(u.values)), p.values)
-
-
-def classical_norm(u: GridFunction, q: float) -> float:
-    """Weighted q-norm (sum_i w_i |u_i|^q)^(1/q): the Luxemburg norm of constant exponent q."""
-    _require_scalar(u)
-    if q <= 0:
-        raise PreconditionError("classical norm needs q > 0")
-    vals, logw = _one_row(u)
-    return float(_norm_rows(logw, _log0(np.abs(vals)), np.full(vals.shape, float(q)))[0])
 
 
 # Relation checks.  Each checker's core takes a chunk of B instances as
@@ -658,18 +640,3 @@ def embedding_bound_check(u: GridFunction, p: ExponentField, q: float,
         beta = p.p_plus / p.p_minus
     vals, logw, pv = _one_row(u, p)
     return _embedding_rows(vals, logw, pv, np.array([float(q)]), np.array([float(beta)]))
-
-
-def sobolev_modular(u: GridFunction, Du: GridFunction, p: ExponentField) -> float:
-    """First-order semimodular: modular of |u| plus modular of |Du|."""
-    _require_same_grid(u, Du, p)
-    return modular(u.magnitude(), p) + modular(Du.magnitude(), p)
-
-
-def sobolev_norm(u: GridFunction, Du: GridFunction, p: ExponentField) -> float:
-    """Luxemburg norm of the pair (u, Du) under the first-order semimodular."""
-    _require_same_grid(u, Du, p)
-    mags = np.concatenate([u.magnitude().values, Du.magnitude().values])
-    pvals = np.concatenate([p.values, p.values])
-    logw = np.concatenate([u.grid.log_weights, u.grid.log_weights])
-    return luxemburg_root(logw + pvals * _log0(mags), pvals)

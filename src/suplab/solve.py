@@ -28,6 +28,7 @@ closed forms the minima are checked against live in :mod:`suplab.oracles`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,11 +161,10 @@ class _Descent:
         trace = [phi]
         iters = 0
         stagnated = False
-        gnorm = np.inf
+        g = None
         while iters < max_steps:
-            sigma = np.exp(terms - phi) if np.isfinite(phi) else np.zeros_like(terms)
+            sigma = np.exp(terms - phi) if math.isfinite(phi) else np.zeros_like(terms)
             g = _cell_gradient_adjoint(self.mesh, (sigma * pfac)[:, None] * self.dlog)
-            gnorm = float(np.abs(g).max())
             gg = float((g * g).sum())
             if gg == 0.0:
                 break
@@ -180,6 +180,8 @@ class _Descent:
             self.t0 = t * 4.0
             if drop < _TOL or phi < stop_floor:
                 break
+        # the residual is max |g| of the last gradient taken
+        gnorm = np.inf if g is None else float(np.abs(g).max())
         return trace, iters, stagnated, gnorm
 
 

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own code paths: constant
 exponent norms come from the direct power-sum formula, variable-exponent
 norms from a Brent root solve, minimizers from Lagrange closed forms, the
 constant-exponent minimum from Hoelder's inequality, and the quadratic
-energy from a dense linear solve.  Nothing here imports suplab.
+energy from a dense solve of the 5-point Laplace equation.  Nothing here
+imports suplab.
 """
 
 import numpy as np
@@ -95,55 +96,29 @@ def limit_minimizer_inverse_weight(x_nodes):
 
 
 def quadratic_energy_solve_2d(nx, ny, hx, hy, boundary_fn):
-    """Dense linear solve of min sum_cells w |Du_cell|^2 with Dirichlet data.
+    """Dense linear solve of the 5-point discrete Laplace equation with Dirichlet data.
 
-    Uses the same bilinear-cell-average gradient stencil as the library but
-    assembles the normal equations G^T W G explicitly and solves them
-    directly, giving an independent oracle for the q = 2 energy minimizer.
+    On right triangles with legs along the axes, two per rectangle, the
+    stiffness of sum_cells w |Du_cell|^2 is the 5-point Laplacian (Courant's
+    P1 elements), so the q = 2 energy minimizer is the discrete harmonic
+    extension of the trace.  The Laplacian is assembled here from its
+    5-point stencil, not from any cell-gradient stencil.
     """
-    nodes_x, nodes_y = nx + 1, ny + 1
-    n_nodes = nodes_x * nodes_y
-    n_cells = nx * ny
-
-    def node_id(i, j):
-        return i * nodes_y + j
-
-    rows_x = np.zeros((n_cells, n_nodes))
-    rows_y = np.zeros((n_cells, n_nodes))
-    cell = 0
-    for i in range(nx):
-        for j in range(ny):
-            for (di, dj, sx, sy) in (
-                (0, 0, -1, -1),
-                (1, 0, +1, -1),
-                (0, 1, -1, +1),
-                (1, 1, +1, +1),
-            ):
-                k = node_id(i + di, j + dj)
-                rows_x[cell, k] += sx / (2.0 * hx)
-                rows_y[cell, k] += sy / (2.0 * hy)
-            cell += 1
-
-    G = np.vstack([rows_x, rows_y])
-    w = np.full(2 * n_cells, hx * hy)
-    A = G.T @ (w[:, None] * G)
-
-    xs = np.arange(nodes_x) * hx
-    ys = np.arange(nodes_y) * hy
-    u = np.zeros((nodes_x, nodes_y))
-    for i in range(nodes_x):
-        for j in range(nodes_y):
-            u[i, j] = boundary_fn(xs[i], ys[j])
-
-    interior = []
-    for i in range(nodes_x):
-        for j in range(nodes_y):
-            if 0 < i < nx and 0 < j < ny:
-                interior.append(node_id(i, j))
-    interior = np.array(interior, dtype=int)
-    fixed = np.setdiff1d(np.arange(n_nodes), interior)
-    uflat = u.ravel()
-
-    rhs = -A[np.ix_(interior, fixed)] @ uflat[fixed]
-    uflat[interior] = np.linalg.solve(A[np.ix_(interior, interior)], rhs)
-    return uflat.reshape(nodes_x, nodes_y)
+    xs = np.arange(nx + 1) * hx
+    ys = np.arange(ny + 1) * hy
+    u = np.array([[boundary_fn(x, y) for y in ys] for x in xs])
+    interior = [(i, j) for i in range(1, nx) for j in range(1, ny)]
+    row = {node: k for k, node in enumerate(interior)}
+    A = np.zeros((len(interior), len(interior)))
+    rhs = np.zeros(len(interior))
+    for k, (i, j) in enumerate(interior):
+        A[k, k] = 2.0 / hx**2 + 2.0 / hy**2
+        for node, h in (((i - 1, j), hx), ((i + 1, j), hx), ((i, j - 1), hy), ((i, j + 1), hy)):
+            if node in row:
+                A[k, row[node]] = -1.0 / h**2
+            else:
+                rhs[k] += u[node] / h**2
+    sol = np.linalg.solve(A, rhs)
+    for k, node in enumerate(interior):
+        u[node] = sol[k]
+    return u

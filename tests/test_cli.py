@@ -395,7 +395,7 @@ class TestRun:
         (MINIMAL.replace("cells = 64", "dimension = 2\ncells = 4\nextent = 10\ncx = 1e308"),
          (), 2, "[mesh]: affine trace (0.0, 1e+308, 0.0) overflows"),
         # finite ends whose interpolant overflows: in the stencil's divide,
-        # in the cell average, in the 2-D stencil's sums
+        # in the cell average, in the 2-D vertex mean
         (MINIMAL.replace("cells = 64", "cells = 4\ng0 = -1e308\ng1 = 1e308"), (), 2,
          "[mesh]: endpoints trace (-1e+308, 1e+308) overflows"),
         (MINIMAL.replace("cells = 64", "cells = 1000\nextent = 1000\ng0 = -1e308\ng1 = 1e308"),
@@ -407,7 +407,7 @@ class TestRun:
          "verdict: FAIL"),
     ], ids=["malformed_ini", "unknown_trace", "one_cell", "custom_without_rule",
             "unknown_kind", "overflowing_trace_1d", "overflowing_trace_2d",
-            "overflowing_stencil_1d", "overflowing_cell_average_1d", "overflowing_stencil_2d",
+            "overflowing_stencil_1d", "overflowing_cell_average_1d", "overflowing_cell_average_2d",
             "negative_seed",
             "failing_verdict"])
     def test_refusal_or_failure_exit(self, tmp_path, capsys, text, argv, code, message):

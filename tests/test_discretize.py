@@ -5,13 +5,14 @@ from suplab.discretize import (
     BoundarySpec,
     DiscreteField,
     MeshSpec,
+    _cell_average,
     _cell_gradient,
     _cell_gradient_adjoint,
     gradient,
     interpolate_boundary,
 )
 from suplab.energy import DensitySpec, eval_supremal
-from suplab.exponent_space import StructuralError
+from suplab.exponent_space import Grid, StructuralError
 
 
 def mesh_1d(cells=100, g0=0.0, g1=1.0, extent=1.0):
@@ -78,9 +79,10 @@ class TestMeshSpec:
         (1, 1.0, 4, BoundarySpec.endpoints(-1e308, 1e308)),
         # the cell average: the last two nodes sum past the float range
         (1, 1000.0, 1000, BoundarySpec.endpoints(-1e308, 1e308)),
-        # the 2-D stencil's sums of two edge differences
+        # the 2-D vertex mean: a triangle's three node values sum past the
+        # float range
         (2, 10.0, 4, BoundarySpec.affine(0.0, 1.7e307, 0.0)),
-    ], ids=["stencil_1d", "cell_average_1d", "stencil_2d"])
+    ], ids=["stencil_1d", "cell_average_1d", "cell_average_2d"])
     def test_overflowing_interpolant_is_named(self, dimension, extent, cells, trace):
         # every trace value is finite; the refusal comes without a NumPy
         # warning, an error under this suite
@@ -100,6 +102,25 @@ class TestMeshSpec:
         mesh = mesh_2d((4, 5))
         assert mesh.grid().total_measure == pytest.approx(1.0, rel=1e-12)
 
+    def test_2d_cells_are_triangle_pairs(self):
+        # each square splits along its rising diagonal into two P1 triangles,
+        # with cells at the centroids and weights of half a square
+        mesh = MeshSpec(2, (1.0, 2.0), (3, 4), BoundarySpec.affine(0.0, 1.0, 0.0))
+        grid = mesh.grid()
+        assert grid.n_cells == 2 * 3 * 4
+        assert np.allclose(grid.weights, (1.0 / 3.0) * (2.0 / 4.0) / 2.0, rtol=1e-15, atol=0)
+        hx, hy = mesh.spacings
+        assert np.allclose(grid.cells[:2], [[2 * hx / 3, hy / 3], [hx / 3, 2 * hy / 3]],
+                           rtol=0, atol=1e-15)
+        vertices, legs, _, boundary = mesh._simplices
+        assert vertices.shape == (24, 3) and legs.shape == (24, 2)
+        # the first square's triangles, right-angle vertex first, on nodes
+        # numbered i * 5 + j: right angles at (1, 0) and at (0, 1)
+        assert vertices[:2].tolist() == [[5, 0, 6], [1, 6, 0]]
+        assert legs[:2].tolist() == [[-hx, hy], [hx, -hy]]
+        # every node lies on the boundary except the (3 - 1) * (4 - 1) interior ones
+        assert boundary.size == 4 * 5 - 2 * 3
+
 
 class TestGradient:
     @pytest.mark.parametrize("mesh", [
@@ -116,6 +137,39 @@ class TestGradient:
         lhs = np.sum(_cell_gradient(mesh, u) * c)
         rhs = np.sum(u * _cell_gradient_adjoint(mesh, c))
         assert lhs == pytest.approx(rhs, rel=1e-13)
+
+    @pytest.mark.parametrize("cells, extent", [(200, 1.0), (7, 1.3), (1000, 1000.0)])
+    def test_1d_stencils_are_the_slices(self, cells, extent):
+        # the simplex gather and scatter repeat the 1-D slice stencils bit for
+        # bit, which keeps every 1-D result unchanged
+        mesh = mesh_1d(cells, extent=extent)
+        (h,) = mesh.spacings
+        rng = np.random.default_rng(7)
+        u = rng.normal(size=(3, cells + 1))
+        assert np.array_equal(_cell_gradient(mesh, u)[..., 0], (u[..., 1:] - u[..., :-1]) / h)
+        assert np.array_equal(_cell_average(mesh, u[0]), 0.5 * (u[0, 1:] + u[0, :-1]))
+        coef = rng.normal(size=(cells, 1))
+        c = coef[:, 0] / h
+        g = _cell_gradient_adjoint(mesh, coef)
+        assert np.array_equal(g[1:-1], c[:-1] - c[1:])
+        assert g[0] == g[-1] == 0.0
+        ref = Grid.uniform_1d(0.0, extent, cells)
+        assert np.array_equal(mesh.grid().cells, ref.cells)
+        assert np.array_equal(mesh.grid().weights, ref.weights)
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_checkerboard_is_not_a_near_kernel(self, n):
+        # the interior +-1 checkerboard: its Rayleigh quotient
+        # sum_T w_T |grad c_T|^2 / sum c^2 stays bounded away from zero (the
+        # 5-point Laplacian's is ~7.4-7.9); a gradient that averages a
+        # square's edge differences cannot see it (0.53, 0.26, 0.13)
+        mesh = mesh_2d((n, n))
+        i, j = np.indices(mesh.node_shape)
+        c = np.where((i + j) % 2 == 0, 1.0, -1.0)
+        c[[0, -1], :] = c[:, [0, -1]] = 0.0
+        xi = _cell_gradient(mesh, c)
+        energy = np.sum(mesh.grid().weights * np.sum(xi * xi, axis=-1))
+        assert energy / np.sum(c * c) >= 1.0
 
     def test_affine_exact_1d(self):
         mesh = mesh_1d(37, g0=0.25, g1=2.0)

@@ -12,7 +12,6 @@ from suplab.exponent_space import (
     PreconditionError,
     StructuralError,
     _logsumexp,
-    classical_norm,
     embedding_bound_check,
     embedding_constant,
     holder_check,
@@ -21,8 +20,6 @@ from suplab.exponent_space import (
     luxemburg_root,
     modular,
     power_identity_check,
-    sobolev_modular,
-    sobolev_norm,
     verify_norm_modular_relations,
 )
 from suplab.gamma_lab import norm_limit_study
@@ -83,15 +80,12 @@ class TestGridAndFields:
         (lambda: luxemburg_norm(GridFunction(LINE2, np.ones((2, 2))),
                                 ExponentField.constant(LINE2, 2.0)), StructuralError,
          "requires a scalar-valued grid function"),
-        (lambda: classical_norm(GridFunction.constant(LINE2, 1.0), 0.0), PreconditionError,
-         "classical norm needs q > 0"),
         (lambda: embedding_bound_check(GridFunction.constant(LINE2, 1.0),
                                        ExponentField(LINE2, np.array([2.0, 4.0])), 2.0, beta=1.5),
          PreconditionError, "declared beta = 1.5 does not dominate"),
     ], ids=["grid_dimension", "grid_flat_centers", "grid_no_cells", "uniform_1d", "uniform_2d",
             "function_rank", "function_length", "exponent_length", "exponent_nan",
-            "sequence_length", "sequence_nonpositive", "scalar_only", "classical_q",
-            "embedding_beta"])
+            "sequence_length", "sequence_nonpositive", "scalar_only", "embedding_beta"])
     def test_refusal(self, call, error, message):
         with pytest.raises(error, match=message):
             call()
@@ -326,9 +320,6 @@ class TestLuxemburgNorm:
             assert luxemburg_norm(u, p) == pytest.approx(
                 constant_p_norm(u.values, grid.weights, q), rel=1e-14, abs=1e-300
             )
-            assert classical_norm(u, q) == pytest.approx(
-                constant_p_norm(u.values, grid.weights, q), rel=1e-12, abs=1e-300
-            )
 
     def test_homogeneity(self):
         rng = np.random.default_rng(5)
@@ -520,7 +511,7 @@ class TestEmbeddingBound:
         check = rep.checks[0]
         # lhs is the plain 2-norm of the constant 2; the bound evaluates to
         # (1 + (2/4)(2-1))^(1/2) * 2 = sqrt(1.5) * 2
-        lhs = classical_norm(u, 2.0)
+        lhs = np.sum(grid.weights * np.abs(u.values) ** 2.0) ** 0.5
         assert lhs == pytest.approx(2.0, rel=1e-12)
         assert check.slack == pytest.approx(np.sqrt(1.5) * 2.0 - 2.0, rel=1e-9)
 
@@ -596,38 +587,6 @@ class TestNormLimit:
         assert luxemburg_norm(u, p) == pytest.approx((1.0 / 101.0) ** 0.01, rel=1e-5)
 
 
-class TestSobolev:
-    def test_zero(self):
-        grid = Grid.uniform_1d(0.0, 1.0, 8)
-        p = ExponentField.constant(grid, 2.0)
-        z = GridFunction.constant(grid, 0.0)
-        assert sobolev_modular(z, z, p) == 0.0
-        assert sobolev_norm(z, z, p) == 0.0
-
-    def test_constant_with_zero_gradient(self):
-        grid = Grid.uniform_1d(0.0, 1.0, 8)
-        p = ExponentField(grid, np.linspace(2.0, 5.0, 8))
-        u = GridFunction.constant(grid, 1.0)
-        z = GridFunction.constant(grid, 0.0)
-        assert sobolev_modular(u, z, p) == pytest.approx(1.0, rel=1e-12)
-
-    def test_linear_profile_quadrature(self):
-        grid = Grid.uniform_1d(0.0, 1.0, 1000)
-        p = ExponentField.constant(grid, 2.0)
-        u = GridFunction(grid, grid.points)
-        du = GridFunction.constant(grid, 1.0)
-        assert sobolev_modular(u, du, p) == pytest.approx(4.0 / 3.0, abs=1e-6)
-        assert sobolev_norm(u, du, p) == pytest.approx(np.sqrt(sobolev_modular(u, du, p)), rel=1e-8)
-
-    def test_vector_valued(self):
-        grid = Grid.uniform_2d((0, 1), (0, 1), (4, 4))
-        p = ExponentField.constant(grid, 3.0)
-        u = GridFunction(grid, np.tile([3.0, 4.0], (16, 1)))
-        z = GridFunction(grid, np.zeros((16, 2)))
-        # |u| = 5 cell-wise
-        assert sobolev_modular(u, z, p) == pytest.approx(125.0, rel=1e-12)
-
-
 class TestLogDomainConvention:
     """A vanishing cell is a -inf term log: it adds nothing and needs no mask."""
 
@@ -672,8 +631,6 @@ class TestLogDomainConvention:
             "log_modular": log_modular(u, p),
             "modular": modular(u, p),
             "luxemburg_norm": luxemburg_norm(u, p),
-            "sobolev_norm": sobolev_norm(u, du, p),
-            "classical_norm": classical_norm(u, 2.5),
             "eval_calFn": eval_calFn(f, u, du, p),
             "eval_Fn": eval_Fn(f, u, du, p),
         }
@@ -690,5 +647,5 @@ class TestLogDomainConvention:
         grid = Grid.uniform_1d(0.0, 1.0, 8)
         got = self.functionals(grid, np.zeros(8), np.linspace(2.0, 5.0, 8))
         assert got == {"log_modular": -np.inf, "modular": 0.0, "luxemburg_norm": 0.0,
-                       "sobolev_norm": 0.0, "classical_norm": 0.0, "eval_calFn": 0.0,
+                       "eval_calFn": 0.0,
                        "eval_Fn": 0.0}

@@ -355,6 +355,9 @@ def case_variable_exponent():
 
 
 def case_anisotropic_2d():
+    # the perturbed start reaches the exact affine minimizer, where every P1
+    # cell sits on the tie of max(|xi_1|, 2 |xi_2|) = 1 and no trial step
+    # decreases phi by the Armijo margin: the descent stagnates at the minimum
     mesh = MeshSpec(2, (1.0, 1.0), (6, 6), BoundarySpec.affine(0.0, 1.0, 0.5))
     grid = mesh.grid()
     f = DensitySpec.anisotropic(grid, [1.0, 2.0])
@@ -414,12 +417,11 @@ class TestBatchedLineSearch:
         assert batched.stagnated == reference.stagnated
         assert batched.residual == reference.residual
         assert batched.objective == reference.objective
-        if case is case_stagnation:
-            # every batch of trials failed, up to the cap
-            assert batched.stagnated
-        else:
+        # every batch of trials failed, up to the cap, only where the
+        # iterate is a minimizer the line search cannot improve
+        assert batched.stagnated == (case in (case_stagnation, case_anisotropic_2d))
+        if case is not case_stagnation:
             # some accepted step lies past the first batch of trials
-            assert not batched.stagnated
             assert max(backtracks) >= solve._TRIALS
 
 
