@@ -204,7 +204,9 @@ class DensitySpec:
 
 
 def eval_density(f: DensitySpec, cell: int, u_val, xi) -> float:
-    """Evaluate the density at one cell."""
+    """Evaluate the density at one cell; a cell index off the grid is refused."""
+    if not 0 <= cell < f.grid.n_cells:
+        raise StructuralError(f"cell {cell} is not one of the {f.grid.n_cells} cells")
     c = {k: v[cell] for k, v in f.coefficients.items()}
     val, _ = _density(f, c, u_val, np.atleast_1d(np.asarray(xi, dtype=float)), 0.0)
     return float(val)

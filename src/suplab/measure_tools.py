@@ -95,11 +95,12 @@ def jensen_check(f: DensitySpec, cell, u_val, atoms) -> RelationReport:
     One trial is ``cell``, ``u_val`` and atoms (points (m, k), weights
     (m,)); a batch of T trials passes arrays (T,) for ``cell`` and ``u_val``
     and atoms (points (T, m, k), weights (T, m)), the layout of a
-    :class:`DiscreteYoungMeasure`.  Each trial's weights must be
-    probabilities, else StructuralError is raised; a zero weight marks a
-    padded atom that never sets the max.  The density is evaluated by one
-    family-table call for the means and one for the atoms.  Violations are
-    recorded, not raised: they are evidence the integrand is not level convex.
+    :class:`DiscreteYoungMeasure`.  Each trial's cell must index f's grid
+    and its weights must be probabilities, else StructuralError is raised;
+    a zero weight marks a padded atom that never sets the max.  The density
+    is evaluated by one family-table call for the means and one for the
+    atoms.  Violations are recorded, not raised: they are evidence the
+    integrand is not level convex.
     ``meta["violations"]`` counts the failing trials; the slack is the
     smallest margin, and the witness the first failing trial, or the trial
     of smallest margin if none fails.
@@ -109,6 +110,9 @@ def jensen_check(f: DensitySpec, cell, u_val, atoms) -> RelationReport:
         points, weights = np.asarray(points)[None], np.asarray(weights)[None]
     pts, wts = _atoms(points, weights, "trial")
     cells = np.atleast_1d(np.asarray(cell, dtype=int))
+    off = cells[(cells < 0) | (cells >= f.grid.n_cells)]
+    if off.size:
+        raise StructuralError(f"cell {off[0]} is not one of the {f.grid.n_cells} cells")
     u_vals = np.broadcast_to(np.asarray(u_val, dtype=float), cells.shape)
     mean = _mean(pts, wts)
     live = wts > 0

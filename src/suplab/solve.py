@@ -1,25 +1,24 @@
 """Descent minimization of the power-law energies over interior nodes.
 
 The kink of |xi| is removed by the smoothing sqrt(|xi|^2 + eps^2) with a
-decreasing continuation schedule; each stage runs steepest descent with a
-backtracking sufficient-decrease line search.  The backtracking trials are
-evaluated a batch at a time, in one pass of the stencil and the density
-table over a stack of trial iterates, and the density state of the accepted
-iterate is kept, so the density is computed once per batch and once per
-stage; the iterates are those of one-trial-at-a-time backtracking.
-The smoothing schedule, the stopping tolerance, the iteration budget, the
-line-search constants and the norm form's steps per refresh are fixed
-module constants.  Both objectives are
-evaluated and differentiated entirely in the log domain, so exponents in
-the hundreds never overflow:
+decreasing continuation schedule, one stage per eps.  Both functionals are
+minimized by one stage loop, entirely in the log domain, so exponents in
+the hundreds never overflow: a stage alternates :data:`_INNER_STEPS`
+steepest-descent steps on phi(u) = logsumexp(log w + p (log f(u) - c))
+with a refresh of the stage value, until the value's log drops by less
+than :data:`_TOL` over a refresh or :data:`_MAX_ITER` steps are spent.
+The functionals differ only in the value and the per-cell offset c:
 
-* norm form: the variable-exponent norm of the density field is driven down
-  by alternating a norm refresh (``luxemburg_root``: closed form for constant
-  exponents, Newton in log lam otherwise) with descent on the log-modular of the
-  density scaled by the current norm; decreasing that modular below one
-  strictly decreases the norm.  The refresh reads the kept density state.
-* integral form: plain descent on the log of the exponent-normalized power
-  integral.
+* norm form: the norm lam of the density field (``luxemburg_root``) and
+  c = log lam, refreshed with it, so phi is the log-modular of f / lam;
+  driving that modular below one strictly decreases the norm.
+* integral form: calF = sum (w/p) f^p and the fixed c = log(p) / p, so
+  phi = log calF.
+
+The line search backtracks under the Armijo test.  It evaluates its trials
+a batch at a time, in one pass of the stencil and the density table, and
+keeps the accepted iterate's density for the next step and the refresh;
+the iterates are those of one-trial-at-a-time backtracking.
 
 Smoothed densities come from the family table in :mod:`suplab.energy`, the
 cell-gradient stencil and its adjoint from :mod:`suplab.discretize`; the
@@ -62,15 +61,11 @@ __all__ = [
 FUNCTIONAL_NORM = "norm"
 FUNCTIONAL_INTEGRAL = "integral"
 
-# smoothing continuation, one stage per eps; a stage stops once the objective
-# drops by less than _TOL (relative for the norm) or after _MAX_ITER steps
+# smoothing continuation, one stage per eps; a stage stops once the log of
+# its value drops by less than _TOL over a refresh, or after _MAX_ITER steps
 _EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 _TOL = 1e-10
 _MAX_ITER = 20000
-
-# diminishing returns pushing the scaled modular far below one before the
-# norm is refreshed: the norm moves by at most exp(J / p_minus)
-_INNER_LOG_DROP = 1.0
 
 # backtracking line search: first trial step of a stage, shrink factor per
 # backtrack, Armijo sufficient-decrease constant, most trials per step, and
@@ -81,7 +76,7 @@ _SUFFICIENT_DECREASE = 1e-4
 _MAX_BACKTRACKS = 60
 _TRIALS = 4
 
-# norm form: descent steps between two norm refreshes
+# descent steps between two refreshes of the stage value
 _INNER_STEPS = 10
 
 
@@ -103,12 +98,12 @@ class _Descent:
     axes, to the per-cell term logs and the exponent factor; the gradient is
     the softmax-weighted scatter of p * dlog f.  The descent holds one
     density state, the iterate ``u`` with its log f and d(log f)/d(xi): a
-    norm refresh and the next run() start from it, so the density is
-    computed once per stage and once per batch of line-search trials.  The
-    trials t, t/2, t/4, ... are evaluated :data:`_TRIALS` at a time in one
-    stencil-and-density pass, and the first, in order, that passes the
-    Armijo test is accepted: the step sequential backtracking takes.  The
-    warm step survives across run() calls within a stage.
+    refresh of the stage value and the next run() start from it, so the
+    density is computed once per stage and once per batch of line-search
+    trials.  The trials t, t/2, t/4, ... are evaluated :data:`_TRIALS` at a
+    time in one stencil-and-density pass, and the first, in order, that
+    passes the Armijo test is accepted: the step sequential backtracking
+    takes.  The warm step survives across run() calls within a stage.
     """
 
     def __init__(self, mesh, spec, eps, u):
@@ -128,10 +123,6 @@ class _Descent:
         xi = _cell_gradient(self.mesh, unodes)
         f, dlog = _density(self.spec, self.spec.coefficients, None, xi, self.eps)
         return (np.log(f) if self.positive else _log0(f)), dlog
-
-    def norm(self, logw, pv):
-        """Luxemburg norm of the density field at the iterate; zero if it vanishes."""
-        return luxemburg_root(logw + pv * self.logf, pv)
 
     def line_search(self, term_logs_fn, phi, g, gg):
         """Move the state to the first trial step passing the Armijo test.
@@ -155,10 +146,14 @@ class _Descent:
                     return step, float(phis[j]), terms[j]
         return None
 
-    def run(self, term_logs_fn, max_steps, stop_floor=-np.inf):
+    def run(self, term_logs_fn, max_steps):
+        """Up to ``max_steps`` steps, the last one that drops phi by under _TOL.
+
+        Returns the steps taken, whether a line search failed, and max |g|
+        of the last gradient taken.
+        """
         terms, pfac = term_logs_fn(self.logf)
         phi = _logsumexp(terms)
-        trace = [phi]
         iters = 0
         stagnated = False
         g = None
@@ -173,16 +168,13 @@ class _Descent:
                 stagnated = True
                 break
             t, phi_new, terms = accepted
-            drop = phi - phi_new
-            phi = phi_new
-            trace.append(phi)
+            drop, phi = phi - phi_new, phi_new
             iters += 1
             self.t0 = t * 4.0
-            if drop < _TOL or phi < stop_floor:
+            if drop < _TOL:
                 break
-        # the residual is max |g| of the last gradient taken
         gnorm = np.inf if g is None else float(np.abs(g).max())
-        return trace, iters, stagnated, gnorm
+        return iters, stagnated, gnorm
 
 
 def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
@@ -190,10 +182,12 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
     """Minimize the chosen power-law functional over the interior nodes.
 
     ``functional`` is ``"norm"`` (variable-exponent norm of the density
-    field) or ``"integral"`` (exponent-normalized power integral).  The
-    returned objective is evaluated on the unsmoothed density at the final
-    iterate; a failed line search is reported through ``stagnated`` rather
-    than passed off as convergence.
+    field) or ``"integral"`` (exponent-normalized power integral).  A warm
+    start ``init`` must live on ``mesh``, trace included.  Each stage's
+    trace holds its value (lam or calF) at the start and after each
+    refresh.  The returned objective is evaluated on the unsmoothed density
+    at the final iterate; a failed line search is reported through
+    ``stagnated`` rather than passed off as convergence.
     """
     if functional not in (FUNCTIONAL_NORM, FUNCTIONAL_INTEGRAL):
         raise PreconditionError(f"unknown functional {functional!r}")
@@ -202,7 +196,7 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
         raise StructuralError("exponent field does not live on the mesh cells")
     if density.grid.n_cells != grid.n_cells:
         raise StructuralError("density does not live on the mesh cells")
-    if init is not None and init.mesh.cells != mesh.cells:
+    if init is not None and init.mesh != mesh:
         raise StructuralError("warm start lives on a different mesh")
     field = init if init is not None else interpolate_boundary(mesh)
 
@@ -210,65 +204,58 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
     logw = grid.log_weights
     pv = p.values
 
+    # refresh(log f) -> (trace value, its log, offset c)
+    if functional == FUNCTIONAL_NORM:
+        def refresh(logf):
+            lam = luxemburg_root(logw + pv * logf, pv)
+            loglam = _log0(lam)
+            return lam, loglam, loglam
+
+        evaluate = eval_Fn
+    else:
+        log_p_over_p = np.log(pv) / pv
+
+        def refresh(logf):
+            phi = _logsumexp(logw + pv * (logf - log_p_over_p))
+            return _linear(phi), phi, log_p_over_p
+
+        evaluate = eval_calFn
+
+    def term_logs(logf):
+        # reads the offset c of the latest refresh
+        return logw + pv * (logf - c), pv
+
     traces = []
     total_iters = 0
     stagnated = False
     residual = np.inf
-
-    if functional == FUNCTIONAL_INTEGRAL:
-        log_p = np.log(pv)
-
-        def term_logs(logf):
-            return logw - log_p + pv * logf, pv
-
-        for eps in _EPSILONS:
-            descent = _Descent(mesh, density, eps, u)
-            trace, iters, stag, residual = descent.run(term_logs, _MAX_ITER)
-            u = descent.u
-            traces.append(tuple(_linear(np.array(trace)).tolist()))
-            total_iters += iters
-            stagnated = stagnated or stag
-    else:
-        for eps in _EPSILONS:
-            descent = _Descent(mesh, density, eps, u)
-            lam = descent.norm(logw, pv)
-            trace = [lam]
-            if lam == 0.0:
-                traces.append(tuple(trace))
+    for eps in _EPSILONS:
+        descent = _Descent(mesh, density, eps, u)
+        value, log_value, c = refresh(descent.logf)
+        trace = [value]
+        stage_iters = 0
+        while stage_iters < _MAX_ITER:
+            if log_value == -np.inf:
+                # the value vanishes: no step can lower it
                 residual = 0.0
-                continue
-            stage_iters = 0
-            while stage_iters < _MAX_ITER:
-                loglam = np.log(lam)
-
-                def term_logs(logf, _ll=loglam):
-                    return logw + pv * (logf - _ll), pv
-
-                inner = min(_INNER_STEPS, _MAX_ITER - stage_iters)
-                _, iters, stag, residual = descent.run(
-                    term_logs, inner, stop_floor=-_INNER_LOG_DROP
-                )
-                total_iters += iters
-                stage_iters += max(iters, 1)
-                if stag and iters == 0:
-                    stagnated = True
-                    break
-                lam_new = descent.norm(logw, pv)
-                trace.append(lam_new)
-                if lam - lam_new < _TOL * max(lam_new, 1e-300):
-                    lam = lam_new
-                    break
-                lam = lam_new
-            traces.append(tuple(trace))
-            u = descent.u
+                break
+            inner = min(_INNER_STEPS, _MAX_ITER - stage_iters)
+            iters, stag, residual = descent.run(term_logs, inner)
+            total_iters += iters
+            stage_iters += max(iters, 1)
+            if stag and iters == 0:
+                stagnated = True
+                break
+            value, new_log, c = refresh(descent.logf)
+            trace.append(value)
+            drop, log_value = log_value - new_log, new_log
+            if drop < _TOL:
+                break
+        traces.append(tuple(trace))
+        u = descent.u
 
     final = DiscreteField(mesh, u)
-    du = gradient(final)
-    ucells = final.cell_values()
-    if functional == FUNCTIONAL_NORM:
-        objective = eval_Fn(density, ucells, du, p)
-    else:
-        objective = eval_calFn(density, ucells, du, p)
+    objective = evaluate(density, final.cell_values(), gradient(final), p)
     return SolveResult(
         field=final,
         objective=float(objective),
@@ -278,4 +265,3 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
         stagnated=stagnated,
         functional=functional,
     )
-

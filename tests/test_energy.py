@@ -56,6 +56,19 @@ class TestEvalDensity:
         f = DensitySpec.shifted_norm(grid, np.array([1.0]))
         assert eval_density(f, 0, 0.0, np.array([3.0])) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("family, cell", [
+        ("weighted_norm", -1), ("weighted_norm", 4), ("weighted_norm", np.int64(-1)),
+        ("capped_norm", 4), ("unit_sphere_distance", -1),
+    ], ids=["negative", "past_end", "numpy_index", "capped_norm", "unit_sphere_distance"])
+    def test_cell_off_the_grid_refused(self, family, cell):
+        # with a = [1, 2, 3, 4], cell -1 would read the last cell's weight and
+        # cell 4 would be a bare IndexError; a family without a coefficient
+        # would evaluate any index
+        coefficients = {"a": [1.0, 2.0, 3.0, 4.0]} if family == "weighted_norm" else {}
+        f = DensitySpec(line_grid(4), family, coefficients)
+        with pytest.raises(StructuralError, match=f"cell {int(cell)} is not one of the 4 cells"):
+            eval_density(f, cell, 0.0, 1.0)
+
     def test_unknown_rule_rejected(self):
         with pytest.raises(StructuralError, match="unknown density family 'no_such_rule'"):
             DensitySpec(line_grid(2), "no_such_rule")

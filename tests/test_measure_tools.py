@@ -152,6 +152,19 @@ class TestJensen:
         with pytest.raises(StructuralError, match="trial 2"):
             jensen_check(f, np.zeros(3, dtype=int), 0.0, (pts, wts))
 
+    @pytest.mark.parametrize("cells, bad", [(-1, -1), (4, 4), ([0, -1, 2], -1), ([3, 4], 4)],
+                             ids=["negative", "past_end", "negative_in_batch", "past_end_in_batch"])
+    def test_cell_off_the_grid_refused(self, cells, bad):
+        # cell -1 would be checked against the last cell and reported as
+        # witness cell -1; cell 4 would be a bare IndexError
+        f = DensitySpec.weighted_norm(Grid.uniform_1d(0.0, 1.0, 4), np.array([1.0, 2.0, 3.0, 4.0]))
+        pts, wts = np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
+        if np.ndim(cells):
+            cells = np.array(cells)
+            pts, wts = np.stack([pts] * cells.size), np.stack([wts] * cells.size)
+        with pytest.raises(StructuralError, match=f"cell {bad} is not one of the 4 cells"):
+            jensen_check(f, cells, 0.0, (pts, wts))
+
     def test_randomized_level_convex_families(self):
         rng = np.random.default_rng(9)
         grid = Grid.uniform_1d(0.0, 1.0, 8)
