@@ -80,9 +80,6 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunManifest:
-    config_path: str
-    out_dir: str
-    seed: int
     files: tuple
     passed: bool
 
@@ -321,7 +318,7 @@ def run(subcommand: str, config_path: str, out_dir: str, seed: int = 0) -> RunMa
     files.sort()
     _write_csv(os.path.join(out_dir, "manifest.csv"),
                ("file", "sha256"), files, config_hash, seed)
-    return RunManifest(config_path, out_dir, seed, tuple(files), table.passed)
+    return RunManifest(tuple(files), table.passed)
 
 
 def main(argv=None) -> int:

@@ -33,6 +33,7 @@ the violations and keeps one witness.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -204,7 +205,11 @@ class DensitySpec:
 
 
 def eval_density(f: DensitySpec, cell: int, u_val, xi) -> float:
-    """Evaluate the density at one cell; a cell index off the grid is refused."""
+    """Evaluate the density at one cell; a non-integer index or one off the grid is refused."""
+    try:
+        cell = operator.index(cell)
+    except TypeError:
+        raise StructuralError(f"cell {cell!r} is not an integer index") from None
     if not 0 <= cell < f.grid.n_cells:
         raise StructuralError(f"cell {cell} is not one of the {f.grid.n_cells} cells")
     c = {k: v[cell] for k, v in f.coefficients.items()}
@@ -213,7 +218,8 @@ def eval_density(f: DensitySpec, cell: int, u_val, xi) -> float:
 
 
 def density_field(f: DensitySpec, u: GridFunction | None, Du: GridFunction) -> GridFunction:
-    """Cell-wise density values f(x_i, u_i, Du_i) as a scalar grid function."""
+    """Cell-wise density values f(x_i, u_i, Du_i) on Du's grid, which f and u must share."""
+    _require_same_grid(Du, f, *([] if u is None else [u]))
     xi = Du.values if Du.components > 1 else Du.values[:, None]
     uvals = u.values if u is not None else np.zeros(Du.grid.n_cells)
     vals, _ = _density(f, f.coefficients, uvals, xi, 0.0)
@@ -228,9 +234,7 @@ def eval_supremal(f: DensitySpec, u: GridFunction | None, Du: GridFunction) -> f
 def eval_Fn(f: DensitySpec, u: GridFunction | None, Du: GridFunction,
             p: ExponentField) -> float:
     """Variable-exponent norm of the density field."""
-    vals = density_field(f, u, Du)
-    _require_same_grid(vals, p)
-    return luxemburg_norm(vals, p)
+    return luxemburg_norm(density_field(f, u, Du), p)
 
 
 def eval_calFn(f: DensitySpec, u: GridFunction | None, Du: GridFunction,

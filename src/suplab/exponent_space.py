@@ -294,15 +294,13 @@ class ExponentSequence:
 
 
 def _require_same_grid(*objs):
-    g0 = objs[0].grid
-    for o in objs[1:]:
-        if o.grid is not g0 and (
-            o.grid.n_cells != g0.n_cells
-            or o.grid.dimension != g0.dimension
-            or not np.array_equal(o.grid.weights, g0.weights)
-            or not np.array_equal(o.grid.cells, g0.cells)
-        ):
-            raise GridMismatchError("operands live on different grids")
+    """Refuse operands off the first one's grid, naming both by type; a Grid is its own."""
+    g0, *grids = (o if isinstance(o, Grid) else o.grid for o in objs)
+    for o, g in zip(objs[1:], grids):
+        if g is not g0 and not (np.array_equal(g.cells, g0.cells)
+                                and np.array_equal(g.weights, g0.weights)):
+            raise GridMismatchError(f"operands live on different grids: {type(o).__name__} "
+                                    f"against {type(objs[0]).__name__}")
 
 
 def _require_scalar(u: GridFunction):
@@ -404,7 +402,11 @@ def luxemburg_norm(u: GridFunction, p: ExponentField) -> float:
 # the one-instance chunk of the same core.
 
 def _one_row(u: GridFunction, *fields):
-    """Values, log-weights and the fields' values of (u, fields) as one-row chunks."""
+    """Values, log-weights and field values of scalar (u, fields) on u's grid, as one-row chunks."""
+    for o in (u, *fields):
+        if isinstance(o, GridFunction):
+            _require_scalar(o)
+    _require_same_grid(u, *fields)
     return (u.values[None], u.grid.log_weights[None], *(f.values[None] for f in fields))
 
 
@@ -511,8 +513,6 @@ def verify_norm_modular_relations(u: GridFunction, p: ExponentField) -> Relation
     is consumed by randomized property runs, which check their instances a
     chunk at a time through the same core.
     """
-    _require_scalar(u)
-    _require_same_grid(u, p)
     vals, logw, pv = _one_row(u, p)
     return _norm_modular_rows(vals, logw, pv)
 
@@ -557,9 +557,6 @@ def holder_check(f: GridFunction, g: GridFunction, p: ExponentField, q: Exponent
     classical pairing bound with constant 1/p_minus + 1/p'_minus is checked
     as well.
     """
-    _require_scalar(f)
-    _require_scalar(g)
-    _require_same_grid(f, g, p, q, s)
     fv, logw, gv, pv, qv, sv = _one_row(f, g, p, q, s)
     return _holder_rows(fv, gv, logw, pv, qv, sv)
 
@@ -585,8 +582,6 @@ def _power_identity_rows(vals, logw, pv, s) -> RelationReport:
 
 def power_identity_check(u: GridFunction, p: ExponentField, s: float) -> RelationReport:
     """Check ||  |u|^s ||_{p/s}^{1/s} = ||u||_p for 1 < s < p_minus."""
-    _require_scalar(u)
-    _require_same_grid(u, p)
     vals, logw, pv = _one_row(u, p)
     return _power_identity_rows(vals, logw, pv, np.array([float(s)]))
 
@@ -634,9 +629,7 @@ def embedding_bound_check(u: GridFunction, p: ExponentField, q: float,
     :func:`embedding_constant` of the total measure m and any declared ratio
     bound beta with p_plus <= beta p_minus.
     """
-    _require_scalar(u)
-    _require_same_grid(u, p)
+    vals, logw, pv = _one_row(u, p)
     if beta is None:
         beta = p.p_plus / p.p_minus
-    vals, logw, pv = _one_row(u, p)
     return _embedding_rows(vals, logw, pv, np.array([float(q)]), np.array([float(beta)]))

@@ -115,7 +115,7 @@ def named_profile(name: str, grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Everything a study needs: density, mesh, exponent schedule, threshold, probe scale."""
+    """Everything a study needs: density (on the mesh's grid), mesh, exponents, threshold, probe."""
 
     kind: str
     density: DensitySpec
@@ -134,6 +134,7 @@ class StudyConfig:
             raise StructuralError(f"threshold: must be >= 0, got {self.threshold!r}")
         if self.probe_scale <= 0:
             raise StructuralError(f"probe_scale: must be > 0, got {self.probe_scale!r}")
+        _require_same_grid(self.mesh.grid(), self.density)
         sched = tuple(int(n) for n in self.n_schedule)
         if len(sched) == 0 or any(b <= a for a, b in zip(sched, sched[1:])):
             raise StructuralError("the n schedule must be strictly increasing")

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import DensitySpec, _density, eval_density
-from .exponent_space import Grid, GridFunction, StructuralError, _lock, _log0, luxemburg_root
+from .exponent_space import (Grid, GridFunction, StructuralError, _lock, _log0,
+                             _require_same_grid, luxemburg_root)
 from .reports import RelationReport, Table, eventually_decreasing
 
 __all__ = [
@@ -95,12 +96,12 @@ def jensen_check(f: DensitySpec, cell, u_val, atoms) -> RelationReport:
     One trial is ``cell``, ``u_val`` and atoms (points (m, k), weights
     (m,)); a batch of T trials passes arrays (T,) for ``cell`` and ``u_val``
     and atoms (points (T, m, k), weights (T, m)), the layout of a
-    :class:`DiscreteYoungMeasure`.  Each trial's cell must index f's grid
-    and its weights must be probabilities, else StructuralError is raised;
-    a zero weight marks a padded atom that never sets the max.  The density
-    is evaluated by one family-table call for the means and one for the
-    atoms.  Violations are recorded, not raised: they are evidence the
-    integrand is not level convex.
+    :class:`DiscreteYoungMeasure`.  Each trial's cell must be an integer
+    index into f's grid and its weights must be probabilities, else
+    StructuralError is raised; a zero weight marks a padded atom that never
+    sets the max.  The density is evaluated by one family-table call for the
+    means and one for the atoms.  Violations are recorded, not raised: they
+    are evidence the integrand is not level convex.
     ``meta["violations"]`` counts the failing trials; the slack is the
     smallest margin, and the witness the first failing trial, or the trial
     of smallest margin if none fails.
@@ -109,7 +110,9 @@ def jensen_check(f: DensitySpec, cell, u_val, atoms) -> RelationReport:
     if np.ndim(cell) == 0:
         points, weights = np.asarray(points)[None], np.asarray(weights)[None]
     pts, wts = _atoms(points, weights, "trial")
-    cells = np.atleast_1d(np.asarray(cell, dtype=int))
+    cells = np.atleast_1d(np.asarray(cell))
+    if not np.issubdtype(cells.dtype, np.integer):
+        raise StructuralError(f"cell indices must be integers, got dtype {cells.dtype}")
     off = cells[(cells < 0) | (cells >= f.grid.n_cells)]
     if off.size:
         raise StructuralError(f"cell {off[0]} is not one of the {f.grid.n_cells} cells")
@@ -144,9 +147,9 @@ def young_q_limit(f: DensitySpec, u: GridFunction, mu: DiscreteYoungMeasure,
     Luxemburg norm of constant exponent q of the live atoms' values under
     the weights w_i omega_ia; one stacked root gives every q.  As q grows
     the rows approach the largest atom value max_i max_a f(x_i, u_i, xi_ia).
+    u, mu and f must share one grid.
     """
-    if mu.grid.n_cells != u.grid.n_cells:
-        raise StructuralError("field and measure live on different grids")
+    _require_same_grid(u, mu, f)
     cells, atoms = np.nonzero(mu.weights > 0)
     vals = np.array([eval_density(f, i, u.values[i], mu.points[i, a])
                      for i, a in zip(cells, atoms)])

@@ -48,6 +48,7 @@ from .exponent_space import (
     _linear,
     _log0,
     _logsumexp,
+    _require_same_grid,
     luxemburg_root,
 )
 
@@ -88,7 +89,6 @@ class SolveResult:
     traces: tuple
     residual: float
     stagnated: bool
-    functional: str
 
 
 class _Descent:
@@ -182,23 +182,25 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
     """Minimize the chosen power-law functional over the interior nodes.
 
     ``functional`` is ``"norm"`` (variable-exponent norm of the density
-    field) or ``"integral"`` (exponent-normalized power integral).  A warm
-    start ``init`` must live on ``mesh``, trace included.  Each stage's
-    trace holds its value (lam or calF) at the start and after each
-    refresh.  The returned objective is evaluated on the unsmoothed density
+    field) or ``"integral"`` (exponent-normalized power integral), with the
+    density and ``p`` on the mesh's grid and any warm start ``init`` on
+    ``mesh`` and its trace.  Each stage's trace holds its value (lam or
+    calF) at the start and after each refresh.  The returned objective is
+    evaluated on the unsmoothed density
     at the final iterate; a failed line search is reported through
     ``stagnated`` rather than passed off as convergence.
     """
     if functional not in (FUNCTIONAL_NORM, FUNCTIONAL_INTEGRAL):
         raise PreconditionError(f"unknown functional {functional!r}")
     grid = mesh.grid()
-    if p.grid.n_cells != grid.n_cells:
-        raise StructuralError("exponent field does not live on the mesh cells")
-    if density.grid.n_cells != grid.n_cells:
-        raise StructuralError("density does not live on the mesh cells")
-    if init is not None and init.mesh != mesh:
-        raise StructuralError("warm start lives on a different mesh")
-    field = init if init is not None else interpolate_boundary(mesh)
+    _require_same_grid(grid, density, p)
+    field = interpolate_boundary(mesh)
+    if init is not None:
+        # the descent never moves a boundary node, so a warm start must begin on the trace
+        b = mesh._simplices[3]
+        if init.mesh != mesh or (init.node_values.flat[b] != field.node_values.flat[b]).any():
+            raise StructuralError("warm start lives on a different mesh or off its trace")
+        field = init
 
     u = np.array(field.node_values)
     logw = grid.log_weights
@@ -263,5 +265,4 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
         traces=tuple(traces),
         residual=float(residual),
         stagnated=stagnated,
-        functional=functional,
     )

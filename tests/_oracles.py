@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own code paths: constant
 exponent norms come from the direct power-sum formula, variable-exponent
 norms from a Brent root solve, minimizers from Lagrange closed forms, the
-constant-exponent minimum from Hoelder's inequality, and the quadratic
+constant-exponent minimum from Hoelder's inequality, the variable-exponent
+minimum from two nested Brent roots on its KKT conditions, and the quadratic
 energy from a dense solve of the 5-point Laplace equation.  Nothing here
 imports suplab.
 """
@@ -75,6 +76,38 @@ def power_minimum_constant_q(a_cells, weights, q, total_rise):
     w = np.asarray(weights, dtype=float)
     dual = q / (q - 1.0)
     return abs(total_rise) / float(np.sum(w * a ** -dual)) ** (1.0 / dual)
+
+
+def _monotone_root(fn):
+    """Brent root of a monotone fn of a log variable, bracketed outward from 0."""
+    step = 1.0
+    while fn(-step) * fn(step) > 0:
+        step *= 2.0
+    return brentq(fn, -step, step, xtol=1e-15, rtol=1e-15)
+
+
+def power_minimum_variable_p(a_cells, weights, exponents, total_rise):
+    """Minimum of ||a s||_{p(.)} subject to sum w s = rise, by two nested Brent roots.
+
+    The minimum is the lam at which the largest rise under modular(a s / lam)
+    = 1 is |rise|.  At a fixed lam that largest rise has the KKT slopes
+    s_i = (lam^p_i / (mu p_i a_i^p_i))^(1/(p_i - 1)): the inner root in
+    log mu puts the modular at 1, and the outer root in log lam makes
+    sum w s equal |rise|.  Everything is in logs, so exponents in the
+    hundreds do not overflow.
+    """
+    a, w, p = (np.asarray(v, dtype=float) for v in (a_cells, weights, exponents))
+    loga, logw, logp = np.log(a), np.log(w), np.log(p)
+
+    def log_slopes(loglam, logmu):
+        return (p * loglam - logmu - logp - p * loga) / (p - 1.0)
+
+    def log_rise(loglam):
+        logmu = _monotone_root(
+            lambda logmu: logsumexp(logw + p * (loga + log_slopes(loglam, logmu) - loglam)))
+        return logsumexp(logw + log_slopes(loglam, logmu))
+
+    return float(np.exp(_monotone_root(lambda t: log_rise(t) - np.log(abs(total_rise)))))
 
 
 def el_nodes_inverse_weight(q, x_nodes):

@@ -8,7 +8,7 @@ import time
 import numpy as np
 
 from suplab import exponent_space, measure_tools, reports, solve
-from suplab.cli import run as cli_run
+from suplab.cli import parse_config, run as cli_run
 from suplab.discretize import BoundarySpec, MeshSpec
 from suplab.energy import DensitySpec
 from suplab.exponent_space import (
@@ -36,6 +36,8 @@ from _oracles import (
     brentq_luxemburg,
     el_nodes_inverse_weight,
     limit_minimizer_inverse_weight,
+    power_minimum_constant_q,
+    power_minimum_variable_p,
 )
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -140,18 +142,43 @@ def test_criterion_06_young_q_limit():
     )
 
 
+def solver_gaps(table, reference):
+    """(minimum - m_n) / m_n of each row, with m_n = reference(n)."""
+    exact = [reference(r[0]) for r in table.rows]
+    return [(r[3] - m) / m for r, m in zip(table.rows, exact)]
+
+
 def test_criterion_07_gamma_convergence_of_minima():
     cfg = benchmark_config("norm_gamma", (4, 8, 16, 32, 64), threshold=0.02)
     start = time.perf_counter()
     res = run_norm_gamma_study(cfg)
     elapsed = time.perf_counter() - start
     errs = [r[5] for r in res.rows]
+    # every row is also gated on the exact discrete minimum of its exponent
+    a, w = cfg.density.coefficients["a"], cfg.mesh.grid().weights
+    gaps = solver_gaps(res, lambda n: power_minimum_constant_q(a, w, float(n), 1.0))
     report(
         7,
-        res.passed and elapsed < 60.0,
+        res.passed and elapsed < 60.0 and all(-1e-12 <= g <= 1e-5 for g in gaps),
         f"norm-form minima vs oracle 2/3: rel errors {['%.4f' % e for e in errs]} "
-        f"decreasing to {errs[-1]:.3%} (< 2%), {elapsed:.1f} s (< 60 s)",
+        f"decreasing to {errs[-1]:.3%} (< 2%), {elapsed:.1f} s (< 60 s); gaps to the "
+        f"exact discrete minima {['%.2e' % g for g in gaps]} (<= 1e-5)",
     )
+
+
+def test_variable_exponent_minima_reach_the_discrete_minimum():
+    # gamma_sine.ini is the only shipped solve with a variable exponent;
+    # its exact discrete minima come from the nested-root reference
+    with open(os.path.join(CONFIG_DIR, "gamma_sine.ini")) as fh:
+        cfg = parse_config(fh.read())
+    res = run_norm_gamma_study(cfg)
+    a, w, seq = cfg.density.coefficients["a"], cfg.mesh.grid().weights, cfg.sequence()
+    gaps = solver_gaps(res, lambda n: power_minimum_variable_p(a, w, seq.field(n).values, 1.0))
+    passed = res.passed and all(-1e-12 <= g <= 1e-6 for g in gaps)
+    line = (f"[gamma_sine.ini] {'PASS' if passed else 'FAIL'}: gaps to the exact discrete "
+            f"minima {['%.2e' % g for g in gaps]} (<= 1e-6)")
+    print(line)
+    assert passed, line
 
 
 def test_criterion_08_minimizer_convergence():

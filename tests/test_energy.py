@@ -69,6 +69,15 @@ class TestEvalDensity:
         with pytest.raises(StructuralError, match=f"cell {int(cell)} is not one of the 4 cells"):
             eval_density(f, cell, 0.0, 1.0)
 
+    @pytest.mark.parametrize("cell", [1.7, np.float64(1.0), "1"],
+                             ids=["float", "numpy_float", "str"])
+    def test_non_integer_cell_refused(self, cell):
+        # 1.7 would be NumPy's bare IndexError; 1.0 would pass the range
+        # check and then fail the same way
+        f = DensitySpec.weighted_norm(line_grid(4), [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(StructuralError, match="is not an integer index"):
+            eval_density(f, cell, 0.0, 1.0)
+
     def test_unknown_rule_rejected(self):
         with pytest.raises(StructuralError, match="unknown density family 'no_such_rule'"):
             DensitySpec(line_grid(2), "no_such_rule")
@@ -219,6 +228,29 @@ class TestDensityField:
         weighted = DensitySpec.weighted_norm(grid, f.coefficients["a"][:, 0])
         ref = minimize_power("norm", weighted, p, mesh)
         assert res.objective == pytest.approx(ref.objective, rel=1e-9)
+
+    # same cell count on (0, 4): the weights 1/(1+x) there would give the
+    # norm of another problem; 8 cells: NumPy's bare broadcast ValueError
+    @pytest.mark.parametrize("other", [Grid.uniform_1d(0.0, 4.0, 16), line_grid(8)],
+                             ids=["same_size", "fewer_cells"])
+    def test_density_off_the_field_grid_refused(self, other):
+        grid = line_grid(16)
+        f = DensitySpec.weighted_norm(other, lambda x: 1.0 / (1.0 + x))
+        du = GridFunction.constant(grid, 1.0)
+        p = ExponentField.constant(grid, 4.0)
+        for evaluate in (lambda: eval_Fn(f, None, du, p), lambda: eval_calFn(f, None, du, p),
+                         lambda: eval_supremal(f, None, du)):
+            with pytest.raises(StructuralError,
+                               match="different grids: DensitySpec against GridFunction"):
+                evaluate()
+
+    def test_cell_values_off_the_field_grid_refused(self):
+        grid = line_grid(16)
+        f = DensitySpec.weighted_norm(grid, 1.0)
+        u = GridFunction.constant(line_grid(8), 0.0)
+        with pytest.raises(StructuralError,
+                           match="different grids: GridFunction against GridFunction"):
+            density_field(f, u, GridFunction.constant(grid, 1.0))
 
 
 class TestSupremal:

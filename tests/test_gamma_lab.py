@@ -18,7 +18,7 @@ from suplab.gamma_lab import (
 )
 from suplab.oracles import limit_minimizer, study_oracle
 from suplab.reports import Table
-from suplab.solve import FUNCTIONAL_NORM, SolveResult
+from suplab.solve import SolveResult
 
 
 def benchmark_config(kind="norm_gamma", cells=64, profile="constant",
@@ -57,6 +57,17 @@ class TestConfigValidation:
         cfg = unit_weight_config(kind=kind)
         with pytest.raises(StructuralError, match=f"^{message}$"):
             dataclasses.replace(cfg, **change)
+
+    @pytest.mark.parametrize("extent, cells", [(4.0, 16), (1.0, 8)],
+                             ids=["same_size", "fewer_cells"])
+    def test_density_off_the_mesh_grid_refused(self, extent, cells):
+        # on (0, 4) the weights 1/(1+x) would be solved on (0, 1): the study
+        # would pass against the oracle 1/3 of another problem
+        mesh = MeshSpec(1, (1.0,), (16,), BoundarySpec.endpoints(0.0, 1.0))
+        grid = Grid.uniform_1d(0.0, extent, cells)
+        dens = DensitySpec.weighted_norm(grid, lambda x: 1.0 / (1.0 + x))
+        with pytest.raises(StructuralError, match="different grids: DensitySpec against Grid"):
+            StudyConfig(kind="norm_gamma", density=dens, mesh=mesh, profile="constant")
 
     @pytest.mark.parametrize("runner, kind", [
         (run_norm_gamma_study, "norm_gamma"), (run_integral_dichotomy_study, "integral_dichotomy"),
@@ -229,8 +240,7 @@ class TestNormGammaStudy:
         dens = DensitySpec.weighted_norm(mesh.grid(), 1.0, alpha=0.5)
         cfg = StudyConfig(kind="norm_gamma", density=dens, mesh=mesh,
                           profile="constant", n_schedule=(4,))
-        fake = SolveResult(interpolate_boundary(mesh), minimum, 0, ((minimum,),), 0.0,
-                           False, FUNCTIONAL_NORM)
+        fake = SolveResult(interpolate_boundary(mesh), minimum, 0, ((minimum,),), 0.0, False)
         monkeypatch.setattr(gamma_lab, "minimize_power", lambda *args, **kw: fake)
         assert run_norm_gamma_study(cfg).verdicts["bounds_ok"] is ok
 

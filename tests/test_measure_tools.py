@@ -165,6 +165,17 @@ class TestJensen:
         with pytest.raises(StructuralError, match=f"cell {bad} is not one of the 4 cells"):
             jensen_check(f, cells, 0.0, (pts, wts))
 
+    @pytest.mark.parametrize("cells", [1.7, [0.0, 1.0], np.array([True, False])],
+                             ids=["float", "float_batch", "bool_batch"])
+    def test_non_integer_cell_refused(self, cells):
+        # 1.7 would be cast to cell 1 and reported as witness cell 1
+        f = DensitySpec.weighted_norm(Grid.uniform_1d(0.0, 1.0, 4), np.array([1.0, 2.0, 3.0, 4.0]))
+        pts, wts = np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
+        if np.ndim(cells):
+            pts, wts = np.stack([pts] * len(cells)), np.stack([wts] * len(cells))
+        with pytest.raises(StructuralError, match="cell indices must be integers"):
+            jensen_check(f, cells, 0.0, (pts, wts))
+
     def test_randomized_level_convex_families(self):
         rng = np.random.default_rng(9)
         grid = Grid.uniform_1d(0.0, 1.0, 8)
@@ -370,8 +381,17 @@ class TestYoungQLimit:
     def test_field_on_another_grid_is_refused(self):
         mu = three_cell_measure()
         f = DensitySpec.weighted_norm(mu.grid, 1.0)
-        with pytest.raises(StructuralError, match="field and measure live on different grids"):
+        with pytest.raises(StructuralError,
+                           match="different grids: DiscreteYoungMeasure against GridFunction"):
             young_q_limit(f, GridFunction.constant(Grid.uniform_1d(0.0, 1.0, 4), 0.0), mu)
+
+    def test_density_on_another_grid_is_refused(self):
+        # one cell count: the density's weights would be read on the wrong cells
+        mu = three_cell_measure()
+        f = DensitySpec.weighted_norm(Grid.uniform_1d(0.0, 4.0, 3), lambda x: 1.0 + x)
+        with pytest.raises(StructuralError,
+                           match="different grids: DensitySpec against GridFunction"):
+            young_q_limit(f, GridFunction.constant(mu.grid, 0.0), mu)
 
     def test_one_stacked_root_per_call(self, monkeypatch):
         calls = []

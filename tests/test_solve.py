@@ -23,7 +23,12 @@ from suplab.gamma_lab import StudyConfig, run_norm_gamma_study
 from suplab.oracles import oracle_minimizer_1d, supremal_oracle_1d
 from suplab.solve import _Descent, minimize_power
 
-from _oracles import el_slopes_constant_q, power_minimum_constant_q, quadratic_energy_solve_2d
+from _oracles import (
+    el_slopes_constant_q,
+    power_minimum_constant_q,
+    power_minimum_variable_p,
+    quadratic_energy_solve_2d,
+)
 
 
 def mesh_1d(cells, g0=0.0, g1=1.0):
@@ -95,6 +100,16 @@ class TestPowerOracle:
         assert all(g > 0 for g in gaps)
         assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-3 * lstar
+
+    @pytest.mark.parametrize("q", [1.5, 4.0, 64.0, 1024.0])
+    def test_nested_root_reference_agrees_at_constant_q(self, q):
+        # the variable-exponent reference solves the same KKT system by two
+        # Brent roots; at a constant exponent Hoelder gives it in closed form
+        grid = mesh_1d(200).grid()
+        a = 1.0 / (1.0 + grid.points)
+        m_q = power_minimum_constant_q(a, grid.weights, q, 1.0)
+        assert power_minimum_variable_p(a, grid.weights, np.full(200, q), 1.0) == pytest.approx(
+            m_q, rel=1e-13)
 
     @pytest.mark.parametrize("p", [4.0, 8.0])
     def test_cold_solve_lands_on_it(self, p):
@@ -195,22 +210,48 @@ class TestNormMinimization:
             minimize_power("norm", f, p, mesh)
 
     @pytest.mark.parametrize("case, other, message", [
-        ("exponent", mesh_1d(6), "exponent field does not live on the mesh cells"),
-        ("density", mesh_1d(6), "density does not live on the mesh cells"),
+        ("exponent", mesh_1d(6), "different grids: ExponentField against Grid"),
+        ("density", mesh_1d(6), "different grids: DensitySpec against Grid"),
+        # same cell count on (0, 4): a density read there would be solved on
+        # (0, 1) to a wrong minimum, and an exponent field refused only by the
+        # final evaluation, after the whole descent
+        ("exponent", MeshSpec(1, (4.0,), (8,), BoundarySpec.endpoints(0.0, 1.0)),
+         "different grids: ExponentField against Grid"),
+        ("density", MeshSpec(1, (4.0,), (8,), BoundarySpec.endpoints(0.0, 1.0)),
+         "different grids: DensitySpec against Grid"),
         ("warm_start", mesh_1d(6), "warm start lives on a different mesh"),
         # same cell count: the warm start's boundary values would be solved for
         ("warm_start", mesh_1d(8, g1=2.0), "warm start lives on a different mesh"),
         ("warm_start", MeshSpec(1, (2.0,), (8,), BoundarySpec.endpoints(0.0, 1.0)),
          "warm start lives on a different mesh"),
-    ], ids=["exponent", "density", "warm_start", "warm_start_trace", "warm_start_extent"])
-    def test_mesh_mismatch_rejected(self, case, other, message):
+    ], ids=["exponent", "density", "exponent_same_size", "density_same_size", "warm_start",
+            "warm_start_trace", "warm_start_extent"])
+    def test_mesh_mismatch_rejected(self, case, other, message, monkeypatch):
         mesh = mesh_1d(8)
         on = {part: other if part == case else mesh
               for part in ("exponent", "density", "warm_start")}
-        f = DensitySpec.weighted_norm(on["density"].grid(), 1.0)
+        f = DensitySpec.weighted_norm(on["density"].grid(), lambda x: 1.0 / (1.0 + x))
         p = ExponentField.constant(on["exponent"].grid(), 4.0)
+        init = interpolate_boundary(on["warm_start"])
+
+        def no_descent(*args):
+            raise AssertionError("a descent started before the refusal")
+
+        monkeypatch.setattr(solve, "_Descent", no_descent)
         with pytest.raises(StructuralError, match=message):
-            minimize_power("norm", f, p, mesh, init=interpolate_boundary(on["warm_start"]))
+            minimize_power("norm", f, p, mesh, init=init)
+
+    def test_warm_start_off_the_trace_rejected(self):
+        # the descent never moves a boundary node: from u(1) = 2 on the
+        # trace u(1) = 1 it would return the minimum for the wrong trace,
+        # 2.0 instead of 1.0, with end values [0, 2]
+        mesh = mesh_1d(16)
+        f = DensitySpec.weighted_norm(mesh.grid(), 1.0)
+        p = ExponentField.constant(mesh.grid(), 4.0)
+        nodes = np.array(interpolate_boundary(mesh).node_values)
+        nodes[-1] = 2.0
+        with pytest.raises(StructuralError, match="off its trace"):
+            minimize_power("norm", f, p, mesh, init=DiscreteField(mesh, nodes))
 
     def test_vanishing_density_ends_each_stage_at_once(self):
         # a = 0 leaves every cell free: every stage's norm is 0 before any step
@@ -246,6 +287,9 @@ class TestIntegralMinimization:
             for j, yv in enumerate(ys):
                 nodes[i, j] = bdry(xv, yv)
         start = DiscreteField(mesh, nodes)
+        # no trace kind takes x^2 - y^2/2 yet, so the start stands in for the
+        # mesh's trace: it is what the solver compares a warm start with
+        monkeypatch.setattr(solve, "interpolate_boundary", lambda m: start)
 
         f = DensitySpec.weighted_norm(grid, 1.0)
         p = ExponentField.constant(grid, 2.0)
