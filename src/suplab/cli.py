@@ -4,13 +4,13 @@ Configs are flat INI documents with four sections: [density], [mesh],
 [exponents], [study] (the solver has no settings); one table (``_SCHEMA``)
 names each section's keys and the parser of each value.  [density] family
 names a row of the family table (``suplab.energy._FAMILIES``), which says
-the one coefficient it reads besides alpha and gamma.  [density] a and
-[exponents] profile are named profiles
-(:func:`suplab.gamma_lab.named_profile`).  Every contract the studies rely
-on is checked at parse time and violations are reported by key path,
-citing the hypothesis label (H1 level convexity, for a row that claims it;
-H2 growth).  The exponent growth (pn1) and ratio bound (pn2) hold by
-construction: p_n = n * profile has beta = max(profile) / min(profile).
+the one coefficient it reads besides alpha.  [density] a and [exponents]
+profile are named profiles (:func:`suplab.gamma_lab.named_profile`).
+Every contract the studies rely on is checked at parse time and violations
+are reported by key path, citing the hypothesis label (H1 level convexity,
+for a row that claims it; H2 growth, f >= alpha |xi|).  The exponent
+growth (pn1) and ratio bound (pn2) hold by construction: p_n = n * profile
+has beta = max(profile) / min(profile).
 
     suplab <subcommand> --config <path> --out <dir> [--seed <u64>]
 
@@ -102,7 +102,7 @@ def _ints(raw):
 
 # section -> key -> parser of the key's raw string; any other key is unknown
 _SCHEMA = {
-    "density": {"family": str, "a": str, "b": _float, "alpha": _float, "gamma": _float},
+    "density": {"family": str, "a": str, "b": _float, "alpha": _float},
     "mesh": {"dimension": int, "extent": _floats, "cells": _ints, "boundary": str,
              "g0": _float, "g1": _float, "c0": _float, "cx": _float, "cy": _float},
     "exponents": {"profile": str, "n_schedule": _ints},
@@ -185,7 +185,7 @@ def parse_config(text: str) -> StudyConfig:
         raise ConfigError(f"[density] family: unknown family {family!r}")
     key = _FAMILIES[family].coefficient
     for k in d:
-        if k not in (key, "alpha", "gamma"):
+        if k not in (key, "alpha"):
             raise ConfigError(f"[density] {k}: not used by family {family}")
     if "a" in d:
         d["a"] = _profile("density", "a", d["a"], grid)
@@ -201,10 +201,9 @@ def parse_config(text: str) -> StudyConfig:
     if not gr.passed:
         w = gr.checks[0].witness
         raise ConfigError(
-            f"[density] alpha: growth hypothesis (H2) fails with "
-            f"alpha={density.alpha}, gamma={density.gamma}; witness at cell "
-            f"{w['cell']} (center {w['cell_center']}): value {w['value']:.6g} "
-            f"< bound {w['bound']:.6g}"
+            f"[density] alpha: growth hypothesis (H2) fails with alpha={density.alpha}; "
+            f"witness at cell {w['cell']} (center {w['cell_center']}): value "
+            f"{w['value']:.6g} < bound {w['bound']:.6g}"
         )
     if density.level_convex:
         lc = level_convexity_probe(density, trials=2000, seed=0)

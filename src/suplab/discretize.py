@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -81,7 +82,10 @@ class MeshSpec:
         if self.dimension not in (1, 2):
             raise StructuralError("mesh dimension must be 1 or 2")
         extents = tuple(float(e) for e in np.atleast_1d(self.extents))
-        cells = tuple(int(c) for c in np.atleast_1d(self.cells))
+        try:
+            cells = tuple(operator.index(c) for c in np.atleast_1d(self.cells))
+        except TypeError:
+            raise StructuralError(f"cell counts {self.cells!r} must be integers") from None
         if len(extents) != self.dimension or len(cells) != self.dimension:
             raise StructuralError("extents and cells must match the dimension")
         if not np.all(np.isfinite(extents)):
@@ -151,7 +155,11 @@ class MeshSpec:
         return [np.linspace(0.0, e, c + 1) for e, c in zip(self.extents, self.cells)]
 
     def grid(self) -> Grid:
-        """Cells at the simplex centroids, weighted by the simplex volumes."""
+        """Cells at the simplex centroids, weighted by the simplex volumes; one Grid per mesh."""
+        return self._grid
+
+    @cached_property
+    def _grid(self) -> Grid:
         vertices = self._simplices[0]
         # the mean vertex multi-index, scaled: in 1-D exactly (i + 0.5) h
         centres = np.stack(np.unravel_index(vertices, self.node_shape), axis=-1).mean(axis=1)

@@ -14,21 +14,21 @@ eps > 0 gives d(log f)/d(xi), and the default growth constant alpha:
                             so it is not level convex
 
 The formula gives f and d(log f)/d(xi) at a smoothing eps >= 0 (eps = 0 is
-exact) on the last axis of xi; the scalar :func:`eval_density`, the
-cell-wise :func:`density_field` and the solver all call it.  A coefficient
-array is per-cell iff its leading axis has one entry per grid cell;
-anything else is shared by every cell.
+exact) on the last axis of xi; :func:`_density` reads the coefficients
+of every cell, or of the given cells, and calls it for the scalar
+:func:`eval_density`, the cell-wise :func:`density_field`, the solver and
+the Jensen check.  A coefficient array is per-cell iff its leading axis
+has one entry per grid cell; anything else is shared by every cell.
 
 The two hypotheses of the approximation theory, level convexity in xi and
-the coercivity bound f >= alpha |xi|^gamma, are verified statistically by
-the probes below.  Each probe draws all its samples first, one Generator
-call per array, and then evaluates them with one :func:`eval_density` call
-per density value.
-The benchmark's tracer coverage test pins that call count
-(``perfbench/test_perfbench.py``), so the evaluations stay per value until
-ROADMAP item 1 re-expresses the pin.  Like every checker, a probe records
-its check with :meth:`~suplab.reports.RelationReport.add_rows`: it counts
-the violations and keeps one witness.
+the coercivity bound f >= alpha |xi|, are verified statistically by the
+probes below.  Each probe draws all its samples first, one Generator call
+per array, and then evaluates them with one :func:`eval_density` call per
+density value, a count the benchmark's tracer coverage test pins
+(``perfbench/test_perfbench.py``) until ROADMAP item 1 re-expresses it.
+Like every checker, a probe records its check with
+:meth:`~suplab.reports.RelationReport.add_rows`: it counts the violations
+and keeps one witness.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .exponent_space import (
 from .reports import RelationReport
 
 __all__ = [
+    "JENSEN_TOL",
     "DensitySpec",
     "eval_density",
     "density_field",
@@ -128,12 +129,13 @@ _FAMILIES = {
 _COEFFICIENTS = {"a": ("weight", 1.0, True), "b": ("shift", 0.0, False)}
 
 
-def _density(f, c, u, xi, eps):
-    """Density values and d(log f)/d(xi) of f's family; see the table above."""
+def _density(f, xi, cells=None, eps=0.0):
+    """f and d(log f)/d(xi) at xi, one sample per cell or per entry of the index ``cells``."""
     formula, key, per_component, _, smoothed, _ = _FAMILIES[f.family]
     if eps > 0 and not smoothed:
         raise PreconditionError(f"{f.family} has no smoothed gradient; descent needs "
                                 "a family whose row has one")
+    c = f.coefficients if cells is None else {k: v[cells] for k, v in f.coefficients.items()}
     if per_component and c[key].shape[-1] not in (1, xi.shape[-1]):
         raise StructuralError(f"{key!r} has {c[key].shape[-1]} components, xi has {xi.shape[-1]}")
     return formula(c, xi, eps)
@@ -141,19 +143,18 @@ def _density(f, c, u, xi, eps):
 
 @dataclass(frozen=True)
 class DensitySpec:
-    """One row of the family table with its coefficient and growth constants.
+    """One row of the family table with its coefficient and growth constant alpha.
 
     The coefficient, a number, an array or a callable of the cell centers
     (``grid.points``), is resolved to a read-only per-cell array once, here;
     a coefficient left out takes its default (weight 1, shift 0).
-    ``alpha=None`` takes the row's default.
+    ``alpha=None`` takes the row's default; H2 is f >= alpha |xi|.
     """
 
     grid: Grid
     family: str
     coefficients: dict = field(default_factory=dict)
     alpha: float | None = None
-    gamma: float = 1.0
 
     def __post_init__(self):
         row = _FAMILIES.get(self.family)
@@ -184,24 +185,25 @@ class DensitySpec:
         if self.alpha is None:
             object.__setattr__(self, "alpha", row.alpha(self.grid.dimension,
                                                         coeffs.get(row.coefficient)))
-        if not (self.alpha > 0 and self.gamma > 0):
-            raise StructuralError("growth constants alpha, gamma must be positive")
+        # an infinite alpha would pass the growth check vacuously (inf - inf is nan)
+        if not 0 < self.alpha < np.inf:
+            raise StructuralError("growth constant alpha must be positive and finite")
 
     @property
     def level_convex(self) -> bool:
         return _FAMILIES[self.family].level_convex
 
     @classmethod
-    def weighted_norm(cls, grid: Grid, a=1.0, alpha=None, gamma=1.0) -> "DensitySpec":
-        return cls(grid, "weighted_norm", {"a": a}, alpha, gamma)
+    def weighted_norm(cls, grid: Grid, a=1.0, alpha=None) -> "DensitySpec":
+        return cls(grid, "weighted_norm", {"a": a}, alpha)
 
     @classmethod
-    def shifted_norm(cls, grid: Grid, b=0.0, alpha=None, gamma=1.0) -> "DensitySpec":
-        return cls(grid, "shifted_norm", {"b": b}, alpha, gamma)
+    def shifted_norm(cls, grid: Grid, b=0.0, alpha=None) -> "DensitySpec":
+        return cls(grid, "shifted_norm", {"b": b}, alpha)
 
     @classmethod
-    def anisotropic(cls, grid: Grid, a=1.0, alpha=None, gamma=1.0) -> "DensitySpec":
-        return cls(grid, "anisotropic", {"a": a}, alpha, gamma)
+    def anisotropic(cls, grid: Grid, a=1.0, alpha=None) -> "DensitySpec":
+        return cls(grid, "anisotropic", {"a": a}, alpha)
 
 
 def eval_density(f: DensitySpec, cell: int, u_val, xi) -> float:
@@ -212,8 +214,7 @@ def eval_density(f: DensitySpec, cell: int, u_val, xi) -> float:
         raise StructuralError(f"cell {cell!r} is not an integer index") from None
     if not 0 <= cell < f.grid.n_cells:
         raise StructuralError(f"cell {cell} is not one of the {f.grid.n_cells} cells")
-    c = {k: v[cell] for k, v in f.coefficients.items()}
-    val, _ = _density(f, c, u_val, np.atleast_1d(np.asarray(xi, dtype=float)), 0.0)
+    val, _ = _density(f, np.atleast_1d(np.asarray(xi, dtype=float)), cell)
     return float(val)
 
 
@@ -221,8 +222,7 @@ def density_field(f: DensitySpec, u: GridFunction | None, Du: GridFunction) -> G
     """Cell-wise density values f(x_i, u_i, Du_i) on Du's grid, which f and u must share."""
     _require_same_grid(Du, f, *([] if u is None else [u]))
     xi = Du.values if Du.components > 1 else Du.values[:, None]
-    uvals = u.values if u is not None else np.zeros(Du.grid.n_cells)
-    vals, _ = _density(f, f.coefficients, uvals, xi, 0.0)
+    vals, _ = _density(f, xi)
     return GridFunction(Du.grid, vals)
 
 
@@ -237,6 +237,11 @@ def eval_Fn(f: DensitySpec, u: GridFunction | None, Du: GridFunction,
     return luxemburg_norm(density_field(f, u, Du), p)
 
 
+def _log_calF(logw, p, logf):
+    """log sum_i (w_i / p_i) f_i^{p_i} from the cell logs of w and f; leading axes are rows."""
+    return _logsumexp(logw - np.log(p) + p * logf)
+
+
 def eval_calFn(f: DensitySpec, u: GridFunction | None, Du: GridFunction,
                p: ExponentField) -> float:
     """Exponent-normalized power integral sum_i (w_i / p_i) f_i^{p_i}.
@@ -246,22 +251,21 @@ def eval_calFn(f: DensitySpec, u: GridFunction | None, Du: GridFunction,
     """
     vals = density_field(f, u, Du)
     _require_same_grid(vals, p)
-    terms = vals.grid.log_weights - np.log(p.values) + p.values * _log0(vals.values)
-    return _linear(_logsumexp(terms))
+    return _linear(_log_calF(vals.grid.log_weights, p.values, _log0(vals.values)))
 
 
-# the probes draw xi ~ N(0, _PROBE_SCALE^2 I) with one component per grid
-# dimension
+# the probes draw xi ~ N(0, _PROBE_SCALE^2 I), one component per grid dimension;
+# every level-convexity check lets f(mean) pass the max by JENSEN_TOL (1 + |max|)
 _PROBE_SCALE = 2.0
+JENSEN_TOL = 1e-10
 
 
 def level_convexity_probe(f: DensitySpec, trials=10000, seed=0) -> RelationReport:
     """Randomized search for level-convexity violations along segments.
 
     Draws (cell, u, xi1, xi2, theta) for every trial as arrays and checks
-    f(theta xi1 + (1-theta) xi2) <= max(f(xi1), f(xi2)), with one
-    :func:`eval_density` call per density value, three per trial (per value
-    until ROADMAP item 1 re-expresses the tracer's call-count pin).
+    f(theta xi1 + (1-theta) xi2) <= max(f(xi1), f(xi2)) within
+    :data:`JENSEN_TOL`, with three :func:`eval_density` calls per trial.
     Violations are counted in ``meta["violations"]`` and the report keeps
     one witness, the first violation in trial order; they are evidence the
     density is not level convex, not an error.
@@ -281,7 +285,7 @@ def level_convexity_probe(f: DensitySpec, trials=10000, seed=0) -> RelationRepor
         c, v = cells[i], u[i]
         lhs[i] = eval_density(f, c, v, mid[i])
         rhs[i] = max(eval_density(f, c, v, xi1[i]), eval_density(f, c, v, xi2[i]))
-    bad = lhs > rhs + 1e-10 * (1.0 + np.abs(rhs))
+    bad = lhs > rhs + JENSEN_TOL * (1.0 + np.abs(rhs))
     rep = RelationReport(f"level convexity of {f.family}")
     rep.add_rows(
         "level_convexity", ~bad, rhs - lhs,
@@ -294,19 +298,18 @@ def level_convexity_probe(f: DensitySpec, trials=10000, seed=0) -> RelationRepor
 
 
 def growth_check(f: DensitySpec, trials=10000, seed=0) -> RelationReport:
-    """Randomized check of the coercivity bound f(x, u, xi) >= alpha |xi|^gamma.
+    """Randomized check of the coercivity bound f(x, u, xi) >= alpha |xi|.
 
     Draws (cell, u, xi) for every trial as arrays, computes the bounds as
     one array expression and evaluates the density with one
-    :func:`eval_density` call per trial (per value until ROADMAP item 1
-    re-expresses the tracer's call-count pin); the one witness is the first
+    :func:`eval_density` call per trial; the one witness is the first
     violation in trial order.
     """
     rng = np.random.default_rng(seed)
     cells = rng.integers(f.grid.n_cells, size=trials)
     u = rng.normal(size=trials)
     xi = _PROBE_SCALE * rng.normal(size=(trials, f.grid.dimension))
-    bound = f.alpha * np.linalg.norm(xi, axis=-1) ** f.gamma
+    bound = f.alpha * np.linalg.norm(xi, axis=-1)
     val = np.empty(trials)
     for i in range(trials):
         val[i] = eval_density(f, cells[i], u[i], xi[i])
@@ -314,7 +317,7 @@ def growth_check(f: DensitySpec, trials=10000, seed=0) -> RelationReport:
     rep = RelationReport(f"growth bound of {f.family}")
     rep.add_rows(
         "growth_lower_bound", ~bad, val - bound,
-        note=lambda w: f"{bad.sum()}/{trials} violations (alpha={f.alpha}, gamma={f.gamma})",
+        note=lambda w: f"{bad.sum()}/{trials} violations (alpha={f.alpha})",
         witness=lambda w: {"cell": int(cells[w]), "cell_center": f.grid.cells[cells[w]].tolist(),
                            "u": float(u[w]), "xi": xi[w].tolist(), "value": float(val[w]),
                            "bound": float(bound[w])},

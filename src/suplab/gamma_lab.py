@@ -28,6 +28,7 @@ minimizer seeds the next exponent's descent); results are deterministic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,14 +129,20 @@ class StudyConfig:
     def __post_init__(self):
         if self.kind not in STUDY_KINDS:
             raise StructuralError(f"unknown study kind {self.kind!r}")
-        # a negative threshold fails every verdict; a zero probe passes
-        # vacuously.  The message starts with the field's name.
+        # a negative threshold fails every verdict and an infinite one passes
+        # any; a zero probe passes vacuously.  Each message starts with its field.
+        for name, value in (("threshold", self.threshold), ("probe_scale", self.probe_scale)):
+            if not np.isfinite(value):
+                raise StructuralError(f"{name}: must be finite, got {value!r}")
         if self.threshold < 0:
             raise StructuralError(f"threshold: must be >= 0, got {self.threshold!r}")
         if self.probe_scale <= 0:
             raise StructuralError(f"probe_scale: must be > 0, got {self.probe_scale!r}")
         _require_same_grid(self.mesh.grid(), self.density)
-        sched = tuple(int(n) for n in self.n_schedule)
+        try:
+            sched = tuple(operator.index(n) for n in self.n_schedule)
+        except TypeError:
+            raise StructuralError(f"the n schedule {self.n_schedule!r} must be integers") from None
         if len(sched) == 0 or any(b <= a for a, b in zip(sched, sched[1:])):
             raise StructuralError("the n schedule must be strictly increasing")
         object.__setattr__(self, "n_schedule", sched)
@@ -186,8 +193,7 @@ def run_norm_gamma_study(cfg: StudyConfig) -> Table:
     # the floor alpha |g1 - g0| / C, with C the constant of the embedding
     # of L^{p_n} into L^1 at the sequence's ratio bound beta, holds for the
     # 1-D weighted norm
-    floored = (cfg.mesh.dimension == 1 and cfg.density.gamma == 1.0
-               and cfg.density.family == "weighted_norm")
+    floored = cfg.mesh.dimension == 1 and cfg.density.family == "weighted_norm"
     if floored:
         g0, g1 = cfg.mesh.boundary.params
         beta = cfg.sequence().beta

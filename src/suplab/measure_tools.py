@@ -18,14 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import DensitySpec, _density, eval_density
+from .energy import JENSEN_TOL, DensitySpec, _density, eval_density
 from .exponent_space import (Grid, GridFunction, StructuralError, _lock, _log0,
                              _require_same_grid, luxemburg_root)
 from .reports import RelationReport, Table, eventually_decreasing
 
 __all__ = [
     "DEFAULT_Q_SCHEDULE",
-    "JENSEN_TOL",
     "DiscreteYoungMeasure",
     "barycenter",
     "jensen_check",
@@ -34,9 +33,6 @@ __all__ = [
 
 # error decays like log(.)/q, so a geometric schedule shows the trend in few rows
 DEFAULT_Q_SCHEDULE = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
-
-# f(mean) may exceed the max over the atoms by JENSEN_TOL (1 + |max|)
-JENSEN_TOL = 1e-10
 
 
 def _atoms(points, weights, noun):
@@ -116,17 +112,13 @@ def jensen_check(f: DensitySpec, cell, u_val, atoms) -> RelationReport:
     off = cells[(cells < 0) | (cells >= f.grid.n_cells)]
     if off.size:
         raise StructuralError(f"cell {off[0]} is not one of the {f.grid.n_cells} cells")
-    u_vals = np.broadcast_to(np.asarray(u_val, dtype=float), cells.shape)
+    # no row reads u yet (ROADMAP item 13), but it must still fit the trials
+    np.broadcast_to(np.asarray(u_val, dtype=float), cells.shape)
     mean = _mean(pts, wts)
     live = wts > 0
-
-    def values(trial, xi):
-        c = {k: v[cells[trial]] for k, v in f.coefficients.items()}
-        return _density(f, c, u_vals[trial], xi, 0.0)[0]
-
-    lhs = values(np.arange(cells.size), mean)
+    lhs = _density(f, mean, cells)[0]
     atom_vals = np.full(live.shape, -np.inf)
-    atom_vals[live] = values(np.nonzero(live)[0], pts[live])
+    atom_vals[live] = _density(f, pts[live], cells[np.nonzero(live)[0]])[0]
     rhs = atom_vals.max(axis=1)
     bad = lhs > rhs + JENSEN_TOL * (1.0 + np.abs(rhs))
     rep = RelationReport("Jensen bound over atoms")

@@ -40,7 +40,7 @@ from .discretize import (
     gradient,
     interpolate_boundary,
 )
-from .energy import DensitySpec, _density, eval_calFn, eval_Fn
+from .energy import DensitySpec, _density, _log_calF, eval_calFn, eval_Fn
 from .exponent_space import (
     ExponentField,
     PreconditionError,
@@ -121,7 +121,7 @@ class _Descent:
     def log_density(self, unodes):
         """log f and d(log f)/d(xi) on the cells of node values, batch axes first."""
         xi = _cell_gradient(self.mesh, unodes)
-        f, dlog = _density(self.spec, self.spec.coefficients, None, xi, self.eps)
+        f, dlog = _density(self.spec, xi, None, self.eps)
         return (np.log(f) if self.positive else _log0(f)), dlog
 
     def line_search(self, term_logs_fn, phi, g, gg):
@@ -218,7 +218,7 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
         log_p_over_p = np.log(pv) / pv
 
         def refresh(logf):
-            phi = _logsumexp(logw + pv * (logf - log_p_over_p))
+            phi = _log_calF(logw, pv, logf)
             return _linear(phi), phi, log_p_over_p
 
         evaluate = eval_calFn

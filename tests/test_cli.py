@@ -57,7 +57,7 @@ SUBCOMMAND_KIND = {
 REMOVED_KEYS = [
     ("study", "delta"), ("study", "divergence_threshold"), ("study", "convergence_threshold"),
     ("exponents", "beta"), ("study", "instances"), ("study", "pair_instances"),
-    ("study", "jensen_trials"), ("study", "probe_trials"),
+    ("study", "jensen_trials"), ("study", "probe_trials"), ("density", "gamma"),
 ]
 
 # density keys no row reads any more: the row names its formula and says
@@ -66,7 +66,7 @@ UNREAD_DENSITY_KEYS = {"rule", "level_convex"}
 
 # every float-valued key of the schema, a list or a single value: (section, key)
 FLOAT_KEYS = [
-    ("density", "b"), ("density", "alpha"), ("density", "gamma"),
+    ("density", "b"), ("density", "alpha"),
     ("mesh", "extent"), ("mesh", "g0"), ("mesh", "g1"), ("mesh", "c0"), ("mesh", "cx"),
     ("mesh", "cy"), ("study", "threshold"), ("study", "probe_scale"),
 ]

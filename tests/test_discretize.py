@@ -98,9 +98,25 @@ class TestMeshSpec:
         with pytest.raises(StructuralError, match="2 slopes for dimension 1"):
             MeshSpec(1, (1.0,), (4,), BoundarySpec.affine(0.0, 1.0, 2.0))
 
+    @pytest.mark.parametrize("cells", [(8.7,), (np.float64(8.0),), ("8",)],
+                             ids=["float", "numpy_float", "str"])
+    def test_non_integer_cell_count_refused(self, cells):
+        # int() would build 8 cells from 8.7
+        with pytest.raises(StructuralError, match="cell counts .* must be integers"):
+            MeshSpec(1, (1.0,), cells, BoundarySpec.endpoints(0, 1))
+
+    def test_integer_cell_counts_of_any_type(self):
+        for cells in ((8,), [np.int64(8)], np.array([8]), 8):
+            assert MeshSpec(1, (1.0,), cells, BoundarySpec.endpoints(0, 1)).cells == (8,)
+
     def test_grid_measure(self):
         mesh = mesh_2d((4, 5))
         assert mesh.grid().total_measure == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("mesh", [mesh_1d(16), mesh_2d((3, 4))], ids=["1d", "2d"])
+    def test_one_grid_per_mesh(self, mesh):
+        # the same-grid checks compare grids by identity before their values
+        assert mesh.grid() is mesh.grid()
 
     def test_2d_cells_are_triangle_pairs(self):
         # each square splits along its rising diagonal into two P1 triangles,

@@ -88,12 +88,12 @@ class TestEvalDensity:
         (lambda g: DensitySpec.shifted_norm(g, np.inf), "shift 'b' must be finite$"),
         (lambda g: DensitySpec.weighted_norm(g, np.ones((4, 2))), r"'a' has shape \(2,\) per cell"),
         (lambda g: DensitySpec.anisotropic(g, np.ones((2, 2))), r"'a' has shape \(2, 2\) per cell"),
-        (lambda g: DensitySpec.weighted_norm(g, 0.0), "alpha, gamma must be positive"),
-        (lambda g: DensitySpec.weighted_norm(g, 1.0, alpha=-1.0), "alpha, gamma must be positive"),
-        (lambda g: DensitySpec.shifted_norm(g, 0.0, gamma=0.0), "alpha, gamma must be positive"),
+        (lambda g: DensitySpec.weighted_norm(g, 0.0), "alpha must be positive"),
+        (lambda g: DensitySpec.weighted_norm(g, 1.0, alpha=-1.0), "alpha must be positive"),
+        (lambda g: DensitySpec.weighted_norm(g, 1.0, alpha=np.inf), "alpha must be positive and finite"),
     ], ids=["coefficient_of_no_row", "coefficient_of_another_row",
             "infinite_shift", "weight_with_components", "anisotropy_of_two_axes",
-            "zero_weight_default_alpha", "negative_alpha", "zero_gamma"])
+            "zero_weight_default_alpha", "negative_alpha", "infinite_alpha"])
     def test_density_refusal(self, make, message):
         with pytest.raises(StructuralError, match=message):
             make(line_grid(4))
@@ -178,12 +178,12 @@ class TestFamilyRows:
         f = DensitySpec(line_grid(32), family, coeffs)
         xi = np.random.default_rng(3).normal(size=(32, 2))
         eps, h = 1e-2, 1e-6
-        _, dlog = _density(f, f.coefficients, None, xi, eps)
+        _, dlog = _density(f, xi, None, eps)
         for j in range(2):
             step = np.zeros(2)
             step[j] = h
-            up, _ = _density(f, f.coefficients, None, xi + step, eps)
-            down, _ = _density(f, f.coefficients, None, xi - step, eps)
+            up, _ = _density(f, xi + step, None, eps)
+            down, _ = _density(f, xi - step, None, eps)
             central = (np.log(up) - np.log(down)) / (2.0 * h)
             assert np.max(np.abs(dlog[:, j] - central)) < 1e-7 * np.max(np.abs(dlog))
 
@@ -193,16 +193,20 @@ def per_cell_anisotropic(cells=8):
     return DensitySpec.anisotropic(grid, 1.0 + grid.cells[:, 0])
 
 
+# one density of every family, some with per-cell coefficients
+FIELD_DENSITIES = pytest.mark.parametrize("f", [
+    DensitySpec.weighted_norm(line_grid(8), lambda x: 1.0 + x),
+    DensitySpec.shifted_norm(line_grid(8), np.array([0.4])),
+    per_cell_anisotropic(),
+    DensitySpec.anisotropic(Grid.uniform_2d((0.0, 1.0), (0.0, 1.0), (3, 3)), [1.0, 2.0]),
+    DensitySpec(line_grid(8), "capped_norm"),
+    DensitySpec(Grid.uniform_2d((0.0, 1.0), (0.0, 1.0), (3, 3)), "unit_sphere_distance"),
+], ids=["weighted", "shifted", "anisotropic_per_cell", "anisotropic_2d", "capped_norm",
+        "unit_sphere_distance_2d"])
+
+
 class TestDensityField:
-    @pytest.mark.parametrize("f", [
-        DensitySpec.weighted_norm(line_grid(8), lambda x: 1.0 + x),
-        DensitySpec.shifted_norm(line_grid(8), np.array([0.4])),
-        per_cell_anisotropic(),
-        DensitySpec.anisotropic(Grid.uniform_2d((0.0, 1.0), (0.0, 1.0), (3, 3)), [1.0, 2.0]),
-        DensitySpec(line_grid(8), "capped_norm"),
-        DensitySpec(Grid.uniform_2d((0.0, 1.0), (0.0, 1.0), (3, 3)), "unit_sphere_distance"),
-    ], ids=["weighted", "shifted", "anisotropic_per_cell", "anisotropic_2d", "capped_norm",
-            "unit_sphere_distance_2d"])
+    @FIELD_DENSITIES
     def test_field_matches_samples(self, f):
         rng = np.random.default_rng(9)
         grid = f.grid
@@ -211,6 +215,18 @@ class TestDensityField:
         xi = du.values.reshape(grid.n_cells, -1)
         samples = [eval_density(f, i, u.values[i], xi[i]) for i in range(grid.n_cells)]
         assert np.array_equal(density_field(f, u, du).values, samples)
+
+    @FIELD_DENSITIES
+    def test_lookup_by_cells_matches_the_field(self, f):
+        # the path of eval_density and jensen_check: the coefficients of the
+        # given cells, in any order and with repeats
+        rng = np.random.default_rng(5)
+        grid = f.grid
+        xi = rng.normal(size=(grid.n_cells, grid.dimension))
+        field = density_field(f, None, GridFunction(grid, xi if grid.dimension > 1 else xi[:, 0]))
+        cells = rng.permutation(np.repeat(np.arange(grid.n_cells), 3))
+        vals, _ = _density(f, xi[cells], cells)
+        assert np.array_equal(vals, field.values[cells])
 
     def test_per_cell_anisotropic_descent(self, monkeypatch):
         # in 1-D, one anisotropy weight per cell is the weighted norm

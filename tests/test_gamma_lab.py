@@ -42,6 +42,17 @@ class TestConfigValidation:
         with pytest.raises(StructuralError):
             unit_weight_config(schedule=(8, 4))
 
+    @pytest.mark.parametrize("schedule", [(4.9, 8.2), (4.2, 4.9), (4, np.float64(8.0)), ("4", "8")],
+                             ids=["floats", "floats_in_one_integer", "numpy_float", "str"])
+    def test_non_integer_schedule_refused(self, schedule):
+        # int() would run (4, 8) for the first and call the second not increasing
+        with pytest.raises(StructuralError, match="n schedule .* must be integers"):
+            unit_weight_config(schedule=schedule)
+
+    def test_numpy_integer_schedule_is_accepted(self):
+        cfg = unit_weight_config(schedule=np.array([4, 8]))
+        assert cfg.n_schedule == (4, 8) and type(cfg.n_schedule[0]) is int
+
     def test_unknown_kind(self):
         with pytest.raises(StructuralError):
             unit_weight_config(kind="telescope")
@@ -52,7 +63,14 @@ class TestConfigValidation:
         ("norm_limit", {"probe_scale": -1.0}, "probe_scale: must be > 0, got -1.0"),
         # a negative threshold fails every verdict
         ("norm_gamma", {"threshold": -0.5}, "threshold: must be >= 0, got -0.5"),
-    ], ids=["zero_probe", "negative_probe", "negative_threshold"])
+        # an infinite threshold passes any error; a non-finite probe failed
+        # late, as non-finite grid values
+        ("norm_limit", {"threshold": np.inf}, "threshold: must be finite, got inf"),
+        ("norm_gamma", {"threshold": np.nan}, "threshold: must be finite, got nan"),
+        ("norm_limit", {"probe_scale": np.inf}, "probe_scale: must be finite, got inf"),
+        ("integral_dichotomy", {"probe_scale": np.nan}, "probe_scale: must be finite, got nan"),
+    ], ids=["zero_probe", "negative_probe", "negative_threshold", "infinite_threshold",
+            "nan_threshold", "infinite_probe", "nan_probe"])
     def test_out_of_range_value_is_refused(self, kind, change, message):
         cfg = unit_weight_config(kind=kind)
         with pytest.raises(StructuralError, match=f"^{message}$"):

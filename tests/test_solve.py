@@ -343,7 +343,7 @@ def sequential_descent(backtracks):
 
     def evaluate(self, unodes, term_logs_fn):
         xi = _cell_gradient(self.mesh, unodes)
-        f, dlog = _density(self.spec, self.spec.coefficients, None, xi, self.eps)
+        f, dlog = _density(self.spec, xi, None, self.eps)
         if self.positive:
             logf = np.log(f)
         else:
