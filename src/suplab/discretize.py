@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .exponent_space import Grid, GridFunction, StructuralError
+from .exponent_space import Grid, GridFunction, StructuralError, _cell_array, _index
 
 __all__ = [
     "BoundarySpec",
@@ -82,10 +81,8 @@ class MeshSpec:
         if self.dimension not in (1, 2):
             raise StructuralError("mesh dimension must be 1 or 2")
         extents = tuple(float(e) for e in np.atleast_1d(self.extents))
-        try:
-            cells = tuple(operator.index(c) for c in np.atleast_1d(self.cells))
-        except TypeError:
-            raise StructuralError(f"cell counts {self.cells!r} must be integers") from None
+        cells = tuple(_index(c, "cell count")
+                      for c in (self.cells if np.ndim(self.cells) else (self.cells,)))
         if len(extents) != self.dimension or len(cells) != self.dimension:
             raise StructuralError("extents and cells must match the dimension")
         if not np.all(np.isfinite(extents)):
@@ -112,7 +109,7 @@ class MeshSpec:
         # finite trace values can still overflow in the interpolant's vertex
         # means or in the stencil's differences and divide
         with np.errstate(over="ignore", invalid="ignore"):
-            u = interpolate_boundary(self).node_values
+            u = _interpolant(self)
             finite = np.isfinite(_cell_average(self, u)).all() and np.isfinite(
                 _cell_gradient(self, u)).all()
         if not finite:
@@ -175,13 +172,8 @@ class DiscreteField:
     node_values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.node_values, dtype=float)
-        if vals.shape != self.mesh.node_shape:
-            raise StructuralError(
-                f"node values of shape {vals.shape} on mesh with nodes {self.mesh.node_shape}"
-            )
-        vals.setflags(write=False)
-        object.__setattr__(self, "node_values", vals)
+        object.__setattr__(self, "node_values",
+                           _cell_array(self.node_values, self.mesh.node_shape, "node values"))
 
     def cell_values(self) -> GridFunction:
         """Vertex means at the cell centroids."""
@@ -226,17 +218,22 @@ def gradient(field: DiscreteField) -> GridFunction:
 
 def interpolate_boundary(mesh: MeshSpec) -> DiscreteField:
     """Feasible initial field: linear blend of the trace (transfinite in 2-D)."""
+    return DiscreteField(mesh, _interpolant(mesh))
+
+
+def _interpolant(mesh: MeshSpec) -> np.ndarray:
+    """Raw node values of :func:`interpolate_boundary`, which may overflow."""
     axes = mesh.node_axes()
     if mesh.dimension == 1:
         g0, g1 = mesh.boundary.params
         t = axes[0] / mesh.extents[0]
-        return DiscreteField(mesh, (1.0 - t) * g0 + t * g1)
+        return (1.0 - t) * g0 + t * g1
 
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
     tr = mesh.boundary.value(points).reshape(mesh.node_shape)
     s = (axes[0] / mesh.extents[0])[:, None]
     t = (axes[1] / mesh.extents[1])[None, :]
-    u = (
+    return (
         (1 - s) * tr[0, :][None, :]
         + s * tr[-1, :][None, :]
         + (1 - t) * tr[:, 0][:, None]
@@ -248,4 +245,3 @@ def interpolate_boundary(mesh: MeshSpec) -> DiscreteField:
             + s * t * tr[-1, -1]
         )
     )
-    return DiscreteField(mesh, u)

@@ -18,7 +18,8 @@ exact) on the last axis of xi; :func:`_density` reads the coefficients
 of every cell, or of the given cells, and calls it for the scalar
 :func:`eval_density`, the cell-wise :func:`density_field`, the solver and
 the Jensen check.  A coefficient array is per-cell iff its leading axis
-has one entry per grid cell; anything else is shared by every cell.
+has one entry per grid cell, else it is shared by every cell; either way it
+is kept as one (cells,) or (cells, k) array under the one cell-array rule.
 
 The two hypotheses of the approximation theory, level convexity in xi and
 the coercivity bound f >= alpha |xi|, are verified statistically by the
@@ -33,7 +34,6 @@ and keeps one witness.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -45,6 +45,8 @@ from .exponent_space import (
     GridFunction,
     PreconditionError,
     StructuralError,
+    _cell_array,
+    _index,
     _linear,
     _log0,
     _logsumexp,
@@ -146,7 +148,7 @@ class DensitySpec:
     """One row of the family table with its coefficient and growth constant alpha.
 
     The coefficient, a number, an array or a callable of the cell centers
-    (``grid.points``), is resolved to a read-only per-cell array once, here;
+    (``grid.points``), is resolved to a per-cell array once, here;
     a coefficient left out takes its default (weight 1, shift 0).
     ``alpha=None`` takes the row's default; H2 is f >= alpha |xi|.
     """
@@ -168,18 +170,16 @@ class DensitySpec:
             key = row.coefficient
             noun, default, nonnegative = _COEFFICIENTS[key]
             val = self.coefficients.get(key, default)
-            arr = np.array(val(self.grid.points) if callable(val) else val, dtype=float)
+            arr = np.asarray(val(self.grid.points) if callable(val) else val, dtype=float)
             # an array is per-cell iff its leading axis has one entry per cell
             if arr.ndim == 0 or arr.shape[0] != self.grid.n_cells:
-                arr = np.array(np.broadcast_to(arr, (self.grid.n_cells,) + arr.shape))
-            if not np.all(np.isfinite(arr) & ((arr >= 0) | (not nonnegative))):
-                raise StructuralError(f"{self.family} {noun} {key!r} must be finite"
-                                      + (" and nonnegative" if nonnegative else ""))
+                arr = np.broadcast_to(arr, (self.grid.n_cells,) + arr.shape)
             if row.per_component and arr.ndim == 1:
                 arr = arr[:, None]
-            if arr.ndim != 1 + row.per_component:
-                raise StructuralError(f"{self.family} {key!r} has shape {arr.shape[1:]} per cell")
-            arr.setflags(write=False)
+            arr = _cell_array(arr, (self.grid.n_cells,), f"{self.family} {noun} {key!r}",
+                              1 + row.per_component)
+            if nonnegative and np.any(arr < 0):
+                raise StructuralError(f"{self.family} {noun} {key!r} must be nonnegative")
             coeffs[key] = arr
         object.__setattr__(self, "coefficients", coeffs)
         if self.alpha is None:
@@ -208,10 +208,7 @@ class DensitySpec:
 
 def eval_density(f: DensitySpec, cell: int, u_val, xi) -> float:
     """Evaluate the density at one cell; a non-integer index or one off the grid is refused."""
-    try:
-        cell = operator.index(cell)
-    except TypeError:
-        raise StructuralError(f"cell {cell!r} is not an integer index") from None
+    cell = _index(cell, "cell index")
     if not 0 <= cell < f.grid.n_cells:
         raise StructuralError(f"cell {cell} is not one of the {f.grid.n_cells} cells")
     val, _ = _density(f, np.atleast_1d(np.asarray(xi, dtype=float)), cell)

@@ -5,6 +5,12 @@ weights), so weighted power sums *are* the modulars of the corresponding
 variable-exponent space and every norm/modular inequality holds exactly at
 the discrete level, not merely approximately.
 
+Two rules, written once here, admit caller input for the whole package:
+every grid-bound array goes through :func:`_cell_array` (a finite, read-only
+float copy whose leading axes are exactly the cell count or a mesh's node
+shape; nothing is flattened), every integer through :func:`_index` (any
+integer type, but no bool).  Each type adds only its own condition.
+
 All power sums are accumulated in the log domain by one logsumexp over the
 last axis, with any leading axes as rows.  A cell where the function
 vanishes, and a padded cell of a stacked row, is a term log of -inf
@@ -20,6 +26,7 @@ of rows, so the relation checkers can check a chunk of instances at once.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,10 +122,35 @@ def _linear(lr):
     return out if out.ndim else float(out)
 
 
-def _lock(arr):
-    arr = np.array(arr, dtype=float)
+def _cell_array(values, lead, noun, ndims=None):
+    """``values`` as a finite, read-only float copy with leading axes ``lead`` (a tuple).
+
+    ``ndims`` is the admissible number of axes, an int or a tuple (by
+    default ``len(lead)``); anything else raises StructuralError naming
+    ``noun`` and the shape.
+    """
+    arr = np.array(values, dtype=float)
+    ndims = (len(lead),) if ndims is None else np.atleast_1d(ndims).tolist()
+    if arr.ndim not in ndims or arr.shape[:len(lead)] != lead:
+        want = " or ".join(str(lead + ("*",) * (d - len(lead))).replace("'", "")
+                           for d in ndims)
+        raise StructuralError(f"{noun} of shape {arr.shape}: need {want}")
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        raise StructuralError(f"{noun} must be finite, got {arr[tuple(bad[0])]} at "
+                              f"{tuple(bad[0].tolist())} of shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def _index(x, noun):
+    """x as a Python int: the one integer rule, which takes any integer type but no bool."""
+    try:
+        if not isinstance(x, bool):  # operator.index refuses NumPy's bool itself
+            return operator.index(x)
+    except TypeError:
+        pass
+    raise StructuralError(f"{noun} must be an integer, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -132,21 +164,14 @@ class Grid:
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise StructuralError(f"grid dimension must be 1 or 2, got {self.dimension}")
-        cells = np.atleast_2d(np.asarray(self.cells, dtype=float))
-        weights = np.asarray(self.weights, dtype=float).ravel()
-        if cells.shape != (weights.size, self.dimension):
-            raise StructuralError(
-                f"cells shape {cells.shape} incompatible with {weights.size} weights in dimension {self.dimension}"
-            )
+        weights = _cell_array(self.weights, (), "cell weights", 1)
+        cells = _cell_array(self.cells, (weights.size, self.dimension), "cell centers")
         if weights.size < 1:
             raise StructuralError("grid needs at least one cell")
-        for label, arr in (("cell weights", weights), ("cell centers", cells)):
-            if not np.all(np.isfinite(arr)):
-                raise StructuralError(f"{label} must be finite, got {arr[~np.isfinite(arr)][0]}")
         if not np.all(weights > 0):
             raise StructuralError("all cell weights must be positive")
-        object.__setattr__(self, "cells", _lock(cells))
-        object.__setattr__(self, "weights", _lock(weights))
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n_cells(self) -> int:
@@ -189,30 +214,15 @@ class Grid:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Real- or vector-valued cell samples on a grid."""
+    """Cell samples: values (cells,) of a scalar function, or (cells, k) of k components."""
 
     grid: Grid
     values: np.ndarray
-    components: int = 1
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim == 1:
-            comps = 1
-        elif vals.ndim == 2:
-            comps = vals.shape[1]
-            if comps == 1:
-                vals = vals[:, 0]
-        else:
-            raise StructuralError("grid function values must be 1- or 2-dimensional")
-        if vals.shape[0] != self.grid.n_cells:
-            raise StructuralError(
-                f"{vals.shape[0]} values for {self.grid.n_cells} cells"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise StructuralError("grid function values must be finite")
-        object.__setattr__(self, "values", _lock(vals))
-        object.__setattr__(self, "components", comps)
+        vals = _cell_array(self.values, (self.grid.n_cells,), "grid function values", (1, 2))
+        # one component is stored as a scalar function
+        object.__setattr__(self, "values", vals[:, 0] if vals.shape[1:] == (1,) else vals)
 
     @classmethod
     def constant(cls, grid: Grid, value: float) -> "GridFunction":
@@ -220,6 +230,10 @@ class GridFunction:
 
     def scaled(self, c: float) -> "GridFunction":
         return GridFunction(self.grid, c * self.values)
+
+    @property
+    def components(self) -> int:
+        return 1 if self.values.ndim == 1 else self.values.shape[1]
 
     @property
     def is_scalar(self) -> bool:
@@ -239,14 +253,10 @@ class ExponentField:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).ravel()
-        if vals.size != self.grid.n_cells:
-            raise StructuralError(f"{vals.size} exponents for {self.grid.n_cells} cells")
-        if not np.all(np.isfinite(vals)):
-            raise StructuralError("exponents must be finite")
+        vals = _cell_array(self.values, (self.grid.n_cells,), "exponents")
         if np.min(vals) < 1.0:
             raise StructuralError("exponents must satisfy p(x) >= 1")
-        object.__setattr__(self, "values", _lock(vals))
+        object.__setattr__(self, "values", vals)
 
     @property
     def p_minus(self) -> float:
@@ -274,12 +284,10 @@ class ExponentSequence:
     profile: np.ndarray
 
     def __post_init__(self):
-        prof = np.asarray(self.profile, dtype=float).ravel()
-        if prof.size != self.grid.n_cells:
-            raise StructuralError("profile must be sampled on the grid cells")
+        prof = _cell_array(self.profile, (self.grid.n_cells,), "exponent profile")
         if not np.all(prof > 0):
             raise StructuralError("exponent profile must be positive")
-        object.__setattr__(self, "profile", _lock(prof))
+        object.__setattr__(self, "profile", prof)
 
     @property
     def beta(self) -> float:
@@ -287,7 +295,7 @@ class ExponentSequence:
         return float(np.max(self.profile) / np.min(self.profile))
 
     def field(self, n) -> ExponentField:
-        vals = float(n) * self.profile
+        vals = _index(n, "n") * self.profile
         if np.min(vals) <= 1.0:
             raise PreconditionError(f"n = {n} gives an exponent not exceeding 1")
         return ExponentField(self.grid, vals)

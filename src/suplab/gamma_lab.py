@@ -28,7 +28,6 @@ minimizer seeds the next exponent's descent); results are deterministic.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +39,7 @@ from .exponent_space import (
     GridFunction,
     PreconditionError,
     StructuralError,
+    _index,
     _require_same_grid,
     _require_scalar,
     embedding_constant,
@@ -139,10 +139,7 @@ class StudyConfig:
         if self.probe_scale <= 0:
             raise StructuralError(f"probe_scale: must be > 0, got {self.probe_scale!r}")
         _require_same_grid(self.mesh.grid(), self.density)
-        try:
-            sched = tuple(operator.index(n) for n in self.n_schedule)
-        except TypeError:
-            raise StructuralError(f"the n schedule {self.n_schedule!r} must be integers") from None
+        sched = tuple(_index(n, "n_schedule entry") for n in self.n_schedule)
         if len(sched) == 0 or any(b <= a for a, b in zip(sched, sched[1:])):
             raise StructuralError("the n schedule must be strictly increasing")
         object.__setattr__(self, "n_schedule", sched)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import JENSEN_TOL, DensitySpec, _density, eval_density
-from .exponent_space import (Grid, GridFunction, StructuralError, _lock, _log0,
+from .exponent_space import (Grid, GridFunction, StructuralError, _cell_array, _log0,
                              _require_same_grid, luxemburg_root)
 from .reports import RelationReport, Table, eventually_decreasing
 
@@ -73,9 +73,9 @@ class DiscreteYoungMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        points, weights = _atoms(_lock(self.points), _lock(self.weights), "cell")
-        if len(weights) != self.grid.n_cells:
-            raise StructuralError(f"atoms for {len(weights)} cells on {self.grid.n_cells} cells")
+        lead = (self.grid.n_cells,)
+        points, weights = _atoms(_cell_array(self.points, lead, "atom points", 3),
+                                 _cell_array(self.weights, lead, "atom weights", 2), "cell")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
 

@@ -90,3 +90,23 @@ def test_modules_use_their_imports_and_list_their_public_definitions():
             problems += [f"{path.stem}: __all__ lists {name}, not defined here"
                          for name in listed if name not in defined]
     assert problems == []
+
+
+def test_one_module_turns_input_into_cell_arrays_and_integers():
+    # exponent_space._cell_array makes every read-only grid-bound array and
+    # exponent_space._index every integer; a validator written elsewhere
+    # would be a second rule
+    found = []
+    for path in sorted((ROOT / "src" / "suplab").glob("*.py")):
+        if path.stem == "exponent_space":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and (
+                    node.attr == "setflags"
+                    or (node.attr == "index" and isinstance(node.value, ast.Name)
+                        and node.value.id == "operator")):
+                found.append(f"{path.stem}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "operator":
+                found += [f"{path.stem}:{node.lineno} from operator import {alias.name}"
+                          for alias in node.names if alias.name == "index"]
+    assert found == []

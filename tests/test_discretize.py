@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -98,11 +100,12 @@ class TestMeshSpec:
         with pytest.raises(StructuralError, match="2 slopes for dimension 1"):
             MeshSpec(1, (1.0,), (4,), BoundarySpec.affine(0.0, 1.0, 2.0))
 
-    @pytest.mark.parametrize("cells", [(8.7,), (np.float64(8.0),), ("8",)],
-                             ids=["float", "numpy_float", "str"])
+    @pytest.mark.parametrize("cells", [(8.7,), (np.float64(8.0),), ("8",), (True,)],
+                             ids=["float", "numpy_float", "str", "bool"])
     def test_non_integer_cell_count_refused(self, cells):
-        # int() would build 8 cells from 8.7
-        with pytest.raises(StructuralError, match="cell counts .* must be integers"):
+        # int() would build 8 cells from 8.7, and True would be one cell
+        with pytest.raises(StructuralError,
+                           match=re.escape(f"cell count must be an integer, got {cells[0]!r}")):
             MeshSpec(1, (1.0,), cells, BoundarySpec.endpoints(0, 1))
 
     def test_integer_cell_counts_of_any_type(self):
@@ -268,5 +271,15 @@ class TestDiscreteField:
 
     def test_shape_mismatch(self):
         mesh = mesh_1d(4)
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match=r"node values of shape \(3,\): need \(5,\)"):
             DiscreteField(mesh, np.zeros(3))
+
+    def test_non_finite_node_refused(self):
+        # accepted, a NaN node would fail only later, as non-finite grid
+        # function values, naming neither the field nor a warm start
+        mesh = mesh_1d(4)
+        nodes = np.array(interpolate_boundary(mesh).node_values)
+        nodes[2] = np.nan
+        with pytest.raises(StructuralError,
+                           match=r"node values must be finite, got nan at \(2,\) of shape \(5,\)"):
+            DiscreteField(mesh, nodes)

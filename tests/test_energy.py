@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -69,13 +71,13 @@ class TestEvalDensity:
         with pytest.raises(StructuralError, match=f"cell {int(cell)} is not one of the 4 cells"):
             eval_density(f, cell, 0.0, 1.0)
 
-    @pytest.mark.parametrize("cell", [1.7, np.float64(1.0), "1"],
-                             ids=["float", "numpy_float", "str"])
+    @pytest.mark.parametrize("cell", [1.7, np.float64(1.0), "1", True, np.True_],
+                             ids=["float", "numpy_float", "str", "bool", "numpy_bool"])
     def test_non_integer_cell_refused(self, cell):
         # 1.7 would be NumPy's bare IndexError; 1.0 would pass the range
-        # check and then fail the same way
+        # check and then fail the same way; True would read cell 1's weight, 2.0
         f = DensitySpec.weighted_norm(line_grid(4), [1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(StructuralError, match="is not an integer index"):
+        with pytest.raises(StructuralError, match=re.escape(f"cell index must be an integer, got {cell!r}")):
             eval_density(f, cell, 0.0, 1.0)
 
     def test_unknown_rule_rejected(self):
@@ -85,9 +87,12 @@ class TestEvalDensity:
     @pytest.mark.parametrize("make, message", [
         (lambda g: DensitySpec(g, "capped_norm", {"a": 1.0}), "capped_norm reads no coefficient 'a'"),
         (lambda g: DensitySpec(g, "weighted_norm", {"b": 1.0}), "weighted_norm reads no coefficient 'b'"),
-        (lambda g: DensitySpec.shifted_norm(g, np.inf), "shift 'b' must be finite$"),
-        (lambda g: DensitySpec.weighted_norm(g, np.ones((4, 2))), r"'a' has shape \(2,\) per cell"),
-        (lambda g: DensitySpec.anisotropic(g, np.ones((2, 2))), r"'a' has shape \(2, 2\) per cell"),
+        (lambda g: DensitySpec.shifted_norm(g, np.inf), "shift 'b' must be finite, got inf"),
+        (lambda g: DensitySpec.weighted_norm(g, np.ones((4, 2))),
+         r"weight 'a' of shape \(4, 2\): need \(4,\)$"),
+        # a (2, 2) array is shared by every cell: (4, 2, 2) has an axis too many
+        (lambda g: DensitySpec.anisotropic(g, np.ones((2, 2))),
+         r"weight 'a' of shape \(4, 2, 2\): need \(4, \*\)$"),
         (lambda g: DensitySpec.weighted_norm(g, 0.0), "alpha must be positive"),
         (lambda g: DensitySpec.weighted_norm(g, 1.0, alpha=-1.0), "alpha must be positive"),
         (lambda g: DensitySpec.weighted_norm(g, 1.0, alpha=np.inf), "alpha must be positive and finite"),
@@ -112,7 +117,9 @@ class TestEvalDensity:
         lambda g: DensitySpec.anisotropic(g, np.inf),
     ])
     def test_negative_or_nonfinite_weight_is_named(self, make):
-        with pytest.raises(StructuralError, match="weight 'a' must be finite and nonnegative"):
+        # the finite rule is the one of every grid-bound array; the sign rule is the weight's
+        with pytest.raises(StructuralError,
+                           match="weight 'a' must be (nonnegative$|finite, got (nan|inf) at)"):
             make(line_grid(4))
 
     def test_zero_weight_cell_is_legal(self):

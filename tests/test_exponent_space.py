@@ -53,6 +53,7 @@ def random_instance(rng, min_cells=16, max_cells=256, allow_zeros=True):
 
 
 LINE2 = Grid.uniform_1d(0.0, 1.0, 2)
+LINE8 = Grid.uniform_1d(0.0, 1.0, 8)
 
 
 class TestGridAndFields:
@@ -61,20 +62,34 @@ class TestGridAndFields:
          "grid dimension must be 1 or 2, got 3"),
         # flat centers are not taken for a column
         (lambda: Grid(1, np.array([0.25, 0.75]), np.ones(2)), StructuralError,
-         r"cells shape \(1, 2\) incompatible with 2 weights"),
+         r"cell centers of shape \(2,\): need \(2, 1\)"),
+        # nothing grid-bound is flattened: a (2, 4) array is not 8 cells
+        (lambda: Grid(1, np.full((8, 1), 0.5), np.ones((2, 4))), StructuralError,
+         r"cell weights of shape \(2, 4\): need \(\*,\)"),
         (lambda: Grid(1, np.zeros((0, 1)), np.zeros(0)), StructuralError,
          "grid needs at least one cell"),
         (lambda: Grid.uniform_1d(1.0, 0.0, 4), StructuralError, "need x1 > x0"),
         (lambda: Grid.uniform_2d((0.0, 1.0), (0.0, 1.0), (2, 0)), StructuralError,
          "degenerate 2-D grid"),
         (lambda: GridFunction(LINE2, np.ones((2, 1, 1))), StructuralError,
-         "must be 1- or 2-dimensional"),
-        (lambda: GridFunction(LINE2, np.ones(3)), StructuralError, "3 values for 2 cells"),
-        (lambda: ExponentField(LINE2, np.full(3, 2.0)), StructuralError, "3 exponents for 2 cells"),
+         r"grid function values of shape \(2, 1, 1\): need \(2,\) or \(2, \*\)"),
+        (lambda: GridFunction(LINE2, np.ones(3)), StructuralError,
+         r"grid function values of shape \(3,\): need \(2,\) or \(2, \*\)"),
+        # the component count is the array's, not an argument
+        (lambda: GridFunction(LINE2, np.ones(2), components=5), TypeError, "components"),
+        (lambda: ExponentField(LINE2, np.full(3, 2.0)), StructuralError,
+         r"exponents of shape \(3,\): need \(2,\)"),
+        (lambda: ExponentField(LINE8, np.full((2, 4), 2.0)), StructuralError,
+         r"exponents of shape \(2, 4\): need \(8,\)"),
         (lambda: ExponentField(LINE2, np.array([2.0, np.nan])), StructuralError,
          "exponents must be finite"),
         (lambda: ExponentSequence(LINE2, np.ones(3)), StructuralError,
-         "profile must be sampled on the grid cells"),
+         r"exponent profile of shape \(3,\): need \(2,\)"),
+        (lambda: ExponentSequence(LINE8, np.ones((4, 2))), StructuralError,
+         r"exponent profile of shape \(4, 2\): need \(8,\)"),
+        # an infinite entry would give beta = nan
+        (lambda: ExponentSequence(LINE2, np.array([1.0, np.inf])), StructuralError,
+         r"exponent profile must be finite, got inf at \(1,\)"),
         (lambda: ExponentSequence(LINE2, np.array([1.0, 0.0])), StructuralError,
          "exponent profile must be positive"),
         (lambda: luxemburg_norm(GridFunction(LINE2, np.ones((2, 2))),
@@ -83,9 +98,11 @@ class TestGridAndFields:
         (lambda: embedding_bound_check(GridFunction.constant(LINE2, 1.0),
                                        ExponentField(LINE2, np.array([2.0, 4.0])), 2.0, beta=1.5),
          PreconditionError, "declared beta = 1.5 does not dominate"),
-    ], ids=["grid_dimension", "grid_flat_centers", "grid_no_cells", "uniform_1d", "uniform_2d",
-            "function_rank", "function_length", "exponent_length", "exponent_nan",
-            "sequence_length", "sequence_nonpositive", "scalar_only", "embedding_beta"])
+    ], ids=["grid_dimension", "grid_flat_centers", "grid_weights_2d", "grid_no_cells",
+            "uniform_1d", "uniform_2d", "function_rank", "function_length",
+            "function_components_argument", "exponent_length", "exponent_2d", "exponent_nan",
+            "sequence_length", "sequence_2d", "sequence_inf", "sequence_nonpositive",
+            "scalar_only", "embedding_beta"])
     def test_refusal(self, call, error, message):
         with pytest.raises(error, match=message):
             call()

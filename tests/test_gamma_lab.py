@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,11 +7,18 @@ import pytest
 from suplab import gamma_lab
 from suplab.discretize import BoundarySpec, MeshSpec, interpolate_boundary
 from suplab.energy import DensitySpec
-from suplab.exponent_space import Grid, PreconditionError, StructuralError
+from suplab.exponent_space import (
+    ExponentSequence,
+    Grid,
+    GridFunction,
+    PreconditionError,
+    StructuralError,
+)
 from suplab.gamma_lab import (
     DIVERGENCE_THRESHOLD,
     StudyConfig,
     named_profile,
+    norm_limit_study,
     run_integral_dichotomy_study,
     run_minimizer_convergence,
     run_norm_gamma_study,
@@ -42,12 +50,16 @@ class TestConfigValidation:
         with pytest.raises(StructuralError):
             unit_weight_config(schedule=(8, 4))
 
-    @pytest.mark.parametrize("schedule", [(4.9, 8.2), (4.2, 4.9), (4, np.float64(8.0)), ("4", "8")],
-                             ids=["floats", "floats_in_one_integer", "numpy_float", "str"])
-    def test_non_integer_schedule_refused(self, schedule):
-        # int() would run (4, 8) for the first and call the second not increasing
-        with pytest.raises(StructuralError, match="n schedule .* must be integers"):
-            unit_weight_config(schedule=schedule)
+    @pytest.mark.parametrize("schedule, bad", [
+        ((4.9, 8.2), 4.9), ((4.2, 4.9), 4.2), ((4, np.float64(8.0)), np.float64(8.0)),
+        (("4", "8"), "4"), ((True, 4), True),
+    ], ids=["floats", "floats_in_one_integer", "numpy_float", "str", "bool"])
+    def test_non_integer_schedule_refused(self, schedule, bad):
+        # int() would run (4, 8) for the first and call the second not
+        # increasing; operator.index alone would run (True, 4) as (1, 4)
+        with pytest.raises(StructuralError,
+                           match=re.escape(f"n_schedule entry must be an integer, got {bad!r}")):
+            unit_weight_config(profile="constant:3", schedule=schedule)
 
     def test_numpy_integer_schedule_is_accepted(self):
         cfg = unit_weight_config(schedule=np.array([4, 8]))
@@ -375,3 +387,13 @@ class TestNormLimitStudy:
         assert sup == pytest.approx(1.0 - 1.0 / 64.0, rel=1e-12)
         assert res.verdicts["error_eventually_decreasing"]
         assert res.verdicts["final_error_below_threshold"]
+
+    @pytest.mark.parametrize("n", [4.7, True], ids=["float", "bool"])
+    def test_non_integer_n_refused(self, n):
+        # 4.7 would be a norm at p = 4.7 in a row labelled n = 4; each n
+        # goes through ExponentSequence.field, which refuses it
+        grid = Grid.uniform_1d(0.0, 1.0, 8)
+        u = GridFunction(grid, grid.points)
+        seq = ExponentSequence(grid, np.ones(8))
+        with pytest.raises(StructuralError, match=f"^n must be an integer, got {n!r}$"):
+            norm_limit_study(u, seq, [n, 8])

@@ -69,16 +69,21 @@ class TestMeasureInvariants:
 
     def test_needs_atoms_on_every_cell(self):
         grid = Grid.uniform_1d(0.0, 1.0, 2)
-        with pytest.raises(StructuralError, match="atoms for 1 cells on 2 cells"):
+        with pytest.raises(StructuralError, match=r"atom points of shape \(1, 1, 1\): need \(2, \*, \*\)"):
             DiscreteYoungMeasure(grid, np.array([[[1.0]]]), np.array([[1.0]]))
 
-    @pytest.mark.parametrize("points, weights", [
-        (np.array([[1.0], [3.0]]), np.array([0.5, 0.5])),          # no cell axis
-        (np.array([[[1.0], [3.0]]]), np.array([[1.0]])),            # one weight, two points
-        (np.array([[[1.0, 3.0]]]), np.array([[0.5, 0.5]])),         # points transposed
-    ], ids=["no_cell_axis", "count_mismatch", "transposed"])
-    def test_malformed_arrays_are_refused(self, points, weights):
-        with pytest.raises(StructuralError, match=r"need points \(T, m, k\)"):
+    @pytest.mark.parametrize("points, weights, message", [
+        (np.array([[1.0], [3.0]]), np.array([0.5, 0.5]),          # no cell axis
+         r"atom points of shape \(2, 1\): need \(1, \*, \*\)"),
+        (np.array([[[1.0], [3.0]]]), np.array([[1.0]]),            # one weight, two points
+         r"need points \(T, m, k\)"),
+        (np.array([[[1.0, 3.0]]]), np.array([[0.5, 0.5]]),         # points transposed
+         r"need points \(T, m, k\)"),
+        (np.array([[[1.0], [np.inf]]]), np.array([[0.5, 0.5]]),   # a point at infinity
+         r"atom points must be finite, got inf at \(0, 1, 0\)"),
+    ], ids=["no_cell_axis", "count_mismatch", "transposed", "infinite_point"])
+    def test_malformed_arrays_are_refused(self, points, weights, message):
+        with pytest.raises(StructuralError, match=message):
             DiscreteYoungMeasure(one_cell_grid(), points, weights)
 
 
@@ -127,16 +132,19 @@ class TestJensen:
         w = rep.checks[0].witness
         assert w["lhs"] == pytest.approx(1.0) and w["rhs"] == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("weights", [[0.9, 0.9], [1.5, -0.5], [0.5, np.nan]],
-                             ids=["sum_above_one", "negative", "nan"])
-    def test_weights_that_are_not_probabilities_are_refused(self, weights):
+    @pytest.mark.parametrize("weights, measure_message", [
+        ([0.9, 0.9], "not probabilities"), ([1.5, -0.5], "not probabilities"),
+        # a measure's arrays are grid-bound, so the finite rule comes first
+        ([0.5, np.nan], r"atom weights must be finite, got nan at \(0, 1\)"),
+    ], ids=["sum_above_one", "negative", "nan"])
+    def test_weights_that_are_not_probabilities_are_refused(self, weights, measure_message):
         # with weights 0.9, 0.9 the "mean" 1.98 would be a false witness of
         # non-convexity; with 1.5, -0.5 the negative atom would pass as padding
         f = DensitySpec.weighted_norm(one_cell_grid(), 1.0)
         atoms = (np.array([[1.0], [1.2]]), np.array(weights))
         with pytest.raises(StructuralError, match="not probabilities"):
             jensen_check(f, 0, 0.0, atoms)
-        with pytest.raises(StructuralError, match="not probabilities"):
+        with pytest.raises(StructuralError, match=measure_message):
             DiscreteYoungMeasure(one_cell_grid(), atoms[0][None], atoms[1][None])
 
     def test_single_trial_is_not_transposed(self):
