@@ -14,18 +14,19 @@ has beta = max(profile) / min(profile).
 
     suplab <subcommand> --config <path> --out <dir> [--seed <u64>]
 
-One table (``_SUBCOMMANDS``) names each subcommand (verify, norms,
-gamma-study, dichotomy, minimizers) with its help text, the study kind it
-needs and its runner; ``verify`` runs the property battery instead.  Every
-subcommand yields one :class:`~suplab.reports.Table`, written as
-``<subcommand>.csv``, plus ``solver_trace.csv`` when the table carries
-solver traces and a ``manifest.csv`` of the files' SHA-256.  Every CSV's
-first line records the config hash and seed; identical (config, seed)
-pairs produce byte-identical files.  Rows are formatted, hashed and
-written one at a time, so emission memory does not grow with the row
-count (``gamma_benchmark.ini``'s trace is 22,325 rows), and each write is
-still atomic: a temp file, then a rename.  Exit codes: 0 success, 1 a
-verdict failed, 2 configuration error.
+``verify`` runs the property battery on the config's density and reads no
+``[study]`` key; any other subcommand runs one study kind, whose row of the
+study table (``suplab.gamma_lab._STUDIES``) gives the subcommand's name,
+help text, ``[study]`` keys and runner.  Every subcommand yields one
+:class:`~suplab.reports.Table`, written as ``<subcommand>.csv``, plus
+``solver_trace.csv`` when the table carries solver traces and a
+``manifest.csv`` of the files' SHA-256.  Every CSV's first line records
+the config hash and seed; identical (config, seed) pairs produce
+byte-identical files.  Rows are formatted, hashed and written one at a
+time, so emission memory does not grow with the row count
+(``gamma_benchmark.ini``'s trace is 22,325 rows), and each write is still
+atomic: a temp file, then a rename.  Exit codes: 0 success, 1 a verdict
+failed, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -44,34 +45,14 @@ import numpy as np
 from .discretize import BoundarySpec, MeshSpec
 from .energy import _FAMILIES, DensitySpec, growth_check, level_convexity_probe
 from .exponent_space import PreconditionError, StructuralError
-# the runners are bound here for _SUBCOMMANDS' per-call lookup
-from .gamma_lab import (
-    STUDY_KINDS,
-    StudyConfig,
-    named_profile,
-    run_integral_dichotomy_study,
-    run_minimizer_convergence,
-    run_norm_gamma_study,
-    run_norm_limit,
-)
+from . import gamma_lab
+from .gamma_lab import _STUDIES, StudyConfig, named_profile
 from .verification import full_verification
 
 __all__ = ["ConfigError", "RunManifest", "parse_config", "run", "main"]
 
-# subcommand -> (help, study kind, runner); verify has neither.  A runner is
-# named, not held: run looks the name up in this module per call, so a
-# rebinding of it (a profiling wrapper, a test double) is the one called.
-_SUBCOMMANDS = {
-    "verify": ("run the randomized property suite and report pass/fail", None, None),
-    "norms": ("tabulate variable-exponent norms against the supremum",
-              "norm_limit", "run_norm_limit"),
-    "gamma-study": ("sweep the norm-form minima toward the supremal oracle",
-                    "norm_gamma", "run_norm_gamma_study"),
-    "dichotomy": ("evaluate the power integral on a fixed probe",
-                  "integral_dichotomy", "run_integral_dichotomy_study"),
-    "minimizers": ("track minimizers toward the limiting profile",
-                   "constant_exponent", "run_minimizer_convergence"),
-}
+# subcommand -> the study kind it runs; verify runs none
+_KINDS = {"verify": None, **{row.subcommand: kind for kind, row in _STUDIES.items()}}
 
 
 class ConfigError(ValueError):
@@ -133,8 +114,7 @@ def parse_config(text: str) -> StudyConfig:
     the offender; hypothesis violations are errors citing the label.  A
     key the document leaves out takes its default from
     :class:`DensitySpec` (the family's row) or :class:`StudyConfig`; only
-    the ``[mesh]`` keys, ``[density] family`` and ``[study] kind`` have
-    their defaults here.
+    the ``[mesh]`` keys and ``[density] family`` have their defaults here.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -219,11 +199,11 @@ def parse_config(text: str) -> StudyConfig:
     if "profile" in exponents:
         _profile("exponents", "profile", exponents["profile"], grid)
     study = sections["study"]
-    kind = study.pop("kind", "norm_gamma")
-    if kind not in STUDY_KINDS:
+    kind = study.pop("kind", StudyConfig.kind)
+    if kind not in _STUDIES:
         raise ConfigError(f"[study] kind: unknown study kind {kind!r}")
     for key in study:
-        if key not in STUDY_KINDS[kind]:
+        if key not in _STUDIES[kind].fields:
             raise ConfigError(f"[study] {key}: not used by kind {kind}")
     try:
         return StudyConfig(kind=kind, density=density, mesh=mesh, **exponents, **study)
@@ -290,19 +270,20 @@ def run(subcommand: str, config_path: str, out_dir: str, seed: int = 0) -> RunMa
     with open(config_path, "rb") as fh:
         raw = fh.read()
     config_hash = hashlib.sha256(raw).hexdigest()
-    if subcommand not in _SUBCOMMANDS:
+    if subcommand not in _KINDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
-    _, kind, runner = _SUBCOMMANDS[subcommand]
+    kind = _KINDS[subcommand]
 
     cfg = parse_config(raw.decode())
-    if kind is not None and cfg.kind != kind:
+    if kind is None:
+        table = full_verification(seed=seed, density=cfg.density)
+    elif cfg.kind != kind:
         raise ConfigError(
             f"[study] kind: subcommand {subcommand!r} needs kind {kind!r}, got {cfg.kind!r}"
         )
-    if kind is None:
-        table = full_verification(seed=seed, density=cfg.density)
     else:
-        table = globals()[runner](cfg)
+        # looked up per call, so a rebinding of the runner is the one called
+        table = getattr(gamma_lab, _STUDIES[kind].runner)(cfg)
     # the output directory exists only once the config and the runner accept
     os.makedirs(out_dir, exist_ok=True)
 
@@ -326,8 +307,9 @@ def main(argv=None) -> int:
         description="variable-exponent norm checks and supremal approximation studies",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    for name, (blurb, _, _) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=blurb)
+    for name, kind in _KINDS.items():
+        p = sub.add_parser(name, help=_STUDIES[kind].help if kind else
+                           "run the randomized property suite and report pass/fail")
         p.add_argument("--config", required=True, help="INI study document")
         p.add_argument("--out", required=True, help="output directory for CSV reports")
         p.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")

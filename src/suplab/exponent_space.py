@@ -221,6 +221,9 @@ class GridFunction:
 
     def __post_init__(self):
         vals = _cell_array(self.values, (self.grid.n_cells,), "grid function values", (1, 2))
+        if vals.shape[1:] == (0,):
+            raise StructuralError(f"grid function values of shape {vals.shape}: "
+                                  "need at least one component")
         # one component is stored as a scalar function
         object.__setattr__(self, "values", vals[:, 0] if vals.shape[1:] == (1,) else vals)
 

@@ -3,20 +3,21 @@
 Each study sweeps an exponent schedule p_n(x) = n * profile(x), whose
 minima grow with n (pn1) under the ratio bound beta = max(profile) /
 min(profile) (pn2), and tabulates how a quantity of interest approaches its
-closed-form limit (from :mod:`suplab.oracles`):
+closed-form limit (from :mod:`suplab.oracles`).  Every study kind is one
+row of the study table (``_STUDIES``): the subcommand that runs it, its
+help text, the ``[study]`` fields it reads and the name of its runner here,
+looked up on each call so that a rebinding of the runner is the one called:
 
-* ``norm_gamma``          minima of the norm-form energy against the
-                          supremal oracle (the convergence-of-minima story);
-* ``constant_exponent``   the same sweep with a flat profile, where the
-                          finite-n minimizer is unique and its distance to
-                          the limiting profile can be tracked;
-* ``integral_dichotomy``  the power integral on a fixed probe field, which
-                          either collapses to zero or blows up according to
-                          whether the probe's supremal value sits below or
-                          above one;
-* ``norm_limit``          plain variable-exponent norms of a fixed field
-                          against its supremum; :func:`norm_limit_study`
-                          builds that table for any scalar grid function.
+* ``norm_limit`` (``norms``): plain variable-exponent norms of a fixed field
+  against its supremum; :func:`norm_limit_study` builds that table for any
+  scalar grid function;
+* ``norm_gamma`` (``gamma-study``): minima of the norm-form energy against
+  the supremal oracle (the convergence-of-minima story);
+* ``integral_dichotomy`` (``dichotomy``): the power integral on a fixed
+  probe field, which collapses to zero or blows up as the probe's supremal
+  value sits below or above one;
+* ``constant_exponent`` (``minimizers``): the norm-form sweep with a flat
+  profile, whose unique finite-n minimizer is tracked to the limiting profile.
 
 Every runner returns a :class:`~suplab.reports.Table` with the columns
 ``n, p_minus, p_plus``, then the study's quantity, its limit and its error,
@@ -29,6 +30,7 @@ minimizer seeds the next exponent's descent); results are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +52,6 @@ from .reports import Table, eventually_decreasing
 from .solve import FUNCTIONAL_NORM, minimize_power
 
 __all__ = [
-    "STUDY_KINDS",
     "DICHOTOMY_MARGIN",
     "DIVERGENCE_THRESHOLD",
     "CONVERGENCE_THRESHOLD",
@@ -63,10 +64,25 @@ __all__ = [
     "run_norm_limit",
 ]
 
-# study kind -> the StudyConfig fields its runner reads besides the mesh,
-# density and exponent schedule
-STUDY_KINDS = {"norm_gamma": {"threshold"}, "integral_dichotomy": {"probe_scale"},
-               "norm_limit": {"threshold", "probe_scale"}, "constant_exponent": {"threshold"}}
+
+class _Study(NamedTuple):
+    subcommand: str
+    help: str
+    fields: tuple           # the StudyConfig fields read besides mesh, density and exponents
+    runner: str             # a module-level function of this module, named, not held
+
+
+# study kind -> its row; cli lists the subcommands in this order, after verify
+_STUDIES = {
+    "norm_limit": _Study("norms", "tabulate variable-exponent norms against the supremum",
+                         ("threshold", "probe_scale"), "run_norm_limit"),
+    "norm_gamma": _Study("gamma-study", "sweep the norm-form minima toward the supremal oracle",
+                         ("threshold",), "run_norm_gamma_study"),
+    "integral_dichotomy": _Study("dichotomy", "evaluate the power integral on a fixed probe",
+                                 ("probe_scale",), "run_integral_dichotomy_study"),
+    "constant_exponent": _Study("minimizers", "track minimizers toward the limiting profile",
+                                ("threshold",), "run_minimizer_convergence"),
+}
 
 # the dichotomy study: the probe's supremal value must be at least this far
 # from 1, and the power integral must end above DIVERGENCE_THRESHOLD (or
@@ -118,16 +134,16 @@ def named_profile(name: str, grid) -> np.ndarray:
 class StudyConfig:
     """Everything a study needs: density (on the mesh's grid), mesh, exponents, threshold, probe."""
 
-    kind: str
     density: DensitySpec
     mesh: MeshSpec
+    kind: str = "norm_gamma"
     profile: str = "sine"
     n_schedule: tuple = (4, 8, 16, 32, 64)
     threshold: float = 0.02
     probe_scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in STUDY_KINDS:
+        if self.kind not in _STUDIES:
             raise StructuralError(f"unknown study kind {self.kind!r}")
         # a negative threshold fails every verdict and an infinite one passes
         # any; a zero probe passes vacuously.  Each message starts with its field.
@@ -150,6 +166,12 @@ class StudyConfig:
     def sequence(self) -> ExponentSequence:
         grid = self.mesh.grid()
         return ExponentSequence(grid, named_profile(self.profile, grid))
+
+
+def _trend_verdicts(quantity, values, bound):
+    """Verdicts on a sweep's ``quantity``: eventually decreasing, ending at most ``bound``."""
+    return {f"{quantity}_eventually_decreasing": eventually_decreasing(values),
+            f"final_{quantity}_below_threshold": values[-1] <= bound}
 
 
 def _solve_sweep(cfg: StudyConfig):
@@ -181,8 +203,6 @@ def run_norm_gamma_study(cfg: StudyConfig) -> Table:
     (coercivity floor from the growth constant, feasible-competitor value
     from the initial field as the ceiling).
     """
-    if cfg.kind != "norm_gamma":
-        raise PreconditionError(f"study kind is {cfg.kind!r}, expected 'norm_gamma'")
     lstar = study_oracle(cfg)
     initial = interpolate_boundary(cfg.mesh)
     init_du = gradient(initial)
@@ -212,8 +232,7 @@ def run_norm_gamma_study(cfg: StudyConfig) -> Table:
 
     errs = [r[5] for r in rows]
     verdicts = {
-        "error_eventually_decreasing": eventually_decreasing(errs),
-        "final_error_below_threshold": errs[-1] <= cfg.threshold,
+        **_trend_verdicts("error", errs, cfg.threshold),
         "bounds_ok": bounds_ok,
         "no_stagnation": not meta["stagnant_rows"],
     }
@@ -235,8 +254,6 @@ def run_integral_dichotomy_study(cfg: StudyConfig) -> Table:
     :data:`CONVERGENCE_THRESHOLD`, or blow-up past
     :data:`DIVERGENCE_THRESHOLD` (or the overflow sentinel), by the final n.
     """
-    if cfg.kind != "integral_dichotomy":
-        raise PreconditionError(f"study kind is {cfg.kind!r}, expected 'integral_dichotomy'")
     u = _probe_field(cfg)
     du = gradient(u)
     ucells = u.cell_values()
@@ -273,8 +290,6 @@ def run_minimizer_convergence(cfg: StudyConfig) -> Table:
     minimizer is unique and the limiting profile has the closed form with
     slopes proportional to 1/a.
     """
-    if cfg.kind != "constant_exponent":
-        raise PreconditionError(f"study kind is {cfg.kind!r}, expected 'constant_exponent'")
     if cfg.mesh.dimension != 1 or np.ptp(cfg.sequence().profile) > 0:
         raise PreconditionError("minimizer tracking needs a 1-D flat-profile study")
     ustar = limit_minimizer(cfg).node_values
@@ -286,8 +301,7 @@ def run_minimizer_convergence(cfg: StudyConfig) -> Table:
         rows.append((n, p.p_minus, p.p_plus, dist, 0.0, dist))
     dists = [r[3] for r in rows]
     verdicts = {
-        "distance_eventually_decreasing": eventually_decreasing(dists),
-        "final_distance_below_threshold": dists[-1] <= cfg.threshold,
+        **_trend_verdicts("distance", dists, cfg.threshold),
         "no_stagnation": not meta["stagnant_rows"],
     }
     meta.update(fields={n: res.field for n, _, res in sweep}, final_distance=dists[-1])
@@ -318,9 +332,7 @@ def norm_limit_study(u: GridFunction, seq: ExponentSequence, n_values) -> Table:
 
 def run_norm_limit(cfg: StudyConfig) -> Table:
     """The norm-limit table of the probe's cell values |u|, with a threshold verdict."""
-    if cfg.kind != "norm_limit":
-        raise PreconditionError(f"study kind is {cfg.kind!r}, expected 'norm_limit'")
     table = norm_limit_study(_probe_field(cfg).cell_values(), cfg.sequence(), cfg.n_schedule)
-    sup, final = table.meta["sup"], table.meta["final_error"]
-    table.verdicts["final_error_below_threshold"] = final <= cfg.threshold * max(sup, 1e-300)
+    bound = cfg.threshold * max(table.meta["sup"], 1e-300)
+    table.verdicts.update(_trend_verdicts("error", [r[5] for r in table.rows], bound))
     return table

@@ -35,15 +35,17 @@ __all__ = [
 DEFAULT_Q_SCHEDULE = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
-def _atoms(points, weights, noun):
-    """Points (T, m, k) and weights (T, m) of T rows of atoms, as float arrays.
+def _atoms(points, weights, lead, noun):
+    """Points (T, m, k) and weights (T, m) of T rows of atoms, as read-only float arrays.
 
-    Each row's weights must be >= 0 and sum to 1 within 1e-12 (a NaN fails
-    both), else StructuralError names the row r as ``noun r``.
+    Both arrays follow the cell-array rule with leading axes ``lead`` (the
+    cells of a measure, or () for Jensen trials), so every value is finite.
+    Each row's weights must be >= 0 and sum to 1 within 1e-12, else
+    StructuralError names the row r as ``noun r``.
     """
-    pts = np.asarray(points, dtype=float)
-    wts = np.asarray(weights, dtype=float)
-    if pts.ndim != 3 or wts.shape != pts.shape[:2]:
+    pts = _cell_array(points, lead, "atom points", 3)
+    wts = _cell_array(weights, lead, "atom weights", 2)
+    if wts.shape != pts.shape[:2]:
         raise StructuralError(f"atoms of shapes {pts.shape} and {wts.shape}; "
                               "need points (T, m, k) and weights (T, m)")
     ok = (wts >= 0).all(axis=-1) & (np.abs(wts.sum(axis=-1) - 1.0) <= 1e-12)
@@ -73,9 +75,7 @@ class DiscreteYoungMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        lead = (self.grid.n_cells,)
-        points, weights = _atoms(_cell_array(self.points, lead, "atom points", 3),
-                                 _cell_array(self.weights, lead, "atom weights", 2), "cell")
+        points, weights = _atoms(self.points, self.weights, (self.grid.n_cells,), "cell")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
 
@@ -93,11 +93,11 @@ def jensen_check(f: DensitySpec, cell, u_val, atoms) -> RelationReport:
     (m,)); a batch of T trials passes arrays (T,) for ``cell`` and ``u_val``
     and atoms (points (T, m, k), weights (T, m)), the layout of a
     :class:`DiscreteYoungMeasure`.  Each trial's cell must be an integer
-    index into f's grid and its weights must be probabilities, else
-    StructuralError is raised; a zero weight marks a padded atom that never
-    sets the max.  The density is evaluated by one family-table call for the
-    means and one for the atoms.  Violations are recorded, not raised: they
-    are evidence the integrand is not level convex.
+    index into f's grid, its points finite and its weights probabilities,
+    else StructuralError is raised; a zero weight marks a padded atom that
+    never sets the max.  The density is evaluated by one family-table call
+    for the means and one for the atoms.  Violations are recorded, not
+    raised: they are evidence the integrand is not level convex.
     ``meta["violations"]`` counts the failing trials; the slack is the
     smallest margin, and the witness the first failing trial, or the trial
     of smallest margin if none fails.
@@ -105,7 +105,7 @@ def jensen_check(f: DensitySpec, cell, u_val, atoms) -> RelationReport:
     points, weights = atoms
     if np.ndim(cell) == 0:
         points, weights = np.asarray(points)[None], np.asarray(weights)[None]
-    pts, wts = _atoms(points, weights, "trial")
+    pts, wts = _atoms(points, weights, (), "trial")
     cells = np.atleast_1d(np.asarray(cell))
     if not np.issubdtype(cells.dtype, np.integer):
         raise StructuralError(f"cell indices must be integers, got dtype {cells.dtype}")

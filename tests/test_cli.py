@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import inspect
 import os
 import re
 import tracemalloc
@@ -6,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from suplab import cli, energy
+from suplab import cli, energy, gamma_lab
 from suplab.cli import ConfigError, main, parse_config, run
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -45,12 +47,8 @@ SHIPPED = {
     "verify.ini": "verify",
 }
 
-SUBCOMMAND_KIND = {
-    "norms": "norm_limit",
-    "gamma-study": "norm_gamma",
-    "dichotomy": "integral_dichotomy",
-    "minimizers": "constant_exponent",
-}
+# each study subcommand and the kind it runs, read off the study table
+SUBCOMMAND_KIND = {row.subcommand: kind for kind, row in gamma_lab._STUDIES.items()}
 
 
 # settable values removed from the schema: (section, key)
@@ -249,13 +247,13 @@ class TestRun:
         # a rebinding of the module's runner name (as a profiler's wrapper
         # does) must be the runner that run calls
         calls = []
-        real = cli.run_norm_limit
+        real = gamma_lab.run_norm_limit
 
         def recording(cfg):
             calls.append(cfg.kind)
             return real(cfg)
 
-        monkeypatch.setattr(cli, "run_norm_limit", recording)
+        monkeypatch.setattr(gamma_lab, "run_norm_limit", recording)
         assert run("norms", config_path("norms.ini"), str(tmp_path)).passed
         assert calls == ["norm_limit"]
 
@@ -271,6 +269,19 @@ class TestRun:
         rows = (tmp_path / "dichotomy.csv").read_text().splitlines()[2:]
         final_value = float(rows[-1].split(",")[3])
         assert final_value >= 1e8
+
+    @pytest.mark.parametrize("subcommand, kind", [
+        ("norms", "norm_limit"), ("gamma-study", "norm_gamma"),
+        ("dichotomy", "integral_dichotomy"), ("minimizers", "constant_exponent"),
+    ], ids=["norms", "gamma-study", "dichotomy", "minimizers"])
+    def test_subcommand_refuses_another_kind(self, tmp_path, capsys, subcommand, kind):
+        name, other = (("norms.ini", "norm_limit") if kind == "norm_gamma"
+                       else ("gamma_benchmark.ini", "norm_gamma"))
+        code = main([subcommand, "--config", config_path(name), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: [study] kind: subcommand {subcommand!r} "
+                                           f"needs kind {kind!r}, got {other!r}\n")
+        assert not (tmp_path / "o").exists()
 
     def test_kind_mismatch_is_config_error(self, tmp_path):
         code = main(["dichotomy", "--config", config_path("norms.ini"),
@@ -465,6 +476,51 @@ class TestWriteCsv:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+
+def parser_help(capsys, *argv):
+    """What ``suplab <argv> --help`` prints, its whitespace runs made single spaces."""
+    with pytest.raises(SystemExit):
+        main([*argv, "--help"])
+    return " ".join(capsys.readouterr().out.split())
+
+
+class TestStudyTable:
+    """A study kind is one row of ``gamma_lab._STUDIES`` plus its runner:
+    everything else the CLI knows of it comes from the row."""
+
+    def test_parser_lists_verify_then_the_table(self, capsys):
+        text = parser_help(capsys)
+        listed = re.search(r"\{([\w,-]+)\}", text).group(1).split(",")
+        assert listed == ["verify", *SUBCOMMAND_KIND]
+        for row in gamma_lab._STUDIES.values():
+            assert f"{row.subcommand} {row.help}" in text
+
+    @pytest.mark.parametrize("kind", sorted(gamma_lab._STUDIES))
+    def test_row_has_a_runner_a_subcommand_and_a_shipped_config(self, capsys, kind):
+        row = gamma_lab._STUDIES[kind]
+        assert row.runner in gamma_lab.__all__ and callable(getattr(gamma_lab, row.runner))
+        assert "--config" in parser_help(capsys, row.subcommand)
+        assert set(row.fields) <= set(cli._SCHEMA["study"]) - {"kind"}
+        shipped = [name for name, sub in SHIPPED.items() if sub == row.subcommand]
+        assert kind in {parse_config(config_text(name)).kind for name in shipped}
+
+    def test_no_kind_is_spelled_outside_the_table(self):
+        # a kind or study subcommand written out in cli, or a kind guard in a
+        # runner, would be one more place a new kind has to be added
+        strings = {node.value for node in ast.walk(ast.parse(inspect.getsource(cli)))
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        assert strings.isdisjoint({*gamma_lab._STUDIES, *SUBCOMMAND_KIND})
+        assert "cfg.kind" not in inspect.getsource(gamma_lab)
+
+    def test_readme_lists_the_subcommands_and_kinds(self):
+        with open(README) as fh:
+            text = fh.read()
+        usage = re.search(r"^suplab <([\w|-]+)>", text, re.MULTILINE).group(1)
+        assert usage.split("|") == ["verify", *SUBCOMMAND_KIND]
+        row = next(line for line in text.splitlines()
+                   if line.startswith("| `[study]` | `kind` |"))
+        assert set(re.findall(r"`(\w+)`", row.split("|")[3])) == set(gamma_lab._STUDIES)
 
 
 def readme_config_table():

@@ -75,6 +75,9 @@ class TestGridAndFields:
          r"grid function values of shape \(2, 1, 1\): need \(2,\) or \(2, \*\)"),
         (lambda: GridFunction(LINE2, np.ones(3)), StructuralError,
          r"grid function values of shape \(3,\): need \(2,\) or \(2, \*\)"),
+        # no component would read as an empty gradient, xi = 0, in every density
+        (lambda: GridFunction(LINE2, np.ones((2, 0))), StructuralError,
+         r"grid function values of shape \(2, 0\): need at least one component"),
         # the component count is the array's, not an argument
         (lambda: GridFunction(LINE2, np.ones(2), components=5), TypeError, "components"),
         (lambda: ExponentField(LINE2, np.full(3, 2.0)), StructuralError,
@@ -100,7 +103,7 @@ class TestGridAndFields:
          PreconditionError, "declared beta = 1.5 does not dominate"),
     ], ids=["grid_dimension", "grid_flat_centers", "grid_weights_2d", "grid_no_cells",
             "uniform_1d", "uniform_2d", "function_rank", "function_length",
-            "function_components_argument", "exponent_length", "exponent_2d", "exponent_nan",
+            "function_no_component", "function_components_argument", "exponent_length", "exponent_2d", "exponent_nan",
             "sequence_length", "sequence_2d", "sequence_inf", "sequence_nonpositive",
             "scalar_only", "embedding_beta"])
     def test_refusal(self, call, error, message):

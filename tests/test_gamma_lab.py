@@ -99,15 +99,6 @@ class TestConfigValidation:
         with pytest.raises(StructuralError, match="different grids: DensitySpec against Grid"):
             StudyConfig(kind="norm_gamma", density=dens, mesh=mesh, profile="constant")
 
-    @pytest.mark.parametrize("runner, kind", [
-        (run_norm_gamma_study, "norm_gamma"), (run_integral_dichotomy_study, "integral_dichotomy"),
-        (run_minimizer_convergence, "constant_exponent"), (run_norm_limit, "norm_limit"),
-    ], ids=["norm_gamma", "integral_dichotomy", "constant_exponent", "norm_limit"])
-    def test_runner_refuses_another_kind(self, runner, kind):
-        other = "norm_limit" if kind == "norm_gamma" else "norm_gamma"
-        with pytest.raises(PreconditionError, match=f"expected '{kind}'"):
-            runner(unit_weight_config(kind=other))
-
     def test_exponents_checked_through_sequence(self):
         # 4 * 0.25 = 1 is not above 1; a later n cannot repair the first
         with pytest.raises(PreconditionError, match="n = 4"):
@@ -255,10 +246,6 @@ class TestNormGammaStudy:
         assert r2.meta["oracle"] == pytest.approx(c * r1.meta["oracle"], rel=1e-12)
         for row1, row2 in zip(r1.rows, r2.rows):
             assert row2[3] == pytest.approx(c * row1[3], rel=1e-8)
-
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(PreconditionError):
-            run_norm_gamma_study(unit_weight_config(kind="norm_limit"))
 
     @pytest.mark.parametrize("minimum, ok", [(0.4, False), (0.5, True), (1.5, False)])
     def test_floor_uses_the_profile_ratio(self, monkeypatch, minimum, ok):

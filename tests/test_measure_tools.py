@@ -132,20 +132,28 @@ class TestJensen:
         w = rep.checks[0].witness
         assert w["lhs"] == pytest.approx(1.0) and w["rhs"] == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("weights, measure_message", [
+    @pytest.mark.parametrize("weights, message", [
         ([0.9, 0.9], "not probabilities"), ([1.5, -0.5], "not probabilities"),
-        # a measure's arrays are grid-bound, so the finite rule comes first
+        # trials and measures alike follow the cell-array rule, so the finite rule comes first
         ([0.5, np.nan], r"atom weights must be finite, got nan at \(0, 1\)"),
     ], ids=["sum_above_one", "negative", "nan"])
-    def test_weights_that_are_not_probabilities_are_refused(self, weights, measure_message):
+    def test_weights_that_are_not_probabilities_are_refused(self, weights, message):
         # with weights 0.9, 0.9 the "mean" 1.98 would be a false witness of
         # non-convexity; with 1.5, -0.5 the negative atom would pass as padding
         f = DensitySpec.weighted_norm(one_cell_grid(), 1.0)
         atoms = (np.array([[1.0], [1.2]]), np.array(weights))
-        with pytest.raises(StructuralError, match="not probabilities"):
+        with pytest.raises(StructuralError, match=message):
             jensen_check(f, 0, 0.0, atoms)
-        with pytest.raises(StructuralError, match=measure_message):
+        with pytest.raises(StructuralError, match=message):
             DiscreteYoungMeasure(one_cell_grid(), atoms[0][None], atoms[1][None])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_point_is_refused(self, bad):
+        # a NaN atom would pass with slack nan, an infinite one with lhs = rhs = inf
+        f = DensitySpec.weighted_norm(Grid.uniform_1d(0.0, 1.0, 2), 1.0)
+        with pytest.raises(StructuralError,
+                           match=rf"atom points must be finite, got {bad} at \(0, 0, 0\)"):
+            jensen_check(f, 0, 0.0, (np.array([[bad], [1.0]]), np.array([0.5, 0.5])))
 
     def test_single_trial_is_not_transposed(self):
         # points (k, m) for weights (m,) is refused, not guessed into (m, k)
