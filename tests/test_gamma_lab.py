@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from suplab import gamma_lab
+from suplab import cli, gamma_lab
 from suplab.discretize import BoundarySpec, MeshSpec, interpolate_boundary
 from suplab.energy import DensitySpec
 from suplab.exponent_space import (
@@ -27,6 +27,34 @@ from suplab.gamma_lab import (
 from suplab.oracles import limit_minimizer, study_oracle
 from suplab.reports import Table
 from suplab.solve import SolveResult
+
+
+# a 1-D unit-weight config; its [study] section is appended per test
+SMALL_CONFIG = """
+[density]
+family = weighted_norm
+a = constant
+
+[mesh]
+cells = 8
+
+[exponents]
+profile = constant
+n_schedule = 4 8
+"""
+
+
+def refuse_without_running(monkeypatch, tmp_path, subcommand, text):
+    """The ConfigError ``cli.run(subcommand)`` raises on ``text``; no runner may run."""
+    for row in gamma_lab._STUDIES.values():
+        monkeypatch.setattr(gamma_lab, row.runner,
+                            lambda cfg, name=row.runner: pytest.fail(f"{name} ran"))
+    path = tmp_path / "study.ini"
+    path.write_text(text)
+    with pytest.raises(cli.ConfigError) as err:
+        cli.run(subcommand, str(path), str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+    return str(err.value)
 
 
 def benchmark_config(kind="norm_gamma", cells=64, profile="constant",
@@ -98,6 +126,15 @@ class TestConfigValidation:
         dens = DensitySpec.weighted_norm(grid, lambda x: 1.0 / (1.0 + x))
         with pytest.raises(StructuralError, match="different grids: DensitySpec against Grid"):
             StudyConfig(kind="norm_gamma", density=dens, mesh=mesh, profile="constant")
+
+    @pytest.mark.parametrize("kind", list(gamma_lab._STUDIES))
+    def test_runner_refuses_another_kind(self, monkeypatch, tmp_path, kind):
+        # the runners hold no kind guard: the subcommand's check refuses a
+        # config of another kind before any runner is looked up
+        other = "norm_limit" if kind == "norm_gamma" else "norm_gamma"
+        message = refuse_without_running(monkeypatch, tmp_path, gamma_lab._STUDIES[kind].subcommand,
+                                         SMALL_CONFIG + f"\n[study]\nkind = {other}\n")
+        assert message.endswith(f"needs kind {kind!r}, got {other!r}")
 
     def test_exponents_checked_through_sequence(self):
         # 4 * 0.25 = 1 is not above 1; a later n cannot repair the first
@@ -246,6 +283,15 @@ class TestNormGammaStudy:
         assert r2.meta["oracle"] == pytest.approx(c * r1.meta["oracle"], rel=1e-12)
         for row1, row2 in zip(r1.rows, r2.rows):
             assert row2[3] == pytest.approx(c * row1[3], rel=1e-8)
+
+    def test_wrong_kind_rejected(self, monkeypatch, tmp_path):
+        # a config without [study] kind is a norm_gamma config: every other
+        # subcommand refuses it, so a forgotten kind cannot run another study
+        for kind, row in gamma_lab._STUDIES.items():
+            if kind != "norm_gamma":
+                message = refuse_without_running(monkeypatch, tmp_path, row.subcommand,
+                                                 SMALL_CONFIG)
+                assert message.endswith(f"needs kind {kind!r}, got 'norm_gamma'")
 
     @pytest.mark.parametrize("minimum, ok", [(0.4, False), (0.5, True), (1.5, False)])
     def test_floor_uses_the_profile_ratio(self, monkeypatch, minimum, ok):
