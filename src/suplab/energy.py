@@ -34,6 +34,7 @@ and keeps one witness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -207,12 +208,20 @@ class DensitySpec:
 
 
 def eval_density(f: DensitySpec, cell: int, u_val, xi) -> float:
-    """Evaluate the density at one cell; a non-integer index or one off the grid is refused."""
+    """Evaluate the density at one cell.
+
+    A non-integer index, one off the grid, and a ``xi`` that is not one
+    finite vector are refused.  A finite value costs no pass over ``xi``.
+    """
     cell = _index(cell, "cell index")
     if not 0 <= cell < f.grid.n_cells:
         raise StructuralError(f"cell {cell} is not one of the {f.grid.n_cells} cells")
-    val, _ = _density(f, np.atleast_1d(np.asarray(xi, dtype=float)), cell)
-    return float(val)
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    val = float(_density(f, xi, cell)[0]) if xi.ndim == 1 else math.nan
+    if not math.isfinite(val):
+        # off the fast path only: refuse a xi that is not one finite vector
+        _cell_array(xi, (), "xi", 1)
+    return val
 
 
 def density_field(f: DensitySpec, u: GridFunction | None, Du: GridFunction) -> GridFunction:

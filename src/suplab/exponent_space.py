@@ -153,6 +153,20 @@ def _index(x, noun):
     raise StructuralError(f"{noun} must be an integer, got {x!r}")
 
 
+def _schedule(values, symbol, noun=None):
+    """``values`` as a tuple of ints: the one rule for a sweep over ``symbol``.
+
+    At least one entry, each an integer (``noun`` in the message, by default
+    ``symbol``), strictly increasing from at least 1.
+    """
+    sched = tuple(_index(v, noun or symbol) for v in values)
+    if len(sched) == 0 or any(b <= a for a, b in zip(sched, sched[1:])):
+        raise StructuralError(f"the {symbol} schedule must be strictly increasing")
+    if sched[0] < 1:
+        raise StructuralError(f"the {symbol} schedule must start at 1 or above, got {sched[0]}")
+    return sched
+
+
 @dataclass(frozen=True)
 class Grid:
     """Cell centers with positive measures; the sum of weights is the domain measure."""
@@ -615,6 +629,11 @@ def _embedding_rows(vals, logw, pv, q, beta) -> RelationReport:
     if bad.any():
         w = int(np.argmax(bad))
         raise PreconditionError(f"q must lie in [1, p_minus] = [1, {pm[w]}], got {q[w]}")
+    bad = ~np.isfinite(beta)
+    if bad.any():
+        # an infinite beta passes vacuously and a nan one fails every row
+        w = int(np.argmax(bad))
+        raise PreconditionError(f"declared beta must be finite, got {beta[w]}")
     bad = beta * pm < pp * (1 - 1e-12)
     if bad.any():
         w = int(np.argmax(bad))

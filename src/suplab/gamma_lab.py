@@ -41,9 +41,9 @@ from .exponent_space import (
     GridFunction,
     PreconditionError,
     StructuralError,
-    _index,
     _require_same_grid,
     _require_scalar,
+    _schedule,
     embedding_constant,
     luxemburg_norm,
 )
@@ -155,9 +155,7 @@ class StudyConfig:
         if self.probe_scale <= 0:
             raise StructuralError(f"probe_scale: must be > 0, got {self.probe_scale!r}")
         _require_same_grid(self.mesh.grid(), self.density)
-        sched = tuple(_index(n, "n_schedule entry") for n in self.n_schedule)
-        if len(sched) == 0 or any(b <= a for a, b in zip(sched, sched[1:])):
-            raise StructuralError("the n schedule must be strictly increasing")
+        sched = _schedule(self.n_schedule, "n", "n_schedule entry")
         object.__setattr__(self, "n_schedule", sched)
         # pn1 and pn2 hold by construction; the first n must lift every
         # exponent above 1, and then every later n does
@@ -209,8 +207,8 @@ def run_norm_gamma_study(cfg: StudyConfig) -> Table:
     init_cells = initial.cell_values()
     # the floor alpha |g1 - g0| / C, with C the constant of the embedding
     # of L^{p_n} into L^1 at the sequence's ratio bound beta, holds for the
-    # 1-D weighted norm
-    floored = cfg.mesh.dimension == 1 and cfg.density.family == "weighted_norm"
+    # 1-D weighted norm, the one family study_oracle admits
+    floored = cfg.mesh.dimension == 1
     if floored:
         g0, g1 = cfg.mesh.boundary.params
         beta = cfg.sequence().beta
@@ -320,14 +318,14 @@ def norm_limit_study(u: GridFunction, seq: ExponentSequence, n_values) -> Table:
     _require_same_grid(u, seq)
     sup = float(np.max(np.abs(u.values)))
     rows = []
-    for n in n_values:
+    for n in _schedule(n_values, "n"):
         p = seq.field(n)
         lam = luxemburg_norm(u, p)
-        rows.append((int(n), p.p_minus, p.p_plus, lam, sup, abs(lam - sup)))
+        rows.append((n, p.p_minus, p.p_plus, lam, sup, abs(lam - sup)))
     errs = [r[5] for r in rows]
     return Table(("n", "p_minus", "p_plus", "norm", "sup", "error"), rows,
                  {"error_eventually_decreasing": eventually_decreasing(errs)},
-                 {"sup": sup, "final_error": errs[-1] if errs else 0.0})
+                 {"sup": sup, "final_error": errs[-1]})
 
 
 def run_norm_limit(cfg: StudyConfig) -> Table:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .energy import JENSEN_TOL, DensitySpec, _density, eval_density
 from .exponent_space import (Grid, GridFunction, StructuralError, _cell_array, _log0,
-                             _require_same_grid, luxemburg_root)
+                             _require_same_grid, _schedule, luxemburg_root)
 from .reports import RelationReport, Table, eventually_decreasing
 
 __all__ = [
@@ -142,6 +142,7 @@ def young_q_limit(f: DensitySpec, u: GridFunction, mu: DiscreteYoungMeasure,
     u, mu and f must share one grid.
     """
     _require_same_grid(u, mu, f)
+    q_values = _schedule(q_values, "q")
     cells, atoms = np.nonzero(mu.weights > 0)
     vals = np.array([eval_density(f, i, u.values[i], mu.points[i, a])
                      for i, a in zip(cells, atoms)])
@@ -151,8 +152,8 @@ def young_q_limit(f: DensitySpec, u: GridFunction, mu: DiscreteYoungMeasure,
     norms = luxemburg_root(base, np.broadcast_to(q[:, None], base.shape))
     fmax = float(vals.max())
 
-    rows = [(int(qq), float(val), abs(float(val) - fmax)) for qq, val in zip(q, norms)]
+    rows = [(qq, float(val), abs(float(val) - fmax)) for qq, val in zip(q_values, norms)]
     errs = [r[2] for r in rows]
     return Table(("q", "value", "limit_error"), rows,
                  {"error_eventually_decreasing": eventually_decreasing(errs)},
-                 {"limit": fmax, "final_error": errs[-1] if errs else 0.0})
+                 {"limit": fmax, "final_error": errs[-1]})

@@ -15,10 +15,12 @@ The functionals differ only in the value and the per-cell offset c:
 * integral form: calF = sum (w/p) f^p and the fixed c = log(p) / p, so
   phi = log calF.
 
-The line search backtracks under the Armijo test.  It evaluates its trials
-a batch at a time, in one pass of the stencil and the density table, and
-keeps the accepted iterate's density for the next step and the refresh;
-the iterates are those of one-trial-at-a-time backtracking.
+The stage loop lives in :func:`minimize_power`, with the iterate, its log
+density and d(log f)/d(xi), the offset c and the warm step as locals.  Its
+one helper, :func:`_armijo`, backtracks under the Armijo test: it evaluates
+the trials a batch at a time, in one pass of the stencil and the density
+table, and hands back the accepted iterate's density for the next step and
+the refresh; the iterates are those of one-trial-at-a-time backtracking.
 
 Smoothed densities come from the family table in :mod:`suplab.energy`, the
 cell-gradient stencil and its adjoint from :mod:`suplab.discretize`; the
@@ -91,90 +93,30 @@ class SolveResult:
     stagnated: bool
 
 
-class _Descent:
-    """Backtracking steepest descent on phi(u) = logsumexp(term_logs(log f(u))).
+def _armijo(mesh, density, eps, log, logw, pv, c, u, g, phi, gg, t):
+    """The first of the trial steps t, t/2, t/4, ... along -g passing the Armijo test.
 
-    term_logs_fn(logf) maps cell-wise log densities, with any leading batch
-    axes, to the per-cell term logs and the exponent factor; the gradient is
-    the softmax-weighted scatter of p * dlog f.  The descent holds one
-    density state, the iterate ``u`` with its log f and d(log f)/d(xi): a
-    refresh of the stage value and the next run() start from it, so the
-    density is computed once per stage and once per batch of line-search
-    trials.  The trials t, t/2, t/4, ... are evaluated :data:`_TRIALS` at a
-    time in one stencil-and-density pass, and the first, in order, that
-    passes the Armijo test is accepted: the step sequential backtracking
-    takes.  The warm step survives across run() calls within a stage.
+    phi(u) = logsumexp(logw + pv (log f(u) - c)) with the density smoothed
+    at ``eps`` and ``log`` taking its log.  The trials are evaluated
+    :data:`_TRIALS` at a time in one stencil-and-density pass and compared
+    in order, so the step is the one sequential backtracking takes.
+    Returns the step, the iterate there with its log f, d(log f)/d(xi),
+    phi and term logs, or None once :data:`_MAX_BACKTRACKS` trials failed.
     """
-
-    def __init__(self, mesh, spec, eps, u):
-        self.mesh = mesh
-        self.spec = spec
-        self.eps = eps
-        self.t0 = _STEP_INIT
-        # a smoothed density vanishes only where a weight does
-        self.positive = np.min(spec.coefficients.get("a", 1.0)) > 0.0
-        self.u = u
-        self.logf, self.dlog = self.log_density(u)
-        # a column of trial steps, broadcast against the node array
-        self.step_shape = (_TRIALS,) + (1,) * u.ndim
-
-    def log_density(self, unodes):
-        """log f and d(log f)/d(xi) on the cells of node values, batch axes first."""
-        xi = _cell_gradient(self.mesh, unodes)
-        f, dlog = _density(self.spec, xi, None, self.eps)
-        return (np.log(f) if self.positive else _log0(f)), dlog
-
-    def line_search(self, term_logs_fn, phi, g, gg):
-        """Move the state to the first trial step passing the Armijo test.
-
-        Returns the step, phi and the term logs there, or None, leaving
-        the state as it was, once :data:`_MAX_BACKTRACKS` trials have failed.
-        """
-        t = self.t0
-        for _ in range(_MAX_BACKTRACKS // _TRIALS):
-            steps = []
-            for _ in range(_TRIALS):
-                steps.append(t)
-                t *= _STEP_SHRINK
-            trials = self.u - np.array(steps).reshape(self.step_shape) * g
-            logf, dlog = self.log_density(trials)
-            terms, _ = term_logs_fn(logf)
-            phis = _logsumexp(terms)
-            for j, step in enumerate(steps):
-                if phis[j] <= phi - _SUFFICIENT_DECREASE * step * gg:
-                    self.u, self.logf, self.dlog = trials[j], logf[j], dlog[j]
-                    return step, float(phis[j]), terms[j]
-        return None
-
-    def run(self, term_logs_fn, max_steps):
-        """Up to ``max_steps`` steps, the last one that drops phi by under _TOL.
-
-        Returns the steps taken, whether a line search failed, and max |g|
-        of the last gradient taken.
-        """
-        terms, pfac = term_logs_fn(self.logf)
-        phi = _logsumexp(terms)
-        iters = 0
-        stagnated = False
-        g = None
-        while iters < max_steps:
-            sigma = np.exp(terms - phi) if math.isfinite(phi) else np.zeros_like(terms)
-            g = _cell_gradient_adjoint(self.mesh, (sigma * pfac)[:, None] * self.dlog)
-            gg = float((g * g).sum())
-            if gg == 0.0:
-                break
-            accepted = self.line_search(term_logs_fn, phi, g, gg)
-            if accepted is None:
-                stagnated = True
-                break
-            t, phi_new, terms = accepted
-            drop, phi = phi - phi_new, phi_new
-            iters += 1
-            self.t0 = t * 4.0
-            if drop < _TOL:
-                break
-        gnorm = np.inf if g is None else float(np.abs(g).max())
-        return iters, stagnated, gnorm
+    for _ in range(_MAX_BACKTRACKS // _TRIALS):
+        steps = []
+        for _ in range(_TRIALS):
+            steps.append(t)
+            t *= _STEP_SHRINK
+        trials = u - np.multiply.outer(steps, g)
+        f, dlog = _density(density, _cell_gradient(mesh, trials), None, eps)
+        logf = log(f)
+        terms = logw + pv * (logf - c)
+        phis = _logsumexp(terms)
+        for j, step in enumerate(steps):
+            if phis[j] <= phi - _SUFFICIENT_DECREASE * step * gg:
+                return step, trials[j], logf[j], dlog[j], float(phis[j]), terms[j]
+    return None
 
 
 def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
@@ -223,17 +165,19 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
 
         evaluate = eval_calFn
 
-    def term_logs(logf):
-        # reads the offset c of the latest refresh
-        return logw + pv * (logf - c), pv
-
+    # a smoothed density vanishes only where a weight does, so with every
+    # weight positive the log needs no guard against log 0
+    log = np.log if np.min(density.coefficients.get("a", 1.0)) > 0.0 else _log0
     traces = []
     total_iters = 0
     stagnated = False
     residual = np.inf
     for eps in _EPSILONS:
-        descent = _Descent(mesh, density, eps, u)
-        value, log_value, c = refresh(descent.logf)
+        # the iterate's density state, kept from the accepted trial of each step
+        f, dlog = _density(density, _cell_gradient(mesh, u), None, eps)
+        logf = log(f)
+        t0 = _STEP_INIT
+        value, log_value, c = refresh(logf)
         trace = [value]
         stage_iters = 0
         while stage_iters < _MAX_ITER:
@@ -241,20 +185,39 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
                 # the value vanishes: no step can lower it
                 residual = 0.0
                 break
-            inner = min(_INNER_STEPS, _MAX_ITER - stage_iters)
-            iters, stag, residual = descent.run(term_logs, inner)
+            terms = logw + pv * (logf - c)
+            phi = _logsumexp(terms)
+            iters = 0
+            failed = False
+            for _ in range(min(_INNER_STEPS, _MAX_ITER - stage_iters)):
+                # the gradient of phi: the softmax-weighted scatter of p d(log f)
+                sigma = np.exp(terms - phi) if math.isfinite(phi) else np.zeros_like(terms)
+                g = _cell_gradient_adjoint(mesh, (sigma * pv)[:, None] * dlog)
+                gg = float((g * g).sum())
+                if gg == 0.0:
+                    break
+                accepted = _armijo(mesh, density, eps, log, logw, pv, c, u, g, phi, gg, t0)
+                if accepted is None:
+                    failed = True
+                    break
+                t, u, logf, dlog, new_phi, terms = accepted
+                drop, phi = phi - new_phi, new_phi
+                iters += 1
+                t0 = t * 4.0
+                if drop < _TOL:
+                    break
+            residual = float(np.abs(g).max())
             total_iters += iters
             stage_iters += max(iters, 1)
-            if stag and iters == 0:
+            if failed and iters == 0:
                 stagnated = True
                 break
-            value, new_log, c = refresh(descent.logf)
+            value, new_log, c = refresh(logf)
             trace.append(value)
             drop, log_value = log_value - new_log, new_log
             if drop < _TOL:
                 break
         traces.append(tuple(trace))
-        u = descent.u
 
     final = DiscreteField(mesh, u)
     objective = evaluate(density, final.cell_values(), gradient(final), p)

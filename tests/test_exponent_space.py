@@ -53,6 +53,7 @@ def random_instance(rng, min_cells=16, max_cells=256, allow_zeros=True):
 
 
 LINE2 = Grid.uniform_1d(0.0, 1.0, 2)
+LINE4 = Grid.uniform_1d(0.0, 1.0, 4)
 LINE8 = Grid.uniform_1d(0.0, 1.0, 8)
 
 
@@ -101,11 +102,18 @@ class TestGridAndFields:
         (lambda: embedding_bound_check(GridFunction.constant(LINE2, 1.0),
                                        ExponentField(LINE2, np.array([2.0, 4.0])), 2.0, beta=1.5),
          PreconditionError, "declared beta = 1.5 does not dominate"),
+        # inf would pass vacuously with slack inf, nan fail every row with slack nan
+        (lambda: embedding_bound_check(GridFunction(LINE4, np.array([1.0, 2.0, 0.5, 0.1])),
+                                       ExponentField.constant(LINE4, 4.0), 2.0, beta=np.inf),
+         PreconditionError, "declared beta must be finite, got inf"),
+        (lambda: embedding_bound_check(GridFunction(LINE4, np.array([1.0, 2.0, 0.5, 0.1])),
+                                       ExponentField.constant(LINE4, 4.0), 2.0, beta=np.nan),
+         PreconditionError, "declared beta must be finite, got nan"),
     ], ids=["grid_dimension", "grid_flat_centers", "grid_weights_2d", "grid_no_cells",
             "uniform_1d", "uniform_2d", "function_rank", "function_length",
             "function_no_component", "function_components_argument", "exponent_length", "exponent_2d", "exponent_nan",
             "sequence_length", "sequence_2d", "sequence_inf", "sequence_nonpositive",
-            "scalar_only", "embedding_beta"])
+            "scalar_only", "embedding_beta", "embedding_beta_inf", "embedding_beta_nan"])
     def test_refusal(self, call, error, message):
         with pytest.raises(error, match=message):
             call()

@@ -78,6 +78,11 @@ class TestConfigValidation:
         with pytest.raises(StructuralError):
             unit_weight_config(schedule=(8, 4))
 
+    def test_schedule_must_start_at_one(self):
+        # the sweep rule norm_limit_study and young_q_limit share
+        with pytest.raises(StructuralError, match="the n schedule must start at 1 or above, got 0"):
+            unit_weight_config(schedule=(0, 4))
+
     @pytest.mark.parametrize("schedule, bad", [
         ((4.9, 8.2), 4.9), ((4.2, 4.9), 4.2), ((4, np.float64(8.0)), np.float64(8.0)),
         (("4", "8"), "4"), ((True, 4), True),
@@ -423,10 +428,24 @@ class TestNormLimitStudy:
 
     @pytest.mark.parametrize("n", [4.7, True], ids=["float", "bool"])
     def test_non_integer_n_refused(self, n):
-        # 4.7 would be a norm at p = 4.7 in a row labelled n = 4; each n
-        # goes through ExponentSequence.field, which refuses it
+        # 4.7 would be a norm at p = 4.7 in a row labelled n = 4
         grid = Grid.uniform_1d(0.0, 1.0, 8)
         u = GridFunction(grid, grid.points)
         seq = ExponentSequence(grid, np.ones(8))
         with pytest.raises(StructuralError, match=f"^n must be an integer, got {n!r}$"):
             norm_limit_study(u, seq, [n, 8])
+
+    @pytest.mark.parametrize("n_values, message", [
+        ([], "the n schedule must be strictly increasing"),
+        ([4, 2], "the n schedule must be strictly increasing"),
+        ([4, 4], "the n schedule must be strictly increasing"),
+        ([0, 4], "the n schedule must start at 1 or above, got 0"),
+    ], ids=["empty", "decreasing", "repeated", "zero"])
+    def test_schedule_refused(self, n_values, message):
+        # [] would pass its verdict with final_error 0.0; StudyConfig refuses
+        # the same schedules by the same rule
+        grid = Grid.uniform_1d(0.0, 1.0, 8)
+        u = GridFunction(grid, grid.points)
+        seq = ExponentSequence(grid, np.full(8, 2.0))
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            norm_limit_study(u, seq, n_values)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -393,6 +395,22 @@ class TestYoungQLimit:
                     for q, v in zip(DEFAULT_Q_SCHEDULE, values)]
         assert table.rows == expected
         assert limit == (3.0 if measure == "criterion_06" else 5.5)
+
+    @pytest.mark.parametrize("q_values, message", [
+        ((), "the q schedule must be strictly increasing"),
+        ((8, 4), "the q schedule must be strictly increasing"),
+        ((2.5, 2.7), "q must be an integer, got 2.5"),
+        ((0.5,), "q must be an integer, got 0.5"),
+        ((float("nan"),), "q must be an integer, got nan"),
+        ((0, 2), "the q schedule must start at 1 or above, got 0"),
+    ], ids=["empty", "decreasing", "fractional", "below_one_fractional", "nan", "zero"])
+    def test_schedule_refused(self, q_values, message):
+        # () would pass its verdict with final_error 0.0; 2.5 and 2.7 would
+        # be two rows labelled q = 2, 0.5 a row labelled 0
+        mu = three_cell_measure()
+        f = DensitySpec.weighted_norm(mu.grid, 1.0)
+        with pytest.raises(StructuralError, match=re.escape(message)):
+            young_q_limit(f, GridFunction.constant(mu.grid, 0.0), mu, q_values)
 
     def test_field_on_another_grid_is_refused(self):
         mu = three_cell_measure()

@@ -21,7 +21,7 @@ from suplab.exponent_space import (
 )
 from suplab.gamma_lab import StudyConfig, run_norm_gamma_study
 from suplab.oracles import oracle_minimizer_1d, supremal_oracle_1d
-from suplab.solve import _Descent, minimize_power
+from suplab.solve import minimize_power
 
 from _oracles import (
     el_slopes_constant_q,
@@ -234,10 +234,10 @@ class TestNormMinimization:
         p = ExponentField.constant(on["exponent"].grid(), 4.0)
         init = interpolate_boundary(on["warm_start"])
 
-        def no_descent(*args):
-            raise AssertionError("a descent started before the refusal")
+        def no_density(*args):
+            raise AssertionError("a density was evaluated before the refusal")
 
-        monkeypatch.setattr(solve, "_Descent", no_descent)
+        monkeypatch.setattr(solve, "_density", no_density)
         with pytest.raises(StructuralError, match=message):
             minimize_power("norm", f, p, mesh, init=init)
 
@@ -333,60 +333,38 @@ class TestIntegralMinimization:
         assert abs(r1.objective - r2.objective) / r1.objective < 1e-3
 
 
-def sequential_descent(backtracks):
-    """``_Descent.run`` before batching.
+def sequential_armijo(backtracks):
+    """``solve._armijo`` before batching, with nothing taken from the caller's state.
 
-    Backtracking tries one step at a time, and every density is computed
-    afresh: at the start of each run and at each trial.  ``backtracks``
-    collects the shrinks of every accepted step.
+    phi and its gradient are recomputed from the iterate ``u`` (the caller's
+    phi, g and gg are not read), and backtracking tries one step at a time,
+    each trial's density computed afresh.  ``backtracks`` collects the
+    shrinks of every accepted step.
     """
 
-    def evaluate(self, unodes, term_logs_fn):
-        xi = _cell_gradient(self.mesh, unodes)
-        f, dlog = _density(self.spec, xi, None, self.eps)
-        if self.positive:
-            logf = np.log(f)
-        else:
-            mask = f > 0
-            logf = np.full(f.shape, -np.inf)
-            logf[mask] = np.log(f[mask])
-        terms, pfac = term_logs_fn(logf)
-        return _logsumexp(terms), (terms, pfac, logf, dlog)
+    def evaluate(mesh, density, eps, logw, pv, c, unodes):
+        f, dlog = _density(density, _cell_gradient(mesh, unodes), None, eps)
+        mask = f > 0
+        logf = np.full(f.shape, -np.inf)
+        logf[mask] = np.log(f[mask])
+        terms = logw + pv * (logf - c)
+        return _logsumexp(terms), terms, logf, dlog
 
-    def run(self, term_logs_fn, max_steps):
-        u = self.u
-        phi, parts = evaluate(self, u, term_logs_fn)
-        iters, stagnated, gnorm = 0, False, np.inf
-        while iters < max_steps:
-            terms, pfac, _, dlog = parts
-            sigma = np.exp(terms - phi) if np.isfinite(phi) else np.zeros_like(terms)
-            g = _cell_gradient_adjoint(self.mesh, (sigma * pfac)[:, None] * dlog)
-            gnorm = float(np.max(np.abs(g)))
-            gg = float(np.sum(g * g))
-            if gg == 0.0:
-                break
-            t = self.t0
-            for shrinks in range(solve._MAX_BACKTRACKS):
-                trial = u - t * g
-                phi_new, parts_new = evaluate(self, trial, term_logs_fn)
-                if phi_new <= phi - solve._SUFFICIENT_DECREASE * t * gg:
-                    break
-                t *= solve._STEP_SHRINK
-            else:
-                stagnated = True
-                break
-            backtracks.append(shrinks)
-            drop = phi - phi_new
-            u, phi, parts = trial, phi_new, parts_new
-            iters += 1
-            self.t0 = t * 4.0
-            if drop < solve._TOL:
-                break
-        # the stage value is refreshed from this state
-        self.u, self.logf, self.dlog = u, parts[2], parts[3]
-        return iters, stagnated, gnorm
+    def armijo(mesh, density, eps, log, logw, pv, c, u, g, phi, gg, t):
+        phi, terms, _, dlog = evaluate(mesh, density, eps, logw, pv, c, u)
+        sigma = np.exp(terms - phi) if np.isfinite(phi) else np.zeros_like(terms)
+        g = _cell_gradient_adjoint(mesh, (sigma * pv)[:, None] * dlog)
+        gg = float(np.sum(g * g))
+        for shrinks in range(solve._MAX_BACKTRACKS):
+            trial = u - t * g
+            phi_new, terms_new, logf, dlog = evaluate(mesh, density, eps, logw, pv, c, trial)
+            if phi_new <= phi - solve._SUFFICIENT_DECREASE * t * gg:
+                backtracks.append(shrinks)
+                return t, trial, logf, dlog, phi_new, terms_new
+            t *= solve._STEP_SHRINK
+        return None
 
-    return run
+    return armijo
 
 
 def perturbed(mesh, scale, seed):
@@ -459,7 +437,7 @@ class TestBatchedLineSearch:
         functional, f, p, mesh, init = case()
         batched = minimize_power(functional, f, p, mesh, init=init)
         backtracks = []
-        monkeypatch.setattr(_Descent, "run", sequential_descent(backtracks))
+        monkeypatch.setattr(solve, "_armijo", sequential_armijo(backtracks))
         reference = minimize_power(functional, f, p, mesh, init=init)
         assert np.array_equal(batched.field.node_values, reference.field.node_values)
         assert batched.traces == reference.traces
