@@ -3,9 +3,12 @@
 Nodes carry the field values (boundary nodes pinned by Dirichlet data,
 interior nodes free), cells carry the quadrature weights and gradients, so
 the discrete energies are unconstrained functions of the interior nodes.
-The cells are P1 simplices, listed once in the table
-``MeshSpec._simplices``: the 1-D segments, and two right triangles per
-2-D square (2 nx ny cells of weight hx hy / 2, at their centroids).
+The start field, :func:`interpolate_boundary`, is the trace at every node
+(in 1-D the linear blend of the end values), built once per mesh; the
+mesh's overflow check reads the same array.  The cells are P1 simplices,
+listed once in the table ``MeshSpec._simplices``: the 1-D segments, and
+two right triangles per 2-D square (2 nx ny cells of weight hx hy / 2, at
+their centroids).
 
 The cell-gradient stencil (one gather from the table), its adjoint (one
 scatter) and the cell average (the vertex mean) live here only:
@@ -106,15 +109,28 @@ class MeshSpec:
                 object.__setattr__(self, "boundary", BoundarySpec.endpoints(*values))
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "cells", cells)
-        # finite trace values can still overflow in the interpolant's vertex
+        # finite trace values can still overflow in the start's vertex
         # means or in the stencil's differences and divide
         with np.errstate(over="ignore", invalid="ignore"):
-            u = _interpolant(self)
-            finite = np.isfinite(_cell_average(self, u)).all() and np.isfinite(
-                _cell_gradient(self, u)).all()
+            finite = np.isfinite(_cell_average(self, self._start)).all() and np.isfinite(
+                _cell_gradient(self, self._start)).all()
         if not finite:
             raise StructuralError(f"{self.boundary.kind} trace {self.boundary.params} overflows: "
                                   "its interpolant has a non-finite cell value or gradient")
+
+    @cached_property
+    def _start(self) -> np.ndarray:
+        """Start values: the trace at every node (in 1-D the linear blend of the end values)."""
+        axes = self.node_axes()
+        if self.dimension == 1:
+            g0, g1 = self.boundary.params
+            t = axes[0] / self.extents[0]
+            u = (1.0 - t) * g0 + t * g1
+        else:
+            points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+            u = self.boundary.value(points).reshape(self.node_shape)
+        # finite wherever the trace is finite at the corners
+        return _cell_array(u, self.node_shape, "start values")
 
     # cached: the stencil and its adjoint read the node shape and the table per call
     @cached_property
@@ -217,31 +233,5 @@ def gradient(field: DiscreteField) -> GridFunction:
 
 
 def interpolate_boundary(mesh: MeshSpec) -> DiscreteField:
-    """Feasible initial field: linear blend of the trace (transfinite in 2-D)."""
-    return DiscreteField(mesh, _interpolant(mesh))
-
-
-def _interpolant(mesh: MeshSpec) -> np.ndarray:
-    """Raw node values of :func:`interpolate_boundary`, which may overflow."""
-    axes = mesh.node_axes()
-    if mesh.dimension == 1:
-        g0, g1 = mesh.boundary.params
-        t = axes[0] / mesh.extents[0]
-        return (1.0 - t) * g0 + t * g1
-
-    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
-    tr = mesh.boundary.value(points).reshape(mesh.node_shape)
-    s = (axes[0] / mesh.extents[0])[:, None]
-    t = (axes[1] / mesh.extents[1])[None, :]
-    return (
-        (1 - s) * tr[0, :][None, :]
-        + s * tr[-1, :][None, :]
-        + (1 - t) * tr[:, 0][:, None]
-        + t * tr[:, -1][:, None]
-        - (
-            (1 - s) * (1 - t) * tr[0, 0]
-            + s * (1 - t) * tr[-1, 0]
-            + (1 - s) * t * tr[0, -1]
-            + s * t * tr[-1, -1]
-        )
-    )
+    """Feasible initial field: the trace at every node, built once per mesh."""
+    return DiscreteField(mesh, mesh._start)

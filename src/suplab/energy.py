@@ -47,6 +47,7 @@ from .exponent_space import (
     PreconditionError,
     StructuralError,
     _cell_array,
+    _components,
     _index,
     _linear,
     _log0,
@@ -211,16 +212,17 @@ def eval_density(f: DensitySpec, cell: int, u_val, xi) -> float:
     """Evaluate the density at one cell.
 
     A non-integer index, one off the grid, and a ``xi`` that is not one
-    finite vector are refused.  A finite value costs no pass over ``xi``.
+    finite vector of at least one component are refused.  A finite value
+    costs no pass over ``xi``.
     """
     cell = _index(cell, "cell index")
     if not 0 <= cell < f.grid.n_cells:
         raise StructuralError(f"cell {cell} is not one of the {f.grid.n_cells} cells")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    val = float(_density(f, xi, cell)[0]) if xi.ndim == 1 else math.nan
+    val = float(_density(f, xi, cell)[0]) if xi.ndim == 1 and xi.size else math.nan
     if not math.isfinite(val):
-        # off the fast path only: refuse a xi that is not one finite vector
-        _cell_array(xi, (), "xi", 1)
+        # off the fast path only: refuse a xi that is not one finite vector with a component
+        _components(_cell_array(xi, (), "xi", 1), "xi")
     return val
 
 

@@ -143,6 +143,13 @@ def _cell_array(values, lead, noun, ndims=None):
     return arr
 
 
+def _components(arr, noun):
+    """``arr`` if its last axis, the gradient components, is not empty: the one component rule."""
+    if arr.shape[-1] == 0:
+        raise StructuralError(f"{noun} of shape {arr.shape}: need at least one component")
+    return arr
+
+
 def _index(x, noun):
     """x as a Python int: the one integer rule, which takes any integer type but no bool."""
     try:
@@ -235,9 +242,8 @@ class GridFunction:
 
     def __post_init__(self):
         vals = _cell_array(self.values, (self.grid.n_cells,), "grid function values", (1, 2))
-        if vals.shape[1:] == (0,):
-            raise StructuralError(f"grid function values of shape {vals.shape}: "
-                                  "need at least one component")
+        if vals.ndim == 2:
+            _components(vals, "grid function values")
         # one component is stored as a scalar function
         object.__setattr__(self, "values", vals[:, 0] if vals.shape[1:] == (1,) else vals)
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import JENSEN_TOL, DensitySpec, _density, eval_density
-from .exponent_space import (Grid, GridFunction, StructuralError, _cell_array, _log0,
-                             _require_same_grid, _schedule, luxemburg_root)
+from .exponent_space import (Grid, GridFunction, StructuralError, _cell_array, _components,
+                             _log0, _require_same_grid, _schedule, luxemburg_root)
 from .reports import RelationReport, Table, eventually_decreasing
 
 __all__ = [
@@ -39,11 +39,12 @@ def _atoms(points, weights, lead, noun):
     """Points (T, m, k) and weights (T, m) of T rows of atoms, as read-only float arrays.
 
     Both arrays follow the cell-array rule with leading axes ``lead`` (the
-    cells of a measure, or () for Jensen trials), so every value is finite.
+    cells of a measure, or () for Jensen trials), so every value is finite,
+    and a point has at least one component.
     Each row's weights must be >= 0 and sum to 1 within 1e-12, else
     StructuralError names the row r as ``noun r``.
     """
-    pts = _cell_array(points, lead, "atom points", 3)
+    pts = _components(_cell_array(points, lead, "atom points", 3), "atom points")
     wts = _cell_array(weights, lead, "atom weights", 2)
     if wts.shape != pts.shape[:2]:
         raise StructuralError(f"atoms of shapes {pts.shape} and {wts.shape}; "

@@ -29,7 +29,6 @@ closed forms the minima are checked against live in :mod:`suplab.oracles`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,7 +190,7 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
             failed = False
             for _ in range(min(_INNER_STEPS, _MAX_ITER - stage_iters)):
                 # the gradient of phi: the softmax-weighted scatter of p d(log f)
-                sigma = np.exp(terms - phi) if math.isfinite(phi) else np.zeros_like(terms)
+                sigma = np.exp(terms - phi)
                 g = _cell_gradient_adjoint(mesh, (sigma * pv)[:, None] * dlog)
                 gg = float((g * g).sum())
                 if gg == 0.0:

@@ -256,6 +256,30 @@ class TestInterpolateBoundary:
         X = np.linspace(0, 1, 8)[:, None] * np.ones((1, 6))
         assert np.allclose(u.node_values, X, atol=1e-14)
 
+    @pytest.mark.parametrize("cells, extents, trace", [
+        ((6, 6), (1.0, 1.0), BoundarySpec.affine(0.0, 1.0, 0.5)),
+        ((7, 5), (2.0, 0.3), BoundarySpec.affine(-1.25, 3.0, -0.7)),
+        ((2, 9), (1e-3, 5.0), BoundarySpec.affine(1e3, 0.1, 7.0)),
+        ((13, 11), (3.7, 1.9), BoundarySpec.affine(0.3, -2.2, 1.1)),
+    ], ids=["x_plus_half_y_6x6", "7x5", "2x9_thin", "13x11"])
+    def test_2d_start_is_the_trace_at_every_node(self, cells, extents, trace):
+        # a transfinite patch of the trace would round it differently, on
+        # the boundary nodes too, where the descent pins the start's values
+        mesh = MeshSpec(2, extents, cells, trace)
+        nodes = np.stack(np.meshgrid(*mesh.node_axes(), indexing="ij"), axis=-1).reshape(-1, 2)
+        u = interpolate_boundary(mesh).node_values
+        assert np.array_equal(u.ravel(), mesh.boundary.value(nodes))
+
+    @pytest.mark.parametrize("mesh", [mesh_1d(9), mesh_2d((4, 3))], ids=["1d", "2d"])
+    def test_start_is_built_once_per_mesh(self, mesh, monkeypatch):
+        # the overflow check built the start; every field after it copies that array
+        def refused(*args):
+            raise AssertionError("the start was built again")
+
+        monkeypatch.setattr(MeshSpec, "node_axes", refused)
+        for _ in range(2):
+            assert np.array_equal(interpolate_boundary(mesh).node_values, mesh._start)
+
     def test_affine_trace_supremal_is_slope(self):
         mesh = mesh_2d((6, 6), BoundarySpec.affine(0.0, 3.0, 4.0))
         u = interpolate_boundary(mesh)

@@ -80,16 +80,22 @@ class TestEvalDensity:
         with pytest.raises(StructuralError, match=re.escape(f"cell index must be an integer, got {cell!r}")):
             eval_density(f, cell, 0.0, 1.0)
 
-    @pytest.mark.parametrize("xi, message", [
-        ([np.nan], r"xi must be finite, got nan at \(0,\) of shape \(1,\)"),
-        (np.inf, r"xi must be finite, got inf at \(0,\) of shape \(1,\)"),
-        ([1.0, -np.inf], r"xi must be finite, got -inf at \(1,\) of shape \(2,\)"),
-        ([[1.0]], r"xi of shape \(1, 1\): need \(\*,\)"),
-    ], ids=["nan", "inf", "minus_inf_component", "matrix"])
-    def test_xi_that_is_not_one_finite_vector_refused(self, xi, message):
+    @pytest.mark.parametrize("family, xi, message", [
+        ("weighted_norm", [np.nan], r"xi must be finite, got nan at \(0,\) of shape \(1,\)"),
+        ("weighted_norm", np.inf, r"xi must be finite, got inf at \(0,\) of shape \(1,\)"),
+        ("weighted_norm", [1.0, -np.inf],
+         r"xi must be finite, got -inf at \(1,\) of shape \(2,\)"),
+        ("weighted_norm", [[1.0]], r"xi of shape \(1, 1\): need \(\*,\)"),
+        *[(family, [], r"xi of shape \(0,\): need at least one component")
+          for family in _FAMILIES],
+    ], ids=["nan", "inf", "minus_inf_component", "matrix",
+            *[f"no_component_{family}" for family in _FAMILIES]])
+    def test_xi_that_is_not_one_finite_vector_refused(self, family, xi, message):
         # nan would come back as the value nan, where jensen_check refuses
-        # the same point; a (1, 1) xi would be a bare TypeError
-        f = DensitySpec.weighted_norm(line_grid(4), [1.0, 2.0, 3.0, 4.0])
+        # the same point; a (1, 1) xi would be a bare TypeError; a xi with no
+        # component would be read as 0 (the value 1 of unit_sphere_distance),
+        # and anisotropic's max over no component a bare ValueError
+        f = DensitySpec(line_grid(4), family)
         with pytest.raises(StructuralError, match=message):
             eval_density(f, 0, 0.0, xi)
 

@@ -149,6 +149,18 @@ class TestJensen:
         with pytest.raises(StructuralError, match=message):
             DiscreteYoungMeasure(one_cell_grid(), atoms[0][None], atoms[1][None])
 
+    @pytest.mark.parametrize("family", ["weighted_norm", "anisotropic"])
+    def test_points_without_components_are_refused(self, family):
+        # points (m, 0) would pass as f(mean) = f(atoms) = 0 and be stored
+        # as a measure; anisotropic's max over no component a bare ValueError
+        f = DensitySpec(one_cell_grid(), family)
+        atoms = (np.zeros((2, 0)), np.array([0.5, 0.5]))
+        message = r"atom points of shape \(1, 2, 0\): need at least one component"
+        with pytest.raises(StructuralError, match=message):
+            jensen_check(f, 0, 0.0, atoms)
+        with pytest.raises(StructuralError, match=message):
+            DiscreteYoungMeasure(one_cell_grid(), atoms[0][None], atoms[1][None])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
     def test_non_finite_point_is_refused(self, bad):
         # a NaN atom would pass with slack nan, an infinite one with lhs = rhs = inf
