@@ -3,7 +3,9 @@
 A :class:`Grid` is a finite measure space (cell centers with positive
 weights), so weighted power sums *are* the modulars of the corresponding
 variable-exponent space and every norm/modular inequality holds exactly at
-the discrete level, not merely approximately.
+the discrete level, not merely approximately.  A 1-D grid can stand alone
+(:meth:`Grid.uniform_1d`); every 2-D grid is a mesh's ``mesh.grid()``
+(:mod:`suplab.discretize`), with one cell per P1 triangle.
 
 Two rules, written once here, admit caller input for the whole package:
 every grid-bound array goes through :func:`_cell_array` (a finite, read-only
@@ -218,19 +220,6 @@ class Grid:
         h = (x1 - x0) / cells
         centers = x0 + (np.arange(cells) + 0.5) * h
         return Grid(1, centers[:, None], np.full(cells, h))
-
-    @staticmethod
-    def uniform_2d(x_range, y_range, cells_xy) -> "Grid":
-        (x0, x1), (y0, y1) = x_range, y_range
-        nx, ny = cells_xy
-        if not (x1 > x0 and y1 > y0 and nx >= 1 and ny >= 1):
-            raise StructuralError("degenerate 2-D grid")
-        hx, hy = (x1 - x0) / nx, (y1 - y0) / ny
-        cx = x0 + (np.arange(nx) + 0.5) * hx
-        cy = y0 + (np.arange(ny) + 0.5) * hy
-        X, Y = np.meshgrid(cx, cy, indexing="ij")
-        centers = np.column_stack([X.ravel(), Y.ravel()])
-        return Grid(2, centers, np.full(nx * ny, hx * hy))
 
 
 @dataclass(frozen=True)

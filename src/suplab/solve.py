@@ -125,7 +125,8 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
     ``functional`` is ``"norm"`` (variable-exponent norm of the density
     field) or ``"integral"`` (exponent-normalized power integral), with the
     density and ``p`` on the mesh's grid and any warm start ``init`` on
-    ``mesh`` and its trace.  Each stage's trace holds its value (lam or
+    ``mesh`` and its trace; a start where the density is not finite is
+    refused.  Each stage's trace holds its value (lam or
     calF) at the start and after each refresh.  The returned objective is
     evaluated on the unsmoothed density
     at the final iterate; a failed line search is reported through
@@ -144,6 +145,13 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
         field = init
 
     u = np.array(field.node_values)
+    # a density that overflows at the start leaves every stage at phi = +inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0, _ = _density(density, _cell_gradient(mesh, u))
+    bad = np.flatnonzero(~np.isfinite(f0))
+    if bad.size:
+        raise StructuralError(f"{density.family} density is not finite at the start: "
+                              f"{f0[bad[0]]} in cell {bad[0]}")
     logw = grid.log_weights
     pv = p.values
 

@@ -13,6 +13,10 @@ instances :data:`CHUNK` at a time: a chunk's instances are padded to one
 code behind the public single-instance checker, whose report counts the
 failures of each check over the chunk.  The Jensen suite draws and checks
 :data:`JENSEN_BATCH` trials per ``jensen_check`` call.
+
+Every suite's table, and the battery's, has one shape, built by
+:func:`_table`: a row per check under the columns ``verify.csv`` prints,
+``(check, trials, failures, passed)``.
 """
 
 from __future__ import annotations
@@ -112,12 +116,16 @@ def _exponents_draw(rng, n, p_floor=1.05):
     return rng.uniform(lo, hi, size=n)
 
 
-def _suite_table(name, instances, failures, verdict):
-    return Table(
-        columns=("check", "instances", "failures", "passed"),
-        rows=[(name, instances, failures, int(failures == 0))],
-        verdicts={verdict: failures == 0},
-    )
+def _table(rows, verdicts) -> Table:
+    """The battery's one table shape, the columns ``verify.csv`` prints."""
+    return Table(("check", "trials", "failures", "passed"), rows, verdicts)
+
+
+def _zero_failures(failures, trials, verdict) -> Table:
+    """One row per check of ``failures`` (check -> count), each passed at zero
+    failures, and the verdict that every count is zero."""
+    rows = [(name, trials, bad, int(bad == 0)) for name, bad in failures.items()]
+    return _table(rows, {verdict: not any(failures.values())})
 
 
 def _norm_modular_draw(rng, k):
@@ -129,14 +137,7 @@ def norm_modular_suite(rng, instances=1000) -> Table:
     """Randomized (u, p) instances through every norm/modular relation."""
     counts, _ = _checked(rng, instances, _norm_modular_draw, _norm_modular_rows,
                          (_VALUES, _LOGW, _EXPONENTS))
-    rows = [(name, instances, bad, int(bad == 0)) for name, bad in sorted(counts.items())]
-    failures = sum(r[2] for r in rows)
-    return Table(
-        columns=("check", "instances", "failures", "passed"),
-        rows=rows,
-        verdicts={"norm_modular_zero_failures": failures == 0},
-        meta={"instances": instances},
-    )
+    return _zero_failures(dict(sorted(counts.items())), instances, "norm_modular_zero_failures")
 
 
 def _holder_draw(rng, k):
@@ -166,7 +167,7 @@ def holder_suite(rng, instances=200) -> Table:
     """
     _, failures = _checked(rng, instances, _holder_draw, _holder_rows,
                            (_VALUES, _VALUES, _LOGW, _EXPONENTS, _EXPONENTS, _EXPONENTS))
-    return _suite_table("holder_inequality", instances, failures, "holder_zero_failures")
+    return _zero_failures({"holder_inequality": failures}, instances, "holder_zero_failures")
 
 
 def _power_identity_draw(rng, k):
@@ -179,8 +180,8 @@ def _power_identity_draw(rng, k):
 def power_identity_suite(rng, instances=200) -> Table:
     _, failures = _checked(rng, instances, _power_identity_draw, _power_identity_rows,
                            (_VALUES, _LOGW, _EXPONENTS))
-    return _suite_table("power_rescaling_identity", instances, failures,
-                        "power_identity_zero_failures")
+    return _zero_failures({"power_rescaling_identity": failures}, instances,
+                          "power_identity_zero_failures")
 
 
 def _embedding_draw(rng, k):
@@ -197,7 +198,7 @@ def _embedding_draw(rng, k):
 def embedding_suite(rng, instances=200) -> Table:
     _, failures = _checked(rng, instances, _embedding_draw, _embedding_rows,
                            (_VALUES, _LOGW, _EXPONENTS))
-    return _suite_table("embedding_bound", instances, failures, "embedding_zero_failures")
+    return _zero_failures({"embedding_bound": failures}, instances, "embedding_zero_failures")
 
 
 def _jensen_trials(rng, density, trials, xi_dim=1):
@@ -223,14 +224,14 @@ def _jensen_trials(rng, density, trials, xi_dim=1):
     return failures
 
 
-def jensen_suite(rng, trials=10000, cells=16) -> Table:
+def jensen_suite(rng, trials=10000) -> Table:
     """Jensen bound over random atoms for each built-in family, plus the
     deliberately non-level-convex probe, which must record a violation.
 
     The anisotropic family has component weights a = (1, 3) and gets
     2-component atoms, so its row exercises the max over components.
     """
-    grid = Grid.uniform_1d(0.0, 1.0, cells)
+    grid = Grid.uniform_1d(0.0, 1.0, 16)
     rows = []
     families = [
         ("weighted_norm", DensitySpec.weighted_norm(grid, lambda x: 1.0 + x), 1),
@@ -245,14 +246,10 @@ def jensen_suite(rng, trials=10000, cells=16) -> Table:
     probe = DensitySpec(grid, "unit_sphere_distance")
     probe_bad = _jensen_trials(rng, probe, trials)
     rows.append(("jensen_probe_violations_found", trials, probe_bad, int(probe_bad >= 1)))
-    return Table(
-        columns=("check", "trials", "failures", "passed"),
-        rows=rows,
-        verdicts={
-            "jensen_zero_failures": all_clean,
-            "jensen_probe_detects_nonconvexity": probe_bad >= 1,
-        },
-    )
+    return _table(rows, {
+        "jensen_zero_failures": all_clean,
+        "jensen_probe_detects_nonconvexity": probe_bad >= 1,
+    })
 
 
 def density_probe_suite(density: DensitySpec, seed=0, trials=10000) -> Table:
@@ -266,19 +263,15 @@ def density_probe_suite(density: DensitySpec, seed=0, trials=10000) -> Table:
         ("level_convexity", trials, int(lc.meta["failing"].sum()), int(lc_ok)),
         ("growth_lower_bound", trials, int(gr.meta["failing"].sum()), int(gr.passed)),
     ]
-    return Table(
-        columns=("check", "trials", "failures", "passed"),
-        rows=rows,
-        verdicts={
-            "level_convexity_consistent": bool(lc_ok),
-            "growth_bound_holds": gr.passed,
-        },
-    )
+    return _table(rows, {
+        "level_convexity_consistent": bool(lc_ok),
+        "growth_bound_holds": gr.passed,
+    })
 
 
-def full_verification(seed=0, density: DensitySpec | None = None) -> Table:
+def full_verification(density: DensitySpec, seed=0) -> Table:
     """The whole property battery with one seed, each suite at its default
-    count; one row per check."""
+    count, and the probes of ``density``; one row per check."""
     rng = np.random.default_rng(seed)
     tables = [
         norm_modular_suite(rng),
@@ -286,17 +279,7 @@ def full_verification(seed=0, density: DensitySpec | None = None) -> Table:
         power_identity_suite(rng),
         embedding_suite(rng),
         jensen_suite(rng),
+        density_probe_suite(density, seed=seed),
     ]
-    if density is not None:
-        tables.append(density_probe_suite(density, seed=seed))
-    rows = []
-    verdicts = {}
-    for t in tables:
-        rows.extend(t.rows)
-        verdicts.update(t.verdicts)
-    return Table(
-        columns=("check", "trials", "failures", "passed"),
-        rows=rows,
-        verdicts=verdicts,
-        meta={"seed": seed},
-    )
+    return _table([row for t in tables for row in t.rows],
+                  {name: ok for t in tables for name, ok in t.verdicts.items()})

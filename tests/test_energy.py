@@ -35,6 +35,11 @@ def line_grid(cells=100):
     return Grid.uniform_1d(0.0, 1.0, cells)
 
 
+def plane_grid(cells, extents=(1.0, 1.0)):
+    """The grid of a 2-D mesh: two triangles per square."""
+    return MeshSpec(2, extents, cells, BoundarySpec.affine(0.0, 0.0, 0.0)).grid()
+
+
 class TestEvalDensity:
     def test_plain_norm(self):
         grid = line_grid(4)
@@ -167,7 +172,7 @@ class TestCustomRuleBatches:
         assert np.array_equal(batch, single)
 
 
-PLANE = Grid.uniform_2d((0.0, 1.0), (0.0, 2.0), (3, 4))
+PLANE = plane_grid((3, 4), (1.0, 2.0))
 
 
 class TestFamilyRows:
@@ -224,9 +229,9 @@ FIELD_DENSITIES = pytest.mark.parametrize("f", [
     DensitySpec.weighted_norm(line_grid(8), lambda x: 1.0 + x),
     DensitySpec.shifted_norm(line_grid(8), np.array([0.4])),
     per_cell_anisotropic(),
-    DensitySpec.anisotropic(Grid.uniform_2d((0.0, 1.0), (0.0, 1.0), (3, 3)), [1.0, 2.0]),
+    DensitySpec.anisotropic(plane_grid((3, 3)), [1.0, 2.0]),
     DensitySpec(line_grid(8), "capped_norm"),
-    DensitySpec(Grid.uniform_2d((0.0, 1.0), (0.0, 1.0), (3, 3)), "unit_sphere_distance"),
+    DensitySpec(plane_grid((3, 3)), "unit_sphere_distance"),
 ], ids=["weighted", "shifted", "anisotropic_per_cell", "anisotropic_2d", "capped_norm",
         "unit_sphere_distance_2d"])
 
@@ -415,7 +420,7 @@ class TestProbes:
         w = rep.checks[0].witness
         assert w is not None and w["lhs"] > w["rhs"]
 
-    @pytest.mark.parametrize("grid", [line_grid(16), Grid.uniform_2d((0.0, 1.0), (0.0, 1.0), (4, 4))],
+    @pytest.mark.parametrize("grid", [line_grid(16), plane_grid((4, 4))],
                              ids=["1d", "2d"])
     def test_level_convexity_witnesses_recompute(self, grid):
         f = DensitySpec(grid, "unit_sphere_distance")
@@ -471,7 +476,7 @@ class TestProbes:
         assert witness["cell_center"][0] > 1.0 / 9.0
 
     def test_growth_constant_floor(self):
-        plane = Grid.uniform_2d((0.0, 1.0), (0.0, 1.0), (4, 4))
+        plane = plane_grid((4, 4))
         # the default alpha of the 2-D anisotropic norm max(|xi_1|, 2 |xi_2|)
         # is |xi| / sqrt(2), reached where |xi_1| = |xi_2|
         for f, alpha in ((DensitySpec.weighted_norm(line_grid(32), 2.0, alpha=2.0), 2.0),

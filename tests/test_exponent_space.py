@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from suplab import exponent_space
+from suplab.discretize import BoundarySpec, MeshSpec
 from suplab.energy import DensitySpec, eval_calFn, eval_Fn
 from suplab.exponent_space import (
     ExponentField,
@@ -70,8 +71,6 @@ class TestGridAndFields:
         (lambda: Grid(1, np.zeros((0, 1)), np.zeros(0)), StructuralError,
          "grid needs at least one cell"),
         (lambda: Grid.uniform_1d(1.0, 0.0, 4), StructuralError, "need x1 > x0"),
-        (lambda: Grid.uniform_2d((0.0, 1.0), (0.0, 1.0), (2, 0)), StructuralError,
-         "degenerate 2-D grid"),
         (lambda: GridFunction(LINE2, np.ones((2, 1, 1))), StructuralError,
          r"grid function values of shape \(2, 1, 1\): need \(2,\) or \(2, \*\)"),
         (lambda: GridFunction(LINE2, np.ones(3)), StructuralError,
@@ -110,7 +109,7 @@ class TestGridAndFields:
                                        ExponentField.constant(LINE4, 4.0), 2.0, beta=np.nan),
          PreconditionError, "declared beta must be finite, got nan"),
     ], ids=["grid_dimension", "grid_flat_centers", "grid_weights_2d", "grid_no_cells",
-            "uniform_1d", "uniform_2d", "function_rank", "function_length",
+            "uniform_1d", "function_rank", "function_length",
             "function_no_component", "function_components_argument", "exponent_length", "exponent_2d", "exponent_nan",
             "sequence_length", "sequence_2d", "sequence_inf", "sequence_nonpositive",
             "scalar_only", "embedding_beta", "embedding_beta_inf", "embedding_beta_nan"])
@@ -125,8 +124,8 @@ class TestGridAndFields:
     def test_points_are_what_callables_take(self):
         line = Grid.uniform_1d(0.0, 1.0, 4)
         np.testing.assert_array_equal(line.points, [0.125, 0.375, 0.625, 0.875])
-        plane = Grid.uniform_2d((0.0, 1.0), (0.0, 2.0), (2, 3))
-        assert plane.points.shape == (6, 2)
+        plane = MeshSpec(2, (1.0, 2.0), (2, 3), BoundarySpec.affine(0.0, 0.0, 0.0)).grid()
+        assert plane.points.shape == (12, 2)
         np.testing.assert_array_equal(plane.points, plane.cells)
         field = GridFunction(plane, plane.points[:, 0] + 10.0 * plane.points[:, 1])
         np.testing.assert_array_equal(field.values, plane.cells @ [1.0, 10.0])

@@ -169,7 +169,7 @@ class TestNamedProfile:
         np.testing.assert_array_equal(named_profile("piecewise:1,3", grid), [1.0, 1.0, 3.0, 3.0])
 
     def test_plane_profiles_follow_x(self):
-        grid = Grid.uniform_2d((0.0, 1.0), (0.0, 1.0), (2, 3))
+        grid = MeshSpec(2, (1.0, 1.0), (2, 3), BoundarySpec.affine(0.0, 0.0, 0.0)).grid()
         vals = named_profile("inverse_one_plus_x", grid)
         np.testing.assert_array_equal(vals, 1.0 / (1.0 + grid.cells[:, 0]))
 

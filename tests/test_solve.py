@@ -262,6 +262,17 @@ class TestNormMinimization:
         assert res.traces == ((0.0,),) * len(solve._EPSILONS)
         assert np.array_equal(res.field.node_values, interpolate_boundary(mesh).node_values)
 
+    @pytest.mark.parametrize("functional", ["norm", "integral"])
+    def test_overflowing_start_refused(self, functional):
+        # a |xi| = 1e300 * 1e10 overflows in every cell: no stage could move
+        # phi = +inf, so the start is refused before the first one
+        mesh = mesh_1d(8, g1=1e10)
+        f = DensitySpec.weighted_norm(mesh.grid(), 1e300)
+        p = ExponentField.constant(mesh.grid(), 4.0)
+        with pytest.raises(StructuralError, match=r"^weighted_norm density is not finite at "
+                                                  r"the start: inf in cell 0$"):
+            minimize_power(functional, f, p, mesh)
+
     def test_unknown_functional_rejected(self):
         mesh = mesh_1d(8)
         f = DensitySpec.weighted_norm(mesh.grid(), 1.0)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from suplab import exponent_space, verification
+from suplab.energy import DensitySpec
 from suplab.exponent_space import (
     ExponentField,
     Grid,
@@ -144,3 +145,23 @@ def test_wrong_root_is_caught_by_chunked_suites(monkeypatch, seed):
     table = verification.holder_suite(np.random.default_rng(seed), 200)
     assert failure_counts(table)["holder_inequality"] > 0
     assert not table.verdicts["holder_zero_failures"]
+
+
+def test_every_suite_has_the_battery_columns():
+    # verify.csv prints full_verification's columns, so every suite's rows
+    # must read under them, with each suite's own count in the trials column
+    density = DensitySpec.weighted_norm(Grid.uniform_1d(0.0, 1.0, 8), 1.0)
+    rng = np.random.default_rng(0)
+    tables = {
+        10: verification.norm_modular_suite(rng, 10),
+        11: verification.holder_suite(rng, 11),
+        12: verification.power_identity_suite(rng, 12),
+        13: verification.embedding_suite(rng, 13),
+        14: verification.jensen_suite(rng, trials=14),
+        15: verification.density_probe_suite(density, trials=15),
+    }
+    battery = verification.full_verification(density=density)
+    assert battery.columns == ("check", "trials", "failures", "passed")
+    for trials, table in tables.items():
+        assert table.columns == battery.columns
+        assert set(table.column("trials")) == {trials}
