@@ -13,6 +13,11 @@ eps > 0 gives d(log f)/d(xi), and the default growth constant alpha:
 * ``unit_sphere_distance``  f = ||xi| - 1|, whose sublevel sets are annuli,
                             so it is not level convex
 
+Every Euclidean norm in suplab, each row's ``|.|``, the growth bound
+alpha |xi| and the 2-D oracle's slope magnitude, comes from one helper,
+:func:`_norm`, which at eps = 0 forms no square and so is exact at every
+finite magnitude; the ``|xi_j|`` of ``anisotropic`` are plain absolute values.
+
 The formula gives f and d(log f)/d(xi) at a smoothing eps >= 0 (eps = 0 is
 exact) on the last axis of xi; :func:`_density` reads the coefficients
 of every cell, or of the given cells, and calls it for the scalar
@@ -75,15 +80,29 @@ __all__ = [
 # field (cells, k) with all of them.  eps > 0 smooths the kink as
 # sqrt(|.|^2 + eps^2); at eps = 0, the exact density, no derivative is made.
 
+def _norm(xi, eps=0.0):
+    """|xi| on the last axis, and the smoothed square s2 = |xi|^2 + eps^2 for eps > 0.
+
+    At eps = 0 no square is formed, so the norm is exact at every finite
+    magnitude and s2 is None; at eps > 0 the norm is sqrt(s2), whose
+    log-derivative xi / s2 the solver descends along.
+    """
+    if eps > 0:
+        s2 = np.vecdot(xi, xi) + eps * eps
+        return np.sqrt(s2), s2
+    # from 0, as hypot(0, x) = |x|: a reduce over one component would return x itself
+    return np.hypot.reduce(xi, axis=-1, initial=0.0), None
+
+
 def _weighted_norm(c, xi, eps):
-    s2 = np.vecdot(xi, xi) + eps * eps
-    return c["a"] * np.sqrt(s2), (xi / s2[..., None] if eps > 0 else None)
+    r, s2 = _norm(xi, eps)
+    return c["a"] * r, (xi / s2[..., None] if eps > 0 else None)
 
 
 def _shifted_norm(c, xi, eps):
     d = xi - c["b"]
-    s2 = np.vecdot(d, d) + eps * eps
-    return np.sqrt(s2), (d / s2[..., None] if eps > 0 else None)
+    r, s2 = _norm(d, eps)
+    return r, (d / s2[..., None] if eps > 0 else None)
 
 
 def _anisotropic(c, xi, eps):
@@ -99,12 +118,12 @@ def _anisotropic(c, xi, eps):
 
 def _capped_norm(c, xi, eps):
     # a monotone transform of the norm, so level convex
-    r = np.linalg.norm(xi, axis=-1)
+    r = _norm(xi)[0]
     return np.minimum(r, 1.0) + 1e-6 * r, None
 
 
 def _unit_sphere_distance(c, xi, eps):
-    return np.abs(np.linalg.norm(xi, axis=-1) - 1.0), None
+    return np.abs(_norm(xi)[0] - 1.0), None
 
 
 class _Family(NamedTuple):
@@ -317,7 +336,7 @@ def growth_check(f: DensitySpec, trials=10000, seed=0) -> RelationReport:
     cells = rng.integers(f.grid.n_cells, size=trials)
     u = rng.normal(size=trials)
     xi = _PROBE_SCALE * rng.normal(size=(trials, f.grid.dimension))
-    bound = f.alpha * np.linalg.norm(xi, axis=-1)
+    bound = f.alpha * _norm(xi)[0]
     val = np.empty(trials)
     for i in range(trials):
         val[i] = eval_density(f, cells[i], u[i], xi[i])

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .discretize import DiscreteField, interpolate_boundary
+from .energy import _norm
 from .exponent_space import GridFunction, PreconditionError
 
 if TYPE_CHECKING:
@@ -72,7 +73,7 @@ def study_oracle(cfg: StudyConfig) -> float:
     if np.ptp(a.values) > 1e-12 * max(1.0, float(np.max(np.abs(a.values)))):
         raise PreconditionError("2-D oracle needs a constant weight")
     slopes = np.asarray(cfg.mesh.boundary.params[1:], dtype=float)
-    return float(a.values[0]) * float(np.linalg.norm(slopes))
+    return float(a.values[0]) * float(_norm(slopes)[0])
 
 
 def limit_minimizer(cfg: StudyConfig) -> DiscreteField:

@@ -1,6 +1,7 @@
 """The package runs on numpy alone, scipy is a test-only dependency, the
-test references in tests/_oracles.py do not import the package, and every
-module uses its imports and lists its public definitions in __all__."""
+test references in tests/_oracles.py do not import the package, every
+module uses its imports and lists its public definitions in __all__, and
+the package computes a Euclidean norm only through ``energy._norm``."""
 
 import ast
 import pathlib
@@ -103,4 +104,19 @@ def test_one_module_turns_input_into_cell_arrays_and_integers():
             elif isinstance(node, ast.ImportFrom) and node.module == "operator":
                 found += [f"{path.stem}:{node.lineno} from operator import {alias.name}"
                           for alias in node.names if alias.name == "index"]
+    assert found == []
+
+
+def test_no_module_calls_the_squaring_norm():
+    # np.linalg.norm squares first, so it overflows at |xi| = 1e200 and
+    # underflows at 1e-200; energy._norm is exact at every finite magnitude
+    found = []
+    for path in sorted((ROOT / "src" / "suplab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "norm" and (
+                    isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+                found.append(f"{path.stem}:{node.lineno} linalg.norm")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                found += [f"{path.stem}:{node.lineno} from {node.module} import {alias.name}"
+                          for alias in node.names if alias.name == "norm"]
     assert found == []

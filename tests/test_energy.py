@@ -7,6 +7,7 @@ from suplab.energy import (
     _FAMILIES,
     DensitySpec,
     _density,
+    _norm,
     density_field,
     eval_calFn,
     eval_density,
@@ -217,6 +218,60 @@ class TestFamilyRows:
             down, _ = _density(f, xi - step, None, eps)
             central = (np.log(up) - np.log(down)) / (2.0 * h)
             assert np.max(np.abs(dlog[:, j] - central)) < 1e-7 * np.max(np.abs(dlog))
+
+
+# each row's default density as a function of (|xi|, max_j |xi_j|)
+DEFAULT_ROW_VALUES = {
+    "weighted_norm": lambda r, m: r,
+    "shifted_norm": lambda r, m: r,
+    "anisotropic": lambda r, m: m,
+    "capped_norm": lambda r, m: min(r, 1.0) + 1e-6 * r,
+    "unit_sphere_distance": lambda r, m: abs(r - 1.0),
+}
+
+
+class TestExactNorm:
+    """One norm serves every row: exact at every finite magnitude, today's bits near 1."""
+
+    # |xi| far from 1, where a norm that squares first overflows or underflows,
+    # with the norm and the largest |xi_j| in exact arithmetic
+    @pytest.mark.parametrize("xi, norm, top", [
+        ([1e200], 1e200, 1e200),
+        ([1e-200, 0.0], 1e-200, 1e-200),
+        ([3e200, 4e200], 5e200, 4e200),
+    ], ids=["huge", "tiny", "huge_2d"])
+    @pytest.mark.parametrize("family", list(_FAMILIES))
+    def test_rows_are_exact_far_from_one(self, family, xi, norm, top):
+        want = DEFAULT_ROW_VALUES[family](norm, top)
+        xi = np.array(xi)
+        grid = line_grid(4) if xi.size == 1 else PLANE
+        f = DensitySpec(grid, family)
+        du = GridFunction(grid, np.tile(xi, (grid.n_cells, 1)))
+        with np.errstate(all="raise"):
+            vals = [eval_density(f, 0, 0.0, xi)] + list(density_field(f, None, du).values)
+        # hypot may land one rounding off: 3e200 and 4e200 give the float just below 5e200
+        np.testing.assert_allclose(vals, want, rtol=2.0 ** -52, atol=0.0)
+
+    def test_one_component_norm_is_the_root_of_the_square(self):
+        # so every 1-D density, and every shipped output, keeps its bits
+        rng = np.random.default_rng(31)
+        xi = rng.choice([-1.0, 1.0], size=(100_000, 1)) * 10.0 ** rng.uniform(-150, 150,
+                                                                              (100_000, 1))
+        r, s2 = _norm(xi)
+        assert s2 is None
+        assert np.array_equal(r, np.sqrt(np.vecdot(xi, xi)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6])
+    def test_smoothed_norm_is_the_root_of_the_smoothed_square(self, k, eps):
+        # the descent reads s2 for d(log f)/d(xi), so its iterates keep their bits
+        rng = np.random.default_rng(32)
+        xi = rng.choice([-1.0, 1.0], size=(10_000, k)) * 10.0 ** rng.uniform(-150, 150,
+                                                                             (10_000, k))
+        r, s2 = _norm(xi, eps)
+        want = np.vecdot(xi, xi) + eps * eps
+        assert np.array_equal(s2, want)
+        assert np.array_equal(r, np.sqrt(want))
 
 
 def per_cell_anisotropic(cells=8):

@@ -196,6 +196,17 @@ class TestOracles:
                           profile="constant", n_schedule=(4, 8))
         assert study_oracle(cfg) == pytest.approx(10.0, rel=1e-12)
 
+    @pytest.mark.parametrize("slopes, value", [((1e200, 0.0), 1e200), ((1e-200, 0.0), 1e-200),
+                                               ((3e200, 4e200), 5e200)],
+                             ids=["huge", "tiny", "huge_both"])
+    def test_2d_oracle_is_exact_far_from_one(self, slopes, value):
+        # the slope magnitude is the densities' norm: no square to overflow or underflow
+        mesh = MeshSpec(2, (1.0, 1.0), (4, 4), BoundarySpec.affine(0.0, *slopes))
+        cfg = StudyConfig(kind="norm_gamma", density=DensitySpec.weighted_norm(mesh.grid(), 1.0),
+                          mesh=mesh, profile="constant", n_schedule=(4,))
+        with np.errstate(all="raise"):
+            assert study_oracle(cfg) == pytest.approx(value, rel=1e-12)
+
     def test_2d_oracle_needs_constant_weight(self):
         mesh = MeshSpec(2, (1.0, 1.0), (4, 4), BoundarySpec.affine(0.0, 3.0, 4.0))
         dens = DensitySpec.weighted_norm(mesh.grid(),
