@@ -166,13 +166,19 @@ def _schedule(values, symbol, noun=None):
     """``values`` as a tuple of ints: the one rule for a sweep over ``symbol``.
 
     At least one entry, each an integer (``noun`` in the message, by default
-    ``symbol``), strictly increasing from at least 1.
+    ``symbol``) with a float value, strictly increasing from at least 1.
     """
-    sched = tuple(_index(v, noun or symbol) for v in values)
+    noun = noun or symbol
+    sched = tuple(_index(v, noun) for v in values)
     if len(sched) == 0 or any(b <= a for a, b in zip(sched, sched[1:])):
         raise StructuralError(f"the {symbol} schedule must be strictly increasing")
     if sched[0] < 1:
         raise StructuralError(f"the {symbol} schedule must start at 1 or above, got {sched[0]}")
+    try:
+        float(sched[-1])
+    except OverflowError:
+        raise StructuralError(f"{noun} has no float value: an integer of "
+                              f"{sched[-1].bit_length()} bits") from None
     return sched
 
 
@@ -368,11 +374,9 @@ def luxemburg_root(base_logs, exponents):
 
 def _stack_roots(base, exps):
     """The roots of :func:`luxemburg_root` for a stack of rows (B, n)."""
-    live = base > -np.inf
     # a row without live cells gets p_hi = -inf < p_lo = +inf, so it is
     # neither closed-form nor Newton and keeps root 0
-    p_hi = exps.max(axis=-1, where=live, initial=-np.inf)
-    p_lo = exps.min(axis=-1, where=live, initial=np.inf)
+    p_lo, p_hi = _exponent_bounds(exps, base > -np.inf)
     lr = _logsumexp(base)
     closed = p_hi == p_lo
     if closed.all():

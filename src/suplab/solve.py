@@ -21,6 +21,9 @@ one helper, :func:`_armijo`, backtracks under the Armijo test: it evaluates
 the trials a batch at a time, in one pass of the stencil and the density
 table, and hands back the accepted iterate's density for the next step and
 the refresh; the iterates are those of one-trial-at-a-time backtracking.
+The solve runs under one ``np.errstate(divide="ignore")``, so every log is
+``np.log``, with log 0 = -inf silent, and the returned objective is the
+stage value at eps = 0: the refresh of the exact density's log.
 
 Smoothed densities come from the family table in :mod:`suplab.energy`, the
 cell-gradient stencil and its adjoint from :mod:`suplab.discretize`; the
@@ -38,16 +41,14 @@ from .discretize import (
     MeshSpec,
     _cell_gradient,
     _cell_gradient_adjoint,
-    gradient,
     interpolate_boundary,
 )
-from .energy import DensitySpec, _density, _log_calF, eval_calFn, eval_Fn
+from .energy import DensitySpec, _density, _log_calF
 from .exponent_space import (
     ExponentField,
     PreconditionError,
     StructuralError,
     _linear,
-    _log0,
     _logsumexp,
     _require_same_grid,
     luxemburg_root,
@@ -92,13 +93,13 @@ class SolveResult:
     stagnated: bool
 
 
-def _armijo(mesh, density, eps, log, logw, pv, c, u, g, phi, gg, t):
+def _armijo(mesh, density, eps, logw, pv, c, u, g, phi, gg, t):
     """The first of the trial steps t, t/2, t/4, ... along -g passing the Armijo test.
 
     phi(u) = logsumexp(logw + pv (log f(u) - c)) with the density smoothed
-    at ``eps`` and ``log`` taking its log.  The trials are evaluated
-    :data:`_TRIALS` at a time in one stencil-and-density pass and compared
-    in order, so the step is the one sequential backtracking takes.
+    at ``eps``.  The trials are evaluated :data:`_TRIALS` at a time in one
+    stencil-and-density pass and compared in order, so the step is the one
+    sequential backtracking takes.
     Returns the step, the iterate there with its log f, d(log f)/d(xi),
     phi and term logs, or None once :data:`_MAX_BACKTRACKS` trials failed.
     """
@@ -109,7 +110,7 @@ def _armijo(mesh, density, eps, log, logw, pv, c, u, g, phi, gg, t):
             t *= _STEP_SHRINK
         trials = u - np.multiply.outer(steps, g)
         f, dlog = _density(density, _cell_gradient(mesh, trials), None, eps)
-        logf = log(f)
+        logf = np.log(f)
         terms = logw + pv * (logf - c)
         phis = _logsumexp(terms)
         for j, step in enumerate(steps):
@@ -118,6 +119,7 @@ def _armijo(mesh, density, eps, log, logw, pv, c, u, g, phi, gg, t):
     return None
 
 
+@np.errstate(divide="ignore")
 def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
                    mesh: MeshSpec, init: DiscreteField | None = None) -> SolveResult:
     """Minimize the chosen power-law functional over the interior nodes.
@@ -128,9 +130,9 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
     ``mesh`` and its trace; a start where the density is not finite is
     refused.  Each stage's trace holds its value (lam or
     calF) at the start and after each refresh.  The returned objective is
-    evaluated on the unsmoothed density
-    at the final iterate; a failed line search is reported through
-    ``stagnated`` rather than passed off as convergence.
+    that value on the unsmoothed density at the final iterate; a failed
+    line search is reported through ``stagnated`` rather than passed off
+    as convergence.
     """
     if functional not in (FUNCTIONAL_NORM, FUNCTIONAL_INTEGRAL):
         raise PreconditionError(f"unknown functional {functional!r}")
@@ -159,10 +161,8 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
     if functional == FUNCTIONAL_NORM:
         def refresh(logf):
             lam = luxemburg_root(logw + pv * logf, pv)
-            loglam = _log0(lam)
+            loglam = np.log(lam)
             return lam, loglam, loglam
-
-        evaluate = eval_Fn
     else:
         log_p_over_p = np.log(pv) / pv
 
@@ -170,11 +170,6 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
             phi = _log_calF(logw, pv, logf)
             return _linear(phi), phi, log_p_over_p
 
-        evaluate = eval_calFn
-
-    # a smoothed density vanishes only where a weight does, so with every
-    # weight positive the log needs no guard against log 0
-    log = np.log if np.min(density.coefficients.get("a", 1.0)) > 0.0 else _log0
     traces = []
     total_iters = 0
     stagnated = False
@@ -182,7 +177,7 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
     for eps in _EPSILONS:
         # the iterate's density state, kept from the accepted trial of each step
         f, dlog = _density(density, _cell_gradient(mesh, u), None, eps)
-        logf = log(f)
+        logf = np.log(f)
         t0 = _STEP_INIT
         value, log_value, c = refresh(logf)
         trace = [value]
@@ -203,7 +198,7 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
                 gg = float((g * g).sum())
                 if gg == 0.0:
                     break
-                accepted = _armijo(mesh, density, eps, log, logw, pv, c, u, g, phi, gg, t0)
+                accepted = _armijo(mesh, density, eps, logw, pv, c, u, g, phi, gg, t0)
                 if accepted is None:
                     failed = True
                     break
@@ -226,11 +221,10 @@ def minimize_power(functional: str, density: DensitySpec, p: ExponentField,
                 break
         traces.append(tuple(trace))
 
-    final = DiscreteField(mesh, u)
-    objective = evaluate(density, final.cell_values(), gradient(final), p)
+    f, _ = _density(density, _cell_gradient(mesh, u))
     return SolveResult(
-        field=final,
-        objective=float(objective),
+        field=DiscreteField(mesh, u),
+        objective=refresh(np.log(f))[0],
         iterations=total_iters,
         traces=tuple(traces),
         residual=float(residual),

@@ -392,6 +392,18 @@ class TestRun:
         assert f"[study] {key}:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_schedule_entry_without_float_value_is_config_error(self, tmp_path, capsys):
+        # StudyConfig lifts only the first n; 10**400 would overflow in
+        # ExponentSequence.field with a bare OverflowError and exit 1
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(re.sub(r"(?m)^n_schedule = .*$", "n_schedule = 4 1" + "0" * 400,
+                              config_text("norms.ini")))
+        code = main(["norms", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert ("[exponents]: n_schedule entry has no float value: an integer of 1329 bits"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("text, argv, code, message", [
         ("[density\nfamily = weighted_norm\n", (), 2, "malformed config"),
         (MINIMAL.replace("cells = 64", "cells = 64\nboundary = bogus"), (), 2,

@@ -451,7 +451,8 @@ class TestNormLimitStudy:
         ([4, 2], "the n schedule must be strictly increasing"),
         ([4, 4], "the n schedule must be strictly increasing"),
         ([0, 4], "the n schedule must start at 1 or above, got 0"),
-    ], ids=["empty", "decreasing", "repeated", "zero"])
+        ([4, 10**400], "n has no float value: an integer of 1329 bits"),
+    ], ids=["empty", "decreasing", "repeated", "zero", "no_float_value"])
     def test_schedule_refused(self, n_values, message):
         # [] would pass its verdict with final_error 0.0; StudyConfig refuses
         # the same schedules by the same rule

@@ -415,7 +415,9 @@ class TestYoungQLimit:
         ((0.5,), "q must be an integer, got 0.5"),
         ((float("nan"),), "q must be an integer, got nan"),
         ((0, 2), "the q schedule must start at 1 or above, got 0"),
-    ], ids=["empty", "decreasing", "fractional", "below_one_fractional", "nan", "zero"])
+        ((2, 10**400), "q has no float value: an integer of 1329 bits"),
+    ], ids=["empty", "decreasing", "fractional", "below_one_fractional", "nan", "zero",
+            "no_float_value"])
     def test_schedule_refused(self, q_values, message):
         # () would pass its verdict with final_error 0.0; 2.5 and 2.7 would
         # be two rows labelled q = 2, 0.5 a row labelled 0

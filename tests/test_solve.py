@@ -11,7 +11,7 @@ from suplab.discretize import (
     gradient,
     interpolate_boundary,
 )
-from suplab.energy import DensitySpec, _density, eval_Fn
+from suplab.energy import DensitySpec, _density, eval_calFn, eval_Fn
 from suplab.exponent_space import (
     ExponentField,
     GridFunction,
@@ -361,7 +361,7 @@ def sequential_armijo(backtracks):
         terms = logw + pv * (logf - c)
         return _logsumexp(terms), terms, logf, dlog
 
-    def armijo(mesh, density, eps, log, logw, pv, c, u, g, phi, gg, t):
+    def armijo(mesh, density, eps, logw, pv, c, u, g, phi, gg, t):
         phi, terms, _, dlog = evaluate(mesh, density, eps, logw, pv, c, u)
         sigma = np.exp(terms - phi) if np.isfinite(phi) else np.zeros_like(terms)
         g = _cell_gradient_adjoint(mesh, (sigma * pv)[:, None] * dlog)
@@ -435,16 +435,22 @@ def case_stagnation():
     return "norm", f, ExponentField.constant(grid, 6.0), mesh, None
 
 
+DESCENT_CASES = [
+    case_variable_exponent, case_anisotropic_2d, case_shifted,
+    case_zero_weight_cell, case_integral, case_stagnation,
+]
+
+
 class TestBatchedLineSearch:
     """The batched trials and the cached density state change no iterate."""
 
-    @pytest.mark.parametrize("case", [
-        case_variable_exponent, case_anisotropic_2d, case_shifted,
-        case_zero_weight_cell, case_integral, case_stagnation,
-    ])
-    def test_matches_sequential_backtracking(self, monkeypatch, case):
+    @pytest.fixture(autouse=True)
+    def short_stages(self, monkeypatch):
         monkeypatch.setattr(solve, "_EPSILONS", (1e-1, 1e-2, 1e-3))
         monkeypatch.setattr(solve, "_MAX_ITER", 500)
+
+    @pytest.mark.parametrize("case", DESCENT_CASES)
+    def test_matches_sequential_backtracking(self, monkeypatch, case):
         functional, f, p, mesh, init = case()
         batched = minimize_power(functional, f, p, mesh, init=init)
         backtracks = []
@@ -462,6 +468,15 @@ class TestBatchedLineSearch:
         if case is not case_stagnation:
             # some accepted step lies past the first batch of trials
             assert max(backtracks) >= solve._TRIALS
+
+    @pytest.mark.parametrize("case", DESCENT_CASES)
+    def test_objective_is_the_evaluator_value(self, case):
+        # the returned objective, the stage value on the exact density, is
+        # bit for bit the public evaluator's value of the returned field
+        functional, f, p, mesh, init = case()
+        res = minimize_power(functional, f, p, mesh, init=init)
+        evaluate = eval_Fn if functional == "norm" else eval_calFn
+        assert res.objective == evaluate(f, res.field.cell_values(), gradient(res.field), p)
 
 
 class TestWorkCount:
